@@ -66,7 +66,7 @@ bench-fleet:
 # the golden bands in PERF_BASELINE.json (tight allocs/op, generous
 # ns/op — see the note in that file). Fails with a readable diff.
 perf-gate:
-	$(GO) test -run xxx -bench 'BenchmarkMoveGen$$|BenchmarkIncrementalSTA$$|BenchmarkExtractIncremental$$|BenchmarkFig2Swap$$|BenchmarkRegionRoundTrip$$' -benchmem -benchtime 1x -count 3 . \
+	$(GO) test -run xxx -bench 'BenchmarkMoveGen$$|BenchmarkIncrementalSTA$$|BenchmarkExtractIncremental$$|BenchmarkFig2Swap$$|BenchmarkRegionRoundTrip$$|BenchmarkSessionApply$$|BenchmarkSnapshotAfterResize$$' -benchmem -benchtime 1x -count 3 . \
 	  | $(GO) run ./cmd/perfgate -baseline PERF_BASELINE.json
 
 table1:

@@ -27,6 +27,7 @@ import (
 	"repro/internal/sizing"
 	"repro/internal/sta"
 	"repro/internal/supergate"
+	"repro/rapids"
 )
 
 // table1Circuits is the subset exercised per bench invocation; pass
@@ -592,4 +593,68 @@ func BenchmarkRegionRoundTrip(b *testing.B) {
 	b.StopTimer()
 	sta.ReleaseTiming(tm)
 	b.ReportMetric(float64(regionsSeen), "regions")
+}
+
+// --- ECO session edit path ---
+
+// sessionBench shares one placed s38417 circuit; each benchmark clones it.
+var sessionBench struct {
+	once sync.Once
+	c    *rapids.Circuit
+}
+
+// BenchmarkSessionApply measures one resize Apply in an ECO session on
+// placed s38417: validation, the mutation, incremental re-timing, the
+// Delta, and publishing the new view. The edited gate sits mid-way along
+// the critical path and alternates between two sizes, so every op is a
+// real edit.
+func BenchmarkSessionApply(b *testing.B) {
+	sessionBench.once.Do(func() {
+		c, err := rapids.Generate("s38417")
+		if err != nil {
+			panic(err)
+		}
+		c.Place(rapids.PlaceMoves(5))
+		sessionBench.c = c
+	})
+	s, err := sessionBench.c.Clone().BeginSession(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	path := s.View().CriticalPath
+	edits := [2]rapids.Edit{
+		{Kind: rapids.EditResize, Gate: path[len(path)/2].Gate, Size: 1},
+		{Kind: rapids.EditResize, Gate: path[len(path)/2].Gate, Size: 2},
+	}
+	if _, err := s.Apply(edits[1]); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Apply(edits[i%2]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSnapshotAfterResize measures the snapshot a session publishes
+// after a one-gate resize on s38417: a value-only epoch, so the capture
+// patches a copy of the previous one instead of re-walking the network.
+func BenchmarkSnapshotAfterResize(b *testing.B) {
+	n, _, _ := staSwapSetup(b)
+	var g *network.Gate
+	n.Gates(func(x *network.Gate) {
+		if g == nil && !x.IsInput() {
+			g = x
+		}
+	})
+	n.Snapshot()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.SetSize(g, g.SizeIdx^1)
+		n.Snapshot()
+	}
 }

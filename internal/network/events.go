@@ -19,7 +19,8 @@
 // through SetSize, SetGateType, and MarkOutput when observers must see the
 // change. The one sanctioned direct-write pattern is a hypothetical
 // evaluation that flips a field and restores it before the next observer
-// synchronization point (see sizing.EvalResize).
+// synchronization point (see sizing.EvalResize). snapshot.go states what
+// a direct write owes the snapshot capture.
 package network
 
 import (
@@ -193,12 +194,14 @@ func (n *Network) touch(gs ...*Gate) {
 // network itself is unmodified; observers see GateTouched and the
 // mutation epoch advances so cached snapshots know timing moved.
 func (n *Network) Touch(g *Gate) {
+	n.changed(g)
 	n.touch(g)
 }
 
 // notifyRemoved reports the deletion of g.
 func (n *Network) notifyRemoved(g *Gate) {
 	n.epoch++
+	n.restructured()
 	batching := n.batching()
 	if batching {
 		n.batchRemoved = append(n.batchRemoved, g)
@@ -224,6 +227,7 @@ func (n *Network) SetSize(g *Gate, sizeIdx int) {
 	}
 	g.SizeIdx = sizeIdx
 	n.epoch++
+	n.changed(g)
 	batching := n.batching()
 	buffered := false
 	for _, o := range n.observers {
@@ -275,6 +279,7 @@ func (n *Network) SetGateType(g *Gate, t logic.GateType) {
 			t, g.name, len(g.fanins)))
 	}
 	g.Type = t
+	n.changed(g)
 	n.touch(g)
 	n.touch(g.fanins...)
 }

@@ -135,10 +135,16 @@ type Network struct {
 	// epoch counts mutations: every event-layer mutation advances it, so
 	// readers can detect change without diffing (snapshot.go). snapCache
 	// memoizes the last Snapshot taken, keyed by snapEpoch, so repeated
-	// reads of an unchanged network pin the same immutable view.
-	epoch     uint64
-	snapCache *Snapshot
-	snapEpoch uint64
+	// reads of an unchanged network pin the same immutable view. snapPos
+	// maps gate id to its position in that capture; snapDirty lists the
+	// gates whose value fields changed since, unless snapRecapture marks
+	// a structural mutation that makes the next capture a full one.
+	epoch         uint64
+	snapCache     *Snapshot
+	snapEpoch     uint64
+	snapPos       []int32
+	snapDirty     []*Gate
+	snapRecapture bool
 
 	// Batch-coalescing state (events.go): while batchDepth > 0, events
 	// for BatchObservers are buffered here instead of delivered per
@@ -226,6 +232,11 @@ func (n *Network) Outputs() []*Gate {
 // FindGate returns the gate with the given name, or nil.
 func (n *Network) FindGate(name string) *Gate { return n.byName[name] }
 
+// Live reports whether g is a gate of n that has not been removed.
+// Gates are appended in id order and slots are never compacted or
+// reordered, so a live gate always sits at n.gates[g.id].
+func (n *Network) Live(g *Gate) bool { return g.id < len(n.gates) && n.gates[g.id] == g }
+
 // AddInput creates a primary input.
 func (n *Network) AddInput(name string) *Gate {
 	return n.add(name, logic.Input, nil)
@@ -264,6 +275,7 @@ func (n *Network) add(name string, t logic.GateType, fanins []*Gate) *Gate {
 	}
 	n.gates = append(n.gates, g)
 	n.byName[name] = g
+	n.restructured()
 	n.touch(g)
 	n.touch(fanins...)
 	return g
@@ -275,6 +287,7 @@ func (n *Network) MarkOutput(g *Gate) {
 		return
 	}
 	g.PO = true
+	n.changed(g)
 	n.touch(g)
 }
 
@@ -303,6 +316,7 @@ func (n *Network) ReplaceFanin(g *Gate, idx int, nd *Gate) {
 	removeOneFanout(old, g)
 	g.fanins[idx] = nd
 	nd.fanouts = append(nd.fanouts, g)
+	n.restructured()
 	n.touch(old, nd, g)
 }
 
@@ -321,6 +335,7 @@ func removeOneFanout(from, sink *Gate) {
 // SetFanins replaces the entire fanin list of g, keeping fanout lists
 // consistent. Used by technology mapping when restructuring wide gates.
 func (n *Network) SetFanins(g *Gate, fanins []*Gate) {
+	n.restructured()
 	for _, old := range g.fanins {
 		removeOneFanout(old, g)
 		n.touch(old)
@@ -347,6 +362,7 @@ func (n *Network) Rename(g *Gate, name string) {
 	delete(n.byName, g.name)
 	g.name = name
 	n.byName[name] = g
+	n.changed(g)
 	n.touch(g)
 }
 
@@ -368,6 +384,8 @@ func (n *Network) TransferFanouts(old, nw *Gate) {
 	if old.PO {
 		old.PO = false
 		nw.PO = true
+		n.changed(old)
+		n.changed(nw)
 		n.touch(old, nw)
 	}
 }
@@ -401,9 +419,7 @@ func (n *Network) RemoveGate(g *Gate) {
 		n.touch(f)
 	}
 	g.fanins = nil
-	// Gates are appended in id order and slots are never compacted or
-	// reordered, so a live gate always sits at n.gates[g.id].
-	if n.gates[g.id] != g {
+	if !n.Live(g) {
 		panic("network: RemoveGate on gate from another network " + g.String())
 	}
 	n.gates[g.id] = nil
@@ -697,7 +713,7 @@ func (n *Network) CheckAcyclic() error {
 			if colors[g.id] == white {
 				colors[g.id] = gray
 				for _, f := range g.fanins {
-					if n.gates[f.id] != f {
+					if !n.Live(f) {
 						return fmt.Errorf("%s has dead fanin %s", g, f)
 					}
 					switch colors[f.id] {

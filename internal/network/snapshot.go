@@ -10,6 +10,23 @@
 // per-gate dedup to whole-network identity), so readers arriving between
 // mutations share one allocation.
 //
+// A capture costs what changed since the last one. Value-only mutations
+// (SetSize, SetGateType, Touch, MarkOutput, Rename, and the PO move in
+// TransferFanouts) leave the topological order and every fanin list as
+// they were, so the network records the gates they changed and the next
+// Snapshot() copies the previous view's gate slice, shares its fanin
+// slices, and rewrites only those gates. Structural mutations (adding or
+// removing a gate, rewiring a fanin) mark the network for a full
+// recapture, as does a dirty list grown past a fixed fraction of the
+// gates. Nothing is recorded before the first Snapshot(), so networks
+// that are never snapshotted pay one branch per mutation.
+//
+// Patching relies on every gate left off the dirty list still holding
+// the values of the last capture. A direct write to an exported Gate
+// field therefore needs one of three things: a structural mutation
+// since the last capture (fields of a gate just added), a restore before
+// the next capture (hypothetical evaluation), or a call to Invalidate.
+//
 // Snapshot() itself must run on the writer side (or under external
 // synchronization with the writer) — it walks live Gate pointers and
 // updates the memo. The returned *Snapshot is immutable and safe to
@@ -42,12 +59,45 @@ type Snapshot struct {
 	gates []SnapGate
 }
 
+// snapDirtyDiv bounds the dirty list at 1/snapDirtyDiv of the captured
+// gates: past that, patching a copy saves little over a full capture.
+const snapDirtyDiv = 8
+
 // Epoch returns the network's mutation epoch. It advances on every
-// event-layer mutation (structural edits, SetSize/SetGateType, Touch);
-// direct writes to exported Gate fields bypass it, exactly as they
-// bypass observers. Two equal epochs on the same network mean no
-// event-layer mutation happened in between.
+// event-layer mutation (structural edits, SetSize/SetGateType, Touch)
+// and on Invalidate; other direct writes to exported Gate fields bypass
+// it, exactly as they bypass observers. Two equal epochs on the same
+// network mean no event-layer mutation happened in between.
 func (n *Network) Epoch() uint64 { return n.epoch }
+
+// Invalidate reports that direct writes changed exported Gate fields
+// outside the event layer — placement assigning every X/Y is the case.
+// The epoch advances and the next Snapshot recaptures in full. Observers
+// are not notified.
+func (n *Network) Invalidate() {
+	n.epoch++
+	n.restructured()
+}
+
+// changed records that a value field of g changed through the event
+// layer, for the next Snapshot to patch.
+func (n *Network) changed(g *Gate) {
+	if n.snapCache == nil || n.snapRecapture {
+		return
+	}
+	if len(n.snapDirty) >= len(n.snapCache.gates)/snapDirtyDiv {
+		n.restructured()
+		return
+	}
+	n.snapDirty = append(n.snapDirty, g)
+}
+
+// restructured records a mutation that may have moved the topological
+// order or a fanin list: the next Snapshot recaptures in full.
+func (n *Network) restructured() {
+	n.snapRecapture = true
+	n.snapDirty = n.snapDirty[:0]
+}
 
 // Snapshot captures the live gates into an immutable view stamped with
 // the current epoch. Calls at an unchanged epoch return the identical
@@ -55,31 +105,63 @@ func (n *Network) Epoch() uint64 { return n.epoch }
 // one capture. Must be called on the writer side; see the package note
 // at the top of this file.
 func (n *Network) Snapshot() *Snapshot {
-	if n.snapCache != nil && n.snapEpoch == n.epoch {
-		return n.snapCache
+	prev := n.snapCache
+	if prev != nil && n.snapEpoch == n.epoch {
+		return prev
 	}
-	order := n.TopoOrder()
-	pos := make([]int32, n.nextID)
-	for i, g := range order {
-		pos[g.id] = int32(i)
-	}
-	gates := make([]SnapGate, len(order))
-	for i, g := range order {
-		var fans []int32
-		if len(g.fanins) > 0 {
-			fans = make([]int32, len(g.fanins))
-			for j, f := range g.fanins {
-				fans[j] = pos[f.id]
-			}
-		}
-		gates[i] = SnapGate{
-			Name: g.name, Type: g.Type, PO: g.PO, SizeIdx: g.SizeIdx,
-			X: g.X, Y: g.Y, Placed: g.Placed, Fanins: fans,
+	var gates []SnapGate
+	if prev == nil || n.snapRecapture {
+		gates = n.capture()
+	} else {
+		gates = make([]SnapGate, len(prev.gates))
+		copy(gates, prev.gates)
+		for _, g := range n.snapDirty {
+			i := n.snapPos[g.id]
+			gates[i] = snapGate(g, gates[i].Fanins)
 		}
 	}
+	n.snapDirty, n.snapRecapture = n.snapDirty[:0], false
 	s := &Snapshot{name: n.name, epoch: n.epoch, gates: gates}
 	n.snapCache, n.snapEpoch = s, n.epoch
 	return s
+}
+
+// capture builds the gate slice from scratch in TopoOrder order and
+// refreshes the id→position index patching uses. All fanin lists share
+// one backing array.
+func (n *Network) capture() []SnapGate {
+	order := n.TopoOrder()
+	if cap(n.snapPos) < n.nextID {
+		n.snapPos = make([]int32, n.nextID)
+	}
+	n.snapPos = n.snapPos[:n.nextID]
+	pins := 0
+	for i, g := range order {
+		n.snapPos[g.id] = int32(i)
+		pins += len(g.fanins)
+	}
+	fans := make([]int32, 0, pins)
+	gates := make([]SnapGate, len(order))
+	for i, g := range order {
+		var fi []int32
+		if len(g.fanins) > 0 {
+			base := len(fans)
+			for _, f := range g.fanins {
+				fans = append(fans, n.snapPos[f.id])
+			}
+			fi = fans[base:len(fans):len(fans)]
+		}
+		gates[i] = snapGate(g, fi)
+	}
+	return gates
+}
+
+// snapGate copies g's value fields next to the given fanin indices.
+func snapGate(g *Gate, fanins []int32) SnapGate {
+	return SnapGate{
+		Name: g.name, Type: g.Type, PO: g.PO, SizeIdx: g.SizeIdx,
+		X: g.X, Y: g.Y, Placed: g.Placed, Fanins: fanins,
+	}
 }
 
 // Name returns the name of the network the snapshot was taken from.

@@ -167,6 +167,8 @@ func Place(n *network.Network, lib *library.Library, opt Options) Result {
 		}
 		temp *= cooling
 	}
+	// Locations were written directly, bypassing the event layer.
+	n.Invalidate()
 	res.FinalHPWL = TotalHPWL(n)
 	return res
 }

@@ -241,6 +241,9 @@ func (s *Snapshot) Net(name string) *network.Network {
 				fanins = append(fanins, built[fi])
 			}
 			g = sub.AddGate(sg.name, sg.typ, fanins...)
+			// The rollback image restores sizes by direct write. That is
+			// safe for network snapshots: sub is built right here, so each
+			// write follows its gate's AddGate, a structural mutation.
 			g.SizeIdx = sg.sizeIdx
 		}
 		g.X, g.Y, g.Placed = sg.x, sg.y, sg.placed
@@ -319,6 +322,8 @@ func Stitch(n *network.Network, sub *network.Network, oldInterior []*network.Gat
 			name = n.FreshName(name + "_st")
 		}
 		ng := n.AddGate(name, sg.Type, fanins...)
+		// Direct writes right after AddGate: the add is a structural
+		// mutation, so n's next snapshot recaptures and sees them.
 		ng.SizeIdx = sg.SizeIdx
 		ng.X, ng.Y, ng.Placed = sg.X, sg.Y, sg.Placed
 		m[sg.ID()] = ng

@@ -28,7 +28,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -182,7 +183,7 @@ func (c *Circuit) BeginSession(ctx context.Context, opts ...Option) (*Session, e
 		initialNS: tm.CriticalDelay,
 	}
 	s.refreshSlacks(tm)
-	s.publish(tm)
+	s.publish(tm, pathStages(tm))
 	return s, nil
 }
 
@@ -199,15 +200,17 @@ func (s *Session) refreshSlacks(tm *sta.Timing) {
 	s.prevBound = bound
 }
 
-// publish captures the current snapshot + timing into a fresh view.
-func (s *Session) publish(tm *sta.Timing) {
+// publish captures the current snapshot + timing into a fresh view;
+// path is tm's critical path, which the view may share with a Delta
+// since neither ever modifies it.
+func (s *Session) publish(tm *sta.Timing, path []PathStage) {
 	v := &TimingView{
 		Seq:          s.seq,
 		Epoch:        s.c.net.Epoch(),
 		DelayNS:      tm.CriticalDelay,
 		LatenessNS:   tm.Lateness,
 		Gates:        s.c.net.NumGates(),
-		CriticalPath: pathStages(tm),
+		CriticalPath: path,
 		snap:         s.c.net.Snapshot(),
 	}
 	s.view.Store(v)
@@ -388,7 +391,7 @@ func (s *Session) retime(prev float64, start time.Time) *Delta {
 		}
 		s.prevSlack = s.prevSlack[:bound]
 		for _, g := range s.inc.LastTouched() {
-			if s.c.net.FindGate(g.Name()) != g {
+			if !s.c.net.Live(g) {
 				continue // removed during the mutation
 			}
 			id := g.ID()
@@ -402,11 +405,11 @@ func (s *Session) retime(prev float64, start time.Time) *Delta {
 		}
 		s.prevBound = bound
 	}
-	sort.Slice(d.ChangedSlacks, func(i, j int) bool {
-		return d.ChangedSlacks[i].Gate < d.ChangedSlacks[j].Gate
+	slices.SortFunc(d.ChangedSlacks, func(a, b SlackChange) int {
+		return strings.Compare(a.Gate, b.Gate)
 	})
 	d.Elapsed = time.Since(start)
-	s.publish(tm)
+	s.publish(tm, d.CriticalPath)
 	return d
 }
 
@@ -434,7 +437,7 @@ func (s *Session) Commit() (*SessionResult, error) {
 		return nil, ErrSessionClosed
 	}
 	tm := s.inc.Update()
-	s.publish(tm)
+	s.publish(tm, pathStages(tm))
 	res := &SessionResult{
 		Edits: s.edits, Reopts: s.reopts, Seq: s.seq,
 		InitialDelayNS: s.initialNS,
