@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race bench bench-smoke bench-scaling bench-scaling-smoke bench-fleet perf-gate table1 fuzz cover fmt-check api api-check docs-check serve-smoke session-smoke chaos metrics-smoke fleet-smoke
+.PHONY: all vet build test race bench bench-smoke bench-scaling bench-scaling-smoke bench-fleet perf-gate table1 fuzz cover fmt-check api api-check docs-check serve-smoke session-smoke chaos metrics-smoke fleet-smoke flake
 
 all: vet fmt-check api-check build test docs-check
 
@@ -133,6 +133,13 @@ fleet-smoke:
 	$(GO) test -race -count=1 -run 'TestFleet' ./rapids/server
 	$(GO) test -race -count=1 -run 'TestRunFleetInProcess|TestFleetIdentity' ./internal/harness
 	$(GO) test -race -count=1 -run 'TestFleetSmoke' -v ./cmd/rapidsd
+
+# Flake hunt: the real-binary smokes of the job and session life cycle
+# (boot, SSE, cache hit, cancel, drain, SIGKILL + restart, fleet, ECO
+# sessions), five runs each. A flaky test is a bug, in the test or in
+# the system.
+flake:
+	$(GO) test -count=5 -run 'TestServeSmoke|TestKillRestartRecovery|TestFleetSmoke|TestSessionSmoke|TestKillRestartSessionRecovery' -v ./cmd/rapidsd
 
 # Metrics smoke (DESIGN.md §5b): the exposition-format unit tests, the
 # concurrent scrape-and-reconcile test over a live server, the

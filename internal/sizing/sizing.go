@@ -1,23 +1,19 @@
-// Package sizing implements the gate-sizing algorithm the paper adopts
-// from Coudert (§5, their reference [2]): maximize the minimum slack
-// through iterative neighborhood search, followed by a relaxation phase
-// that maximizes the sum of slacks to escape local minima, the two phases
-// iterating until no further improvement.
+// Package sizing holds the resize move of the gate-sizing algorithm the
+// paper adopts from Coudert (§5, their reference [2]): the two
+// neighborhood objectives (maximize the minimum slack; the sum-of-slacks
+// relaxation that escapes local minima), the local evaluation of one
+// candidate resize, and the load-aware initial sizing. The loop that
+// alternates the two phases is opt's unified Coudert loop (strategies GS
+// and gsg+GS).
 //
 // Every candidate resize is evaluated *locally*: the arrival times of the
 // resized gate's fanin drivers and of all their sinks are recomputed with
 // upstream arrivals and downstream required times frozen from the last
-// analysis. Committed batches are then absorbed by an incremental timer
-// (sta.Incremental) that re-propagates timing only through the resized
-// region — full ground-truth analyses run once at the start and once at
-// the end of a run (plus the timer's threshold fallbacks on batches that
-// dirty most of a small network), not once per pass.
+// analysis, as a pure read that concurrent scoring workers can share.
 package sizing
 
 import (
-	"context"
 	"math"
-	"sort"
 
 	"repro/internal/library"
 	"repro/internal/network"
@@ -230,188 +226,4 @@ func SeedForLoad(n *network.Network, lib *library.Library, targetNS float64) {
 			}
 		})
 	}
-}
-
-// Options controls the standalone GS optimizer.
-type Options struct {
-	// Clock is the required time at primary outputs; <= 0 freezes the
-	// initial critical delay as the target, making slack maximization
-	// equivalent to delay minimization.
-	Clock float64
-	// MaxPasses bounds the phase-1/phase-2 iterations (default 8).
-	MaxPasses int
-	// Allowed filters which gates may be resized; nil allows all.
-	Allowed func(*network.Gate) bool
-	// Window, when > 0, restricts candidates to gates whose resize
-	// neighborhood touches slack within Window×Clock of the worst slack —
-	// the same criticality windowing opt.Options.Window applies to the
-	// combined optimizer. 0 scores every allowed gate.
-	Window float64
-}
-
-// Stats reports a sizing run.
-type Stats struct {
-	Passes       int
-	Resizes      int
-	InitialDelay float64
-	FinalDelay   float64
-	// Timer counts the timing work: full ground-truth analyses versus
-	// incremental dirty-region updates.
-	Timer sta.IncStats
-	// Interrupted reports that the run's context was cancelled before
-	// convergence; the network still holds the best sizing seen.
-	Interrupted bool
-}
-
-// Optimize runs Coudert-style sizing on the whole network (or the Allowed
-// subset) in place and returns statistics. Placement is never modified.
-//
-// Timing is maintained by an incremental timer: one full analysis seeds
-// the run, every accepted batch is absorbed by dirty-region propagation,
-// and one final full analysis is the ground truth for the reported delay.
-//
-// The context is checked at phase boundaries: a cancelled run stops
-// early, restores the best sizing seen so far (anytime semantics), and
-// is marked Interrupted. A nil context never cancels.
-func Optimize(ctx context.Context, n *network.Network, lib *library.Library, o Options) Stats {
-	if o.MaxPasses <= 0 {
-		o.MaxPasses = 8
-	}
-	allowed := o.Allowed
-	if allowed == nil {
-		allowed = func(*network.Gate) bool { return true }
-	}
-	inc := sta.NewIncremental(n, lib, o.Clock)
-	defer inc.Close()
-	tm := inc.Timing()
-	clock := tm.Clock
-	st := Stats{InitialDelay: tm.CriticalDelay, FinalDelay: tm.CriticalDelay}
-
-	// Relaxation may temporarily worsen the critical delay; remember the
-	// best sizing seen and restore it at the end.
-	bestDelay := tm.CriticalDelay
-	bestSizes := snapshotSizes(n)
-	sc := sta.NewScratch()
-	for pass := 0; pass < o.MaxPasses; pass++ {
-		improved := false
-		for _, obj := range []Objective{MinSlack, SumSlack} {
-			if ctx != nil && ctx.Err() != nil {
-				st.Interrupted = true
-				break
-			}
-			tm = inc.Update()
-			applied := applyPhase(n, tm, obj, phaseFilter(tm, o, allowed), &st, sc)
-			if applied == 0 {
-				continue
-			}
-			after := inc.Update()
-			if after.CriticalDelay < bestDelay-eps {
-				bestDelay = after.CriticalDelay
-				bestSizes = snapshotSizes(n)
-				improved = true
-			}
-		}
-		if st.Interrupted {
-			break
-		}
-		st.Passes = pass + 1
-		if !improved {
-			break
-		}
-	}
-	restoreSizes(n, bestSizes)
-	st.Timer = inc.Stats()
-	final := sta.Analyze(n, lib, clock)
-	st.FinalDelay = final.CriticalDelay
-	return st
-}
-
-func snapshotSizes(n *network.Network) map[*network.Gate]int {
-	m := make(map[*network.Gate]int, n.NumGates())
-	n.Gates(func(g *network.Gate) { m[g] = g.SizeIdx })
-	return m
-}
-
-func restoreSizes(n *network.Network, sizes map[*network.Gate]int) {
-	n.Gates(func(g *network.Gate) {
-		if s, ok := sizes[g]; ok {
-			n.SetSize(g, s)
-		}
-	})
-}
-
-// phaseFilter combines the caller's Allowed predicate with the
-// criticality window: with Window set, only gates whose neighborhood (the
-// gate, its fanin drivers, and their sinks) touches slack within
-// Window×Clock of the worst are candidates.
-func phaseFilter(tm *sta.Timing, o Options, allowed func(*network.Gate) bool) func(*network.Gate) bool {
-	if o.Window <= 0 {
-		return allowed
-	}
-	threshold := tm.WorstSlack() + o.Window*tm.Clock
-	critical := func(g *network.Gate) bool { return tm.Slack(g) <= threshold }
-	return func(g *network.Gate) bool {
-		if !allowed(g) {
-			return false
-		}
-		if critical(g) {
-			return true
-		}
-		for _, d := range g.Fanins() {
-			if critical(d) {
-				return true
-			}
-			for _, s := range d.Fanouts() {
-				if critical(s) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-}
-
-type resizeMove struct {
-	g    *network.Gate
-	size int
-	gain float64
-}
-
-// applyPhase finds the best resize per gate, sorts by gain, and applies
-// them in order, revalidating each against the mutated state. It returns
-// the number of resizes applied.
-func applyPhase(n *network.Network, tm *sta.Timing, obj Objective, allowed func(*network.Gate) bool, st *Stats, sc *sta.Scratch) int {
-	var moves []resizeMove
-	n.Gates(func(g *network.Gate) {
-		if g.IsInput() || !allowed(g) {
-			return
-		}
-		if size, gain := BestResizeScratch(tm, g, obj, sc); gain > eps {
-			moves = append(moves, resizeMove{g, size, gain})
-		}
-	})
-	sortMoves(moves)
-	applied := 0
-	for _, m := range moves {
-		// Earlier applications change the local picture; re-evaluate
-		// before committing (the "best sequence" selection of §5).
-		if gain := EvalResizeScratch(tm, m.g, m.size, obj, sc); gain > eps {
-			n.SetSize(m.g, m.size)
-			applied++
-			st.Resizes++
-		}
-	}
-	return applied
-}
-
-// sortMoves orders by gain with the gates' dense IDs as a stable
-// secondary key, so equal-gain moves apply in a reproducible order no
-// matter how the candidate list was produced.
-func sortMoves(moves []resizeMove) {
-	sort.Slice(moves, func(i, j int) bool {
-		if moves[i].gain != moves[j].gain {
-			return moves[i].gain > moves[j].gain
-		}
-		return moves[i].g.ID() < moves[j].g.ID()
-	})
 }

@@ -1,18 +1,13 @@
 package sizing
 
 import (
-	"context"
 	"math"
 	"testing"
 
-	"repro/internal/gen"
 	"repro/internal/library"
 	"repro/internal/logic"
 	"repro/internal/network"
-	"repro/internal/place"
-	"repro/internal/sim"
 	"repro/internal/sta"
-	"repro/internal/techmap"
 )
 
 func lib() *library.Library { return library.Default035() }
@@ -73,56 +68,6 @@ func TestBestResize(t *testing.T) {
 	}
 }
 
-func TestOptimizeImprovesFanoutHeavy(t *testing.T) {
-	n := fanoutHeavy()
-	st := Optimize(context.Background(), n, lib(), Options{})
-	if st.FinalDelay >= st.InitialDelay {
-		t.Fatalf("GS failed: %v -> %v", st.InitialDelay, st.FinalDelay)
-	}
-	if st.Resizes == 0 {
-		t.Fatal("no resizes recorded")
-	}
-}
-
-func TestOptimizeOnPlacedBenchmark(t *testing.T) {
-	n, err := gen.Generate("c432")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := lib()
-	place.Place(n, l, place.Options{Seed: 1, MovesPerCell: 10})
-	locs := place.Snapshot(n)
-	orig, _ := n.Clone()
-	areaBefore := techmap.Area(n, l)
-
-	st := Optimize(context.Background(), n, l, Options{MaxPasses: 4})
-	if st.FinalDelay > st.InitialDelay+1e-9 {
-		t.Fatalf("GS worsened delay: %v -> %v", st.InitialDelay, st.FinalDelay)
-	}
-	improvement := (st.InitialDelay - st.FinalDelay) / st.InitialDelay
-	if improvement <= 0 {
-		t.Fatalf("GS found nothing on a placed benchmark (%.2f%%)", improvement*100)
-	}
-	// Sizing must not touch structure, function, or placement.
-	if ce, err := sim.EquivalentRandom(orig, n, 16, 3); err != nil || ce != nil {
-		t.Fatalf("sizing changed function: %v %v", ce, err)
-	}
-	if name, same := place.SameLocations(locs, place.Snapshot(n)); !same {
-		t.Fatalf("sizing moved cell %s", name)
-	}
-	_ = areaBefore // area may go up or down; tracked by the harness
-}
-
-func TestAllowedFilter(t *testing.T) {
-	n := fanoutHeavy()
-	d := n.FindGate("d")
-	st := Optimize(context.Background(), n, lib(), Options{Allowed: func(g *network.Gate) bool { return g != d }})
-	if d.SizeIdx != 0 {
-		t.Fatal("filtered gate was resized")
-	}
-	_ = st
-}
-
 func TestScore(t *testing.T) {
 	slacks := []float64{3, 1, 2}
 	if got := Score(MinSlack, slacks, 10); got != 1 {
@@ -138,109 +83,4 @@ func TestScore(t *testing.T) {
 	if got := Score(MinSlack, nil, 10); got != math.MaxFloat64 {
 		t.Fatalf("empty min score %v", got)
 	}
-}
-
-func TestOptimizeIsDeterministic(t *testing.T) {
-	run := func() float64 {
-		n, err := gen.Generate("c432")
-		if err != nil {
-			t.Fatal(err)
-		}
-		l := lib()
-		place.Place(n, l, place.Options{Seed: 2, MovesPerCell: 5})
-		return Optimize(context.Background(), n, l, Options{MaxPasses: 3}).FinalDelay
-	}
-	if run() != run() {
-		t.Fatal("GS is not deterministic")
-	}
-}
-
-func TestOptimizeUsesIncrementalTimer(t *testing.T) {
-	n, err := gen.Generate("c432")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := lib()
-	place.Place(n, l, place.Options{Seed: 1, MovesPerCell: 10})
-	st := Optimize(context.Background(), n, l, Options{MaxPasses: 4})
-	if st.Timer.IncrementalUpdates == 0 {
-		t.Fatalf("sizing never used the incremental timer: %+v", st.Timer)
-	}
-	if st.Timer.FullAnalyses > 1+st.Passes {
-		t.Fatalf("too many full analyses: %d for %d passes (%+v)",
-			st.Timer.FullAnalyses, st.Passes, st.Timer)
-	}
-}
-
-// TestOptimizeWindowed: the standalone GS loop under a criticality
-// window must still never regress delay, and the window filter must
-// actually exclude off-critical gates while keeping the critical ones.
-func TestOptimizeWindowed(t *testing.T) {
-	mk := func() *network.Network {
-		n := gen.FromProfile(gen.Profile{
-			Name: "szwin", Seed: 9, NumPI: 20, TargetGates: 250,
-			XorFrac: 0.1, NorFrac: 0.4, InvFrac: 0.12, Locality: 0.5, MaxFanin: 3,
-		})
-		place.Place(n, lib(), place.Options{Seed: 1, MovesPerCell: 6})
-		SeedForLoad(n, lib(), 0)
-		return n
-	}
-
-	full := Optimize(context.Background(), mk(), lib(), Options{MaxPasses: 3})
-	win := Optimize(context.Background(), mk(), lib(), Options{MaxPasses: 3, Window: 0.02})
-	if win.FinalDelay > win.InitialDelay+eps {
-		t.Fatalf("windowed sizing regressed delay: %+v", win)
-	}
-	if win.FinalDelay > full.FinalDelay*1.02+eps {
-		t.Fatalf("windowed sizing delay %.4f too far above full %.4f", win.FinalDelay, full.FinalDelay)
-	}
-
-	// The filter itself: the worst-slack gate always passes, and some
-	// off-critical gate is excluded under a tight window.
-	n := mk()
-	tm := sta.Analyze(n, lib(), 0)
-	allowAll := func(*network.Gate) bool { return true }
-	filter := phaseFilter(tm, Options{Window: 0.01}, allowAll)
-	worstIn, someOut := false, false
-	worst := tm.WorstSlack()
-	n.Gates(func(g *network.Gate) {
-		if g.IsInput() {
-			return
-		}
-		in := filter(g)
-		if tm.Slack(g) <= worst+1e-9 && in {
-			worstIn = true
-		}
-		if !in {
-			someOut = true
-		}
-	})
-	if !worstIn {
-		t.Fatal("window filter excluded the worst-slack gate")
-	}
-	if !someOut {
-		t.Fatal("window filter excluded nothing — dead predicate")
-	}
-	if got := phaseFilter(tm, Options{}, allowAll); got == nil {
-		t.Fatal("nil filter")
-	}
-}
-
-// TestOptimizeCancelled: a pre-cancelled context stops the sizing loop
-// at the first phase boundary with the best (initial) sizing restored.
-func TestOptimizeCancelled(t *testing.T) {
-	n, l := fanoutHeavy(), lib()
-	before := map[string]int{}
-	n.Gates(func(g *network.Gate) { before[g.Name()] = g.SizeIdx })
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	st := Optimize(ctx, n, l, Options{MaxPasses: 4})
-	if !st.Interrupted || st.Passes != 0 || st.Resizes != 0 {
-		t.Fatalf("cancelled run must commit nothing: %+v", st)
-	}
-	n.Gates(func(g *network.Gate) {
-		if before[g.Name()] != g.SizeIdx {
-			t.Fatalf("gate %s resized by cancelled run", g.Name())
-		}
-	})
 }

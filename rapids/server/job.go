@@ -110,9 +110,7 @@ type job struct {
 	gates     int
 	errmsg    string
 	result    *rapids.Result
-	events    []rapids.Event
-	closed    bool          // terminal: no more events will arrive
-	wake      chan struct{} // closed and replaced on every change
+	events    stream[rapids.Event] // closed once the job is terminal
 
 	// Timing accounting: enqueuedAt/startedAt mark the start of the
 	// current queued/running stint (zero when not in that state);
@@ -123,13 +121,12 @@ type job struct {
 	ranFor     time.Duration
 }
 
-func newJob(id, key string, req JobRequest) *job {
+func newJob(id, key string, seq int, req JobRequest) *job {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &job{
-		id: id, key: key, req: req,
+		id: id, key: key, seq: seq, req: req,
 		ctx: ctx, cancel: cancel,
 		state:      StateQueued,
-		wake:       make(chan struct{}),
 		enqueuedAt: time.Now(),
 	}
 }
@@ -164,19 +161,12 @@ func (j *job) closeStints(now time.Time) {
 	}
 }
 
-// notify wakes every waiting event subscriber. Callers hold j.mu.
-func (j *job) notify() {
-	close(j.wake)
-	j.wake = make(chan struct{})
-}
-
 func (j *job) setRunning(circuit string, gates int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.state = StateRunning
 	j.circuit = circuit
 	j.gates = gates
-	j.notify()
 }
 
 // setQueued moves a transiently-failed job back behind the workers
@@ -190,7 +180,6 @@ func (j *job) setQueued() {
 	j.closeStints(now)
 	j.enqueuedAt = now
 	j.state = StateQueued
-	j.notify()
 }
 
 // nextAttempt registers the start of an optimization attempt and
@@ -214,46 +203,16 @@ func (j *job) stateNow() string {
 	return j.state
 }
 
-// appendEvent records one rapids.Event (the WithProgress sink; also
-// used to synthesize the EventDone of a cache hit).
-func (j *job) appendEvent(ev rapids.Event) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.events = append(j.events, ev)
-	j.notify()
-}
-
-// finish moves the job to a terminal state and closes the event stream.
+// finish moves the job to a terminal state, then closes the event
+// stream: a subscriber that sees the close reads the terminal status.
 func (j *job) finish(state string, res *rapids.Result, errmsg string) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	j.closeStints(time.Now())
 	j.state = state
 	j.result = res
 	j.errmsg = errmsg
-	j.closed = true
-	j.notify()
-}
-
-// restoreTimings seeds the accumulators of a journal-reborn job with
-// the recorded values of its original run.
-func (j *job) restoreTimings(queuedFor, ranFor time.Duration) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.queuedFor, j.ranFor = queuedFor, ranFor
-	j.enqueuedAt, j.startedAt = time.Time{}, time.Time{}
-}
-
-// snapshot returns the events at index >= from, whether the stream is
-// closed, and a channel that is closed on the next change — the
-// subscription primitive of the SSE handler.
-func (j *job) snapshot(from int) (evs []rapids.Event, closed bool, wake <-chan struct{}) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if from < len(j.events) {
-		evs = j.events[from:len(j.events):len(j.events)]
-	}
-	return evs, j.closed, j.wake
+	j.mu.Unlock()
+	j.events.close()
 }
 
 func (j *job) status() JobStatus {
@@ -266,10 +225,4 @@ func (j *job) status() JobStatus {
 		QueuedFor: j.queuedFor, RanFor: j.ranFor,
 		Result: j.result,
 	}
-}
-
-func (j *job) terminal() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.closed
 }

@@ -179,18 +179,20 @@ type Server struct {
 
 	ring *router.Ring // nil outside fleet mode
 
+	// mu guards the tables, the id sequence, and the draining flag;
+	// admission (lifecycle.go) holds it from the capacity check through
+	// the journaled open to registration.
 	mu        sync.Mutex
-	jobs      map[string]*job
-	order     []string          // submission order, for GET /v1/jobs
-	forwarded map[string]string // job id -> owning replica URL (proxied submissions)
+	jobs      table[*job]
+	sessions  table[*liveSession] // ECO sessions (session.go)
+	forwarded map[string]string   // job id -> owning replica URL (proxied submissions)
 	seq       int
 	draining  bool
-	// ECO sessions (session.go). sessPending reserves capacity for
-	// opens still building their circuit, so concurrent opens cannot
-	// overshoot MaxSessions.
-	sessions    map[string]*liveSession
-	sessOrder   []string // open order, for GET /v1/sessions
+	// sessPending reserves capacity for session opens still building
+	// their circuit, so concurrent opens cannot overshoot MaxSessions.
 	sessPending int
+
+	jobKind, sessKind kind
 
 	// smu guards the sticky shared-store error (healthz reporting
 	// only; the store never gates readiness).
@@ -229,10 +231,17 @@ func newServer(cfg Config) (*Server, error) {
 		queue:     newJobQueue(m.queueDepth, m.queueHighWater),
 		cache:     newResultCache(cfg.CacheCap, m.cacheEvictions),
 		drainc:    make(chan struct{}),
-		jobs:      make(map[string]*job),
 		forwarded: make(map[string]string),
-		sessions:  make(map[string]*liveSession),
+		jobKind: kind{
+			noun: "job", prefix: "j", opened: journal.OpAccepted, rejected: m.submissions,
+			invalid: outcomeInvalidReq, draining: outcomeDraining, full: outcomeQueueFull, journalFailed: outcomeJournalError,
+		},
+		sessKind: kind{
+			noun: "session", prefix: "s", opened: journal.OpSessionOpened, rejected: m.sessionsRejected,
+			invalid: sessRejectInvalid, draining: sessRejectDraining, full: sessRejectCapacity, journalFailed: sessRejectJournal,
+		},
 	}
+	s.jobs.mu, s.sessions.mu = &s.mu, &s.mu
 	if len(cfg.Peers) > 0 {
 		peers := make([]string, len(cfg.Peers))
 		for i, p := range cfg.Peers {
@@ -373,11 +382,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.logf("server: drained")
 		return nil
 	case <-ctx.Done():
-		s.mu.Lock()
-		for _, j := range s.jobs {
+		for _, j := range s.jobs.all() {
 			j.cancel()
 		}
-		s.mu.Unlock()
 		<-done
 		s.logf("server: drain deadline expired, running jobs cancelled")
 		return ctx.Err()
@@ -414,17 +421,11 @@ func (s *Server) run(j *job) {
 	s.metrics.attempts.Inc()
 	s.appendJournal(journal.Entry{Op: journal.OpStarted, JobID: j.id, Key: j.key, Seq: j.seq, Attempt: attempt})
 
-	c, err := loadCircuit(j.req)
+	c, err := placedCircuit(j.req)
 	if err != nil {
 		s.finishJob(j, StateFailed, nil, err.Error())
 		return
 	}
-	place := j.req.Place
-	if place == nil {
-		place = &PlaceSpec{}
-	}
-	p := place.withDefaults()
-	c.Place(rapids.PlaceSeed(p.Seed), rapids.PlaceMoves(p.Moves), rapids.PlaceAspect(p.Aspect))
 
 	// Capture the identity the status endpoint reports before the
 	// optimizer runs: inverting swaps may add cells, and a later cache
@@ -496,7 +497,7 @@ func (s *Server) attempt(j *job, c *rapids.Circuit, attempt int) (res *rapids.Re
 		reqOpts.TimeoutMS = 0
 		opts := append(reqOpts.Options(), rapids.WithProgress(func(ev rapids.Event) {
 			s.metrics.observeEvent(ev)
-			j.appendEvent(ev)
+			j.events.append(ev)
 		}))
 		res, err = c.Optimize(actx, opts...)
 	}()
@@ -619,40 +620,12 @@ func doneEvent(circuit string, res *rapids.Result) rapids.Event {
 	}
 }
 
-// loadCircuit builds the job's circuit from its single source.
-func loadCircuit(req JobRequest) (*rapids.Circuit, error) {
-	if req.Generate != "" {
-		return rapids.Generate(req.Generate)
-	}
-	format, err := rapids.ParseFormat(req.Format)
-	if err != nil {
-		return nil, err
-	}
-	return rapids.LoadReader(strings.NewReader(req.Netlist), format, "netlist")
-}
-
 // handleSubmit is POST /v1/jobs.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.metrics.submissions.With(outcomeInvalidReq).Inc()
-		httpError(w, http.StatusBadRequest, "invalid job request: %v", err)
+	req, key, ok := s.decodeRequest(w, r, &s.jobKind)
+	if !ok {
 		return
 	}
-	if (req.Generate == "") == (req.Netlist == "") {
-		s.metrics.submissions.With(outcomeInvalidReq).Inc()
-		httpError(w, http.StatusBadRequest, "exactly one of generate or netlist is required")
-		return
-	}
-	format, err := rapids.ParseFormat(req.Format)
-	if err != nil {
-		s.metrics.submissions.With(outcomeInvalidReq).Inc()
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	key := cacheKey(req, format)
 
 	// Fleet routing (DESIGN.md §5c): every replica hashes the content
 	// key onto the same ring. Non-owners forward — one hop only: a
@@ -686,27 +659,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// drop the entry and fall through to a fresh run.
 	if e, outcome := s.lookupResult(key); e != nil {
 		s.mu.Lock()
-		if s.draining {
+		j, rf := s.openJobLocked("", key, req)
+		if rf != nil {
 			s.mu.Unlock()
-			s.metrics.submissions.With(outcomeDraining).Inc()
-			httpError(w, http.StatusServiceUnavailable, "server is shutting down")
+			rf.write(w)
 			return
 		}
-		j := s.registerLocked(key, req)
-		if err := s.acceptLocked(j, req); err != nil {
-			s.unregisterLocked(j)
-			s.mu.Unlock()
-			s.metrics.submissions.With(outcomeJournalError).Inc()
-			httpError(w, http.StatusServiceUnavailable, "journal unavailable: %v", err)
-			return
-		}
+		// Still invisible to other requests until s.mu is released.
+		j.cached, j.circuit, j.gates = true, e.circuit, e.gates
 		s.mu.Unlock()
 		s.metrics.submissions.With(outcome).Inc()
-		j.mu.Lock()
-		j.cached = true
-		j.circuit, j.gates = e.circuit, e.gates
-		j.mu.Unlock()
-		j.appendEvent(doneEvent(e.circuit, e.result))
+		j.events.append(doneEvent(e.circuit, e.result))
 		s.finishJob(j, StateDone, e.result, "")
 		s.logf("job %s: %s (%s)", j.id, outcome, e.circuit)
 		s.writeJob(w, http.StatusOK, j)
@@ -718,28 +681,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Shutdown's queue close, and the journal's accepted order is the
 	// id order.
 	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		s.metrics.submissions.With(outcomeDraining).Inc()
-		httpError(w, http.StatusServiceUnavailable, "server is shutting down")
-		return
-	}
+	var full string
 	if s.queue.len() >= s.cfg.QueueCap {
 		// Backpressure: bounded submissions, explicit rejection.
-		s.mu.Unlock()
-		s.metrics.submissions.With(outcomeQueueFull).Inc()
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, "job queue is full (capacity %d)", s.cfg.QueueCap)
-		return
+		full = fmt.Sprintf("job queue is full (capacity %d)", s.cfg.QueueCap)
 	}
-	j := s.registerLocked(key, req)
-	if err := s.acceptLocked(j, req); err != nil {
-		// An unjournaled accepted job would be lost by a crash —
-		// reject instead, and readiness turns 503 until appends heal.
-		s.unregisterLocked(j)
+	j, rf := s.openJobLocked(full, key, req)
+	if rf != nil {
+		// A failed journal append also turns readiness 503 until
+		// appends heal.
 		s.mu.Unlock()
-		s.metrics.submissions.With(outcomeJournalError).Inc()
-		httpError(w, http.StatusServiceUnavailable, "journal unavailable: %v", err)
+		rf.write(w)
 		return
 	}
 	s.queue.push(j)
@@ -753,67 +705,44 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.writeJob(w, http.StatusAccepted, j)
 }
 
-// acceptLocked journals the accepted transition with the full request,
-// the replay seed of a recovery. Callers hold s.mu.
-func (s *Server) acceptLocked(j *job, req JobRequest) error {
-	if s.cfg.Journal == nil {
-		return nil
+// openJobLocked admits, journals, and registers one job (openLocked);
+// full is the queue-full message, empty when the job needs no queue
+// slot. Callers hold s.mu.
+func (s *Server) openJobLocked(full, key string, req JobRequest) (*job, *refusal) {
+	id, seq, rf := s.openLocked(&s.jobKind, full, key, req)
+	if rf != nil {
+		return nil, rf
 	}
-	b, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	return s.appendJournal(journal.Entry{
-		Op: journal.OpAccepted, JobID: j.id, Key: j.key, Seq: j.seq, Request: b,
-	})
+	j := newJob(id, key, seq, req)
+	s.jobs.addLocked(id, j)
+	return j, nil
 }
 
-func (s *Server) registerLocked(key string, req JobRequest) *job {
-	s.seq++
-	id := fmt.Sprintf("j%d-%s", s.seq, key[:8])
-	j := newJob(id, key, req)
-	j.seq = s.seq
-	s.jobs[id] = j
-	s.order = append(s.order, id)
-	return j
-}
-
-func (s *Server) unregisterLocked(j *job) {
-	delete(s.jobs, j.id)
-	if n := len(s.order); n > 0 && s.order[n-1] == j.id {
-		s.order = s.order[:n-1]
+// lookupJob finds the job named by the request path. An unknown id is
+// relayed to its owning replica in fleet mode, or answered 404.
+func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) (*job, bool) {
+	id := r.PathValue("id")
+	j, ok := s.jobs.get(id)
+	if !ok && !s.relayUnknownJob(w, r, id) {
+		httpError(w, http.StatusNotFound, "unknown job %q", id)
 	}
-	j.cancel()
-}
-
-func (s *Server) lookup(r *http.Request) (*job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[r.PathValue("id")]
 	return j, ok
 }
 
 // handleStatus is GET /v1/jobs/{id}.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r)
-	if !ok {
-		if s.relayUnknownJob(w, r, r.PathValue("id")) {
-			return
-		}
-		httpError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
+	if j, ok := s.lookupJob(w, r); ok {
+		s.writeJob(w, http.StatusOK, j)
 	}
-	s.writeJob(w, http.StatusOK, j)
 }
 
 // handleList is GET /v1/jobs.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	statuses := make([]JobStatus, 0, len(s.order))
-	for _, id := range s.order {
-		statuses = append(statuses, s.jobs[id].status())
+	jobs := s.jobs.all()
+	statuses := make([]JobStatus, len(jobs))
+	for i, j := range jobs {
+		statuses[i] = j.status()
 	}
-	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, statuses)
 }
 
@@ -825,16 +754,11 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 // state cannot be canceled: 409 Conflict with Code
 // "job_already_terminal" and the state in the error body.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r)
+	j, ok := s.lookupJob(w, r)
 	if !ok {
-		if s.relayUnknownJob(w, r, r.PathValue("id")) {
-			return
-		}
-		httpError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	if j.terminal() {
-		st := j.stateNow()
+	if st := j.stateNow(); st == StateDone || st == StateCanceled || st == StateFailed {
 		writeJSON(w, http.StatusConflict, ErrorBody{
 			Error: fmt.Sprintf("job %s is already %s", j.id, st),
 			Code:  CodeJobAlreadyTerminal,
@@ -856,53 +780,10 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // then live events as the optimizer emits them; a final "end" event
 // carries the terminal JobStatus and closes the stream.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r)
-	if !ok {
-		if s.relayUnknownJob(w, r, r.PathValue("id")) {
-			return
-		}
-		httpError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusInternalServerError, "response writer cannot stream")
-		return
-	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-	s.metrics.sseSubscribers.Inc()
-	defer s.metrics.sseSubscribers.Dec()
-
-	next := 0
-	for {
-		evs, closed, wake := j.snapshot(next)
-		for _, ev := range evs {
-			data, err := json.Marshal(ev)
-			if err != nil {
-				return
-			}
-			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", next, ev.Kind, data)
-			next++
-		}
-		if len(evs) > 0 {
-			fl.Flush()
-		}
-		if closed {
-			status, _ := json.Marshal(j.status())
-			fmt.Fprintf(w, "event: end\ndata: %s\n\n", status)
-			fl.Flush()
-			return
-		}
-		select {
-		case <-wake:
-		case <-r.Context().Done():
-			return
-		}
+	if j, ok := s.lookupJob(w, r); ok {
+		serveStream(s, w, r, &j.events,
+			func(ev rapids.Event) string { return ev.Kind.String() },
+			func() any { return j.status() })
 	}
 }
 
@@ -910,24 +791,20 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // It always returns 200 while the process serves — readiness lives at
 // /readyz.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
 	counts := map[string]int{}
-	for _, j := range s.jobs {
+	for _, j := range s.jobs.all() {
 		j.mu.Lock()
 		counts[j.state]++
 		j.mu.Unlock()
 	}
+	s.mu.Lock()
 	status := "ok"
 	if s.draining {
 		status = "draining"
 	}
-	sessions := make([]*liveSession, 0, len(s.sessions))
-	for _, ls := range s.sessions {
-		sessions = append(sessions, ls)
-	}
 	s.mu.Unlock()
 	sessCounts := map[string]int{}
-	for _, ls := range sessions {
+	for _, ls := range s.sessions.all() {
 		ls.mu.Lock()
 		sessCounts[ls.state]++
 		ls.mu.Unlock()

@@ -124,35 +124,26 @@ type liveSession struct {
 	edits     int    // edits applied over the session's life
 	recovered bool
 	lastUsed  time.Time
-	deltas    []*rapids.Delta
-	closed    bool          // no more deltas will arrive (SSE terminal)
-	wake      chan struct{} // closed and replaced on every change
+	deltas    stream[*rapids.Delta] // closed with the session
 }
 
-func newLiveSession(id, key string, seq int, req SessionRequest) *liveSession {
+// newLiveSession loads and places req's circuit and opens the facade
+// session on it — the shared construction path of POST /v1/sessions and
+// journal replay, so a replayed session starts from the bit-identical
+// placed circuit the original did. The caller assigns the identity.
+func newLiveSession(req SessionRequest) (*liveSession, error) {
+	c, err := placedCircuit(req)
+	if err != nil {
+		return nil, err
+	}
+	sess, err := c.BeginSession(context.Background(), req.Options.Options()...)
+	if err != nil {
+		return nil, err
+	}
 	return &liveSession{
-		id: id, key: key, seq: seq, req: req,
-		state: SessionOpen, wake: make(chan struct{}),
-		lastUsed: time.Now(),
-	}
-}
-
-// notify wakes every waiting SSE subscriber. Callers hold ls.mu.
-func (ls *liveSession) notify() {
-	close(ls.wake)
-	ls.wake = make(chan struct{})
-}
-
-// snapshotDeltas returns the deltas at index >= from, whether the
-// stream is closed, and the wake channel — the same subscription
-// primitive job.snapshot provides for the job SSE handler.
-func (ls *liveSession) snapshotDeltas(from int) (ds []*rapids.Delta, closed bool, wake <-chan struct{}) {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	if from < len(ls.deltas) {
-		ds = ls.deltas[from:len(ls.deltas):len(ls.deltas)]
-	}
-	return ds, ls.closed, ls.wake
+		req: req, sess: sess, circuit: c.Name(), gates: c.Gates(),
+		state: SessionOpen, lastUsed: time.Now(),
+	}, nil
 }
 
 func (ls *liveSession) status() SessionStatus {
@@ -174,74 +165,42 @@ func (ls *liveSession) statusLocked() SessionStatus {
 	}
 }
 
-// buildSession loads, places, and opens the facade session for req —
-// the shared construction path of POST /v1/sessions and journal
-// replay, so a replayed session starts from the bit-identical placed
-// circuit the original did.
-func buildSession(req SessionRequest) (sess *rapids.Session, circuit string, gates int, err error) {
-	c, err := loadCircuit(req)
-	if err != nil {
-		return nil, "", 0, err
+// closedLocked is the 409 body of an edit or DELETE on a closed
+// session. Callers hold ls.mu.
+func (ls *liveSession) closedLocked() ErrorBody {
+	return ErrorBody{
+		Error: fmt.Sprintf("session %s is already closed (%s)", ls.id, ls.reason),
+		Code:  CodeSessionClosed,
+		State: ls.state,
 	}
-	place := req.Place
-	if place == nil {
-		place = &PlaceSpec{}
-	}
-	p := place.withDefaults()
-	c.Place(rapids.PlaceSeed(p.Seed), rapids.PlaceMoves(p.Moves), rapids.PlaceAspect(p.Aspect))
-	sess, err = c.BeginSession(context.Background(), req.Options.Options()...)
-	if err != nil {
-		return nil, "", 0, err
-	}
-	return sess, c.Name(), c.Gates(), nil
 }
 
 // handleSessionOpen is POST /v1/sessions.
 func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
-	var req SessionRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.metrics.sessionsRejected.With(sessRejectInvalid).Inc()
-		httpError(w, http.StatusBadRequest, "invalid session request: %v", err)
+	req, key, ok := s.decodeRequest(w, r, &s.sessKind)
+	if !ok {
 		return
 	}
-	if (req.Generate == "") == (req.Netlist == "") {
-		s.metrics.sessionsRejected.With(sessRejectInvalid).Inc()
-		httpError(w, http.StatusBadRequest, "exactly one of generate or netlist is required")
-		return
-	}
-	format, err := rapids.ParseFormat(req.Format)
-	if err != nil {
-		s.metrics.sessionsRejected.With(sessRejectInvalid).Inc()
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	key := cacheKey(req, format)
 
 	// Reserve a slot before the expensive build, so concurrent opens
-	// cannot overshoot MaxSessions; the reservation is released on any
-	// failure below.
+	// cannot overshoot MaxSessions. The sessions_active gauge is the
+	// count of open sessions.
 	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		s.metrics.sessionsRejected.With(sessRejectDraining).Inc()
-		httpError(w, http.StatusServiceUnavailable, "server is shutting down")
-		return
-	}
-	if s.cfg.MaxSessions >= 0 && s.openSessionsLocked()+s.sessPending >= s.cfg.MaxSessions {
+	var full string
+	if s.cfg.MaxSessions >= 0 && int(s.metrics.sessionsActive.Value())+s.sessPending >= s.cfg.MaxSessions {
 		// Backpressure, not buffering: the cap bounds the live circuits
 		// (and their incremental timers) held in memory.
+		full = fmt.Sprintf("session capacity reached (%d open)", s.cfg.MaxSessions)
+	}
+	if rf := s.admitLocked(&s.sessKind, full); rf != nil {
 		s.mu.Unlock()
-		s.metrics.sessionsRejected.With(sessRejectCapacity).Inc()
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, "session capacity reached (%d open)", s.cfg.MaxSessions)
+		rf.write(w)
 		return
 	}
 	s.sessPending++
 	s.mu.Unlock()
 
-	sess, circuit, gates, err := buildSession(req)
+	ls, err := newLiveSession(req)
 
 	s.mu.Lock()
 	s.sessPending--
@@ -251,91 +210,36 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if s.draining {
+	var rf *refusal
+	if ls.id, ls.seq, rf = s.openLocked(&s.sessKind, "", key, req); rf != nil {
 		s.mu.Unlock()
-		sess.Close()
-		s.metrics.sessionsRejected.With(sessRejectDraining).Inc()
-		httpError(w, http.StatusServiceUnavailable, "server is shutting down")
+		ls.sess.Close()
+		rf.write(w)
 		return
 	}
-	s.seq++
-	ls := newLiveSession(fmt.Sprintf("s%d-%s", s.seq, key[:8]), key, s.seq, req)
-	ls.sess, ls.circuit, ls.gates = sess, circuit, gates
-	s.sessions[ls.id] = ls
-	s.sessOrder = append(s.sessOrder, ls.id)
-	s.mu.Unlock()
-
-	// The open is journaled with the full request — the replay seed of
-	// a recovery. An unjournaled open would rebuild nothing after a
-	// crash, so it is rejected like an unjournaled job submission.
-	if err := s.journalSessionOpen(ls, req); err != nil {
-		sess.Close()
-		s.removeSession(ls)
-		s.metrics.sessionsRejected.With(sessRejectJournal).Inc()
-		httpError(w, http.StatusServiceUnavailable, "journal unavailable: %v", err)
-		return
-	}
+	ls.key = key
+	s.sessions.addLocked(ls.id, ls)
 	s.metrics.sessionsOpened.Inc()
 	s.metrics.sessionsActive.Inc()
-	s.logf("session %s: opened (%s, %d gates)", ls.id, circuit, gates)
+	s.mu.Unlock()
+	s.logf("session %s: opened (%s, %d gates)", ls.id, ls.circuit, ls.gates)
 	s.writeSession(w, http.StatusCreated, ls)
 }
 
-// journalSessionOpen records the session-opened entry with the full
-// request payload.
-func (s *Server) journalSessionOpen(ls *liveSession, req SessionRequest) error {
-	if s.cfg.Journal == nil {
-		return nil
+// lookupSession finds the session named by the request path, or
+// answers 404.
+func (s *Server) lookupSession(w http.ResponseWriter, r *http.Request) (*liveSession, bool) {
+	id := r.PathValue("id")
+	ls, ok := s.sessions.get(id)
+	if !ok {
+		httpError(w, http.StatusNotFound, "unknown session %q", id)
 	}
-	b, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	return s.appendJournal(journal.Entry{
-		Op: journal.OpSessionOpened, JobID: ls.id, Key: ls.key, Seq: ls.seq, Request: b,
-	})
-}
-
-// openSessionsLocked counts open sessions; callers hold s.mu.
-func (s *Server) openSessionsLocked() int {
-	n := 0
-	for _, ls := range s.sessions {
-		ls.mu.Lock()
-		if ls.state == SessionOpen {
-			n++
-		}
-		ls.mu.Unlock()
-	}
-	return n
-}
-
-// removeSession unregisters a session that failed between reservation
-// and acknowledgment; it was never visible as open to anyone.
-func (s *Server) removeSession(ls *liveSession) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.sessions, ls.id)
-	if n := len(s.sessOrder); n > 0 && s.sessOrder[n-1] == ls.id {
-		s.sessOrder = s.sessOrder[:n-1]
-	}
-}
-
-func (s *Server) lookupSession(r *http.Request) (*liveSession, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ls, ok := s.sessions[r.PathValue("id")]
 	return ls, ok
 }
 
 // handleSessionList is GET /v1/sessions.
 func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	ids := append([]string(nil), s.sessOrder...)
-	sessions := make([]*liveSession, len(ids))
-	for i, id := range ids {
-		sessions[i] = s.sessions[id]
-	}
-	s.mu.Unlock()
+	sessions := s.sessions.all()
 	statuses := make([]SessionStatus, len(sessions))
 	for i, ls := range sessions {
 		statuses[i] = ls.status()
@@ -345,12 +249,9 @@ func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
 
 // handleSessionStatus is GET /v1/sessions/{id}.
 func (s *Server) handleSessionStatus(w http.ResponseWriter, r *http.Request) {
-	ls, ok := s.lookupSession(r)
-	if !ok {
-		httpError(w, http.StatusNotFound, "unknown session %q", r.PathValue("id"))
-		return
+	if ls, ok := s.lookupSession(w, r); ok {
+		s.writeSession(w, http.StatusOK, ls)
 	}
-	s.writeSession(w, http.StatusOK, ls)
 }
 
 // handleSessionEdits is POST /v1/sessions/{id}/edits: apply one edit
@@ -360,9 +261,8 @@ func (s *Server) handleSessionStatus(w http.ResponseWriter, r *http.Request) {
 // is journaled only after it fully applied, so the journal never
 // records a batch the circuit does not hold.
 func (s *Server) handleSessionEdits(w http.ResponseWriter, r *http.Request) {
-	ls, ok := s.lookupSession(r)
+	ls, ok := s.lookupSession(w, r)
 	if !ok {
-		httpError(w, http.StatusNotFound, "unknown session %q", r.PathValue("id"))
 		return
 	}
 	var wire editWire
@@ -388,11 +288,7 @@ func (s *Server) handleSessionEdits(w http.ResponseWriter, r *http.Request) {
 
 	ls.mu.Lock()
 	if ls.state != SessionOpen {
-		body := ErrorBody{
-			Error: fmt.Sprintf("session %s is already closed (%s)", ls.id, ls.reason),
-			Code:  CodeSessionClosed,
-			State: ls.state,
-		}
+		body := ls.closedLocked()
 		ls.mu.Unlock()
 		writeJSON(w, http.StatusConflict, body)
 		return
@@ -429,8 +325,7 @@ func (s *Server) handleSessionEdits(w http.ResponseWriter, r *http.Request) {
 	}
 	ls.edits += len(edits)
 	ls.lastUsed = time.Now()
-	ls.deltas = append(ls.deltas, deltas...)
-	ls.notify()
+	ls.deltas.append(deltas...)
 	ls.mu.Unlock()
 
 	s.metrics.sessionEdits.Add(uint64(len(edits)))
@@ -470,12 +365,9 @@ func (s *Server) journalSessionEdit(ls *liveSession, edits []rapids.Edit, reopt 
 // lock-free — it never waits on a writer mid-Apply, and a closed
 // session still serves its final view.
 func (s *Server) handleSessionTiming(w http.ResponseWriter, r *http.Request) {
-	ls, ok := s.lookupSession(r)
-	if !ok {
-		httpError(w, http.StatusNotFound, "unknown session %q", r.PathValue("id"))
-		return
+	if ls, ok := s.lookupSession(w, r); ok {
+		writeJSON(w, http.StatusOK, ls.sess.View())
 	}
-	writeJSON(w, http.StatusOK, ls.sess.View())
 }
 
 // handleSessionEvents is GET /v1/sessions/{id}/events: a
@@ -483,50 +375,10 @@ func (s *Server) handleSessionTiming(w http.ResponseWriter, r *http.Request) {
 // start, then live as edits arrive; a final "end" event carries the
 // closed SessionStatus.
 func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
-	ls, ok := s.lookupSession(r)
-	if !ok {
-		httpError(w, http.StatusNotFound, "unknown session %q", r.PathValue("id"))
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusInternalServerError, "response writer cannot stream")
-		return
-	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-	s.metrics.sseSubscribers.Inc()
-	defer s.metrics.sseSubscribers.Dec()
-
-	next := 0
-	for {
-		deltas, closed, wake := ls.snapshotDeltas(next)
-		for _, d := range deltas {
-			data, err := json.Marshal(d)
-			if err != nil {
-				return
-			}
-			fmt.Fprintf(w, "id: %d\nevent: delta\ndata: %s\n\n", next, data)
-			next++
-		}
-		if len(deltas) > 0 {
-			fl.Flush()
-		}
-		if closed {
-			status, _ := json.Marshal(ls.status())
-			fmt.Fprintf(w, "event: end\ndata: %s\n\n", status)
-			fl.Flush()
-			return
-		}
-		select {
-		case <-wake:
-		case <-r.Context().Done():
-			return
-		}
+	if ls, ok := s.lookupSession(w, r); ok {
+		serveStream(s, w, r, &ls.deltas,
+			func(*rapids.Delta) string { return "delta" },
+			func() any { return ls.status() })
 	}
 }
 
@@ -535,18 +387,13 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 // the timer detaches. A session already closed: 409 Conflict with Code
 // "session_closed".
 func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
-	ls, ok := s.lookupSession(r)
+	ls, ok := s.lookupSession(w, r)
 	if !ok {
-		httpError(w, http.StatusNotFound, "unknown session %q", r.PathValue("id"))
 		return
 	}
 	ls.mu.Lock()
 	if ls.state != SessionOpen {
-		body := ErrorBody{
-			Error: fmt.Sprintf("session %s is already closed (%s)", ls.id, ls.reason),
-			Code:  CodeSessionClosed,
-			State: ls.state,
-		}
+		body := ls.closedLocked()
 		ls.mu.Unlock()
 		writeJSON(w, http.StatusConflict, body)
 		return
@@ -566,8 +413,7 @@ func (s *Server) closeSessionLocked(ls *liveSession, reason string) {
 	ls.sess.Close()
 	ls.state = SessionClosed
 	ls.reason = reason
-	ls.closed = true
-	ls.notify()
+	ls.deltas.close()
 	s.metrics.sessionsActive.Dec()
 	s.metrics.sessionsClosed.With(reason).Inc()
 	s.appendJournal(journal.Entry{
@@ -602,13 +448,7 @@ func (s *Server) sessionSweeper() {
 // evictIdleSessions closes every open session idle past ttl.
 func (s *Server) evictIdleSessions(ttl time.Duration) {
 	cutoff := time.Now().Add(-ttl)
-	s.mu.Lock()
-	all := make([]*liveSession, 0, len(s.sessions))
-	for _, ls := range s.sessions {
-		all = append(all, ls)
-	}
-	s.mu.Unlock()
-	for _, ls := range all {
+	for _, ls := range s.sessions.all() {
 		ls.mu.Lock()
 		if ls.state == SessionOpen && ls.lastUsed.Before(cutoff) {
 			s.closeSessionLocked(ls, closeEvicted)
@@ -622,13 +462,7 @@ func (s *Server) evictIdleSessions(ttl time.Duration) {
 // Their circuits hold all applied edits and the journal holds the
 // closes, so a restart rebuilds nothing.
 func (s *Server) drainSessions() {
-	s.mu.Lock()
-	all := make([]*liveSession, 0, len(s.sessions))
-	for _, ls := range s.sessions {
-		all = append(all, ls)
-	}
-	s.mu.Unlock()
-	for _, ls := range all {
+	for _, ls := range s.sessions.all() {
 		ls.mu.Lock()
 		if ls.state == SessionOpen {
 			s.closeSessionLocked(ls, closeDrain)
