@@ -24,6 +24,7 @@ import (
 	"repro/internal/place"
 	"repro/internal/region"
 	"repro/internal/rewire"
+	"repro/internal/sim"
 	"repro/internal/sizing"
 	"repro/internal/sta"
 	"repro/internal/supergate"
@@ -635,6 +636,41 @@ func BenchmarkSessionApply(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Apply(edits[i%2]); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// --- Post-optimization verification ---
+
+// verifyBench holds placed s38417 before and after a gsg+GS run.
+var verifyBench struct {
+	once      sync.Once
+	orig, opt *network.Network
+}
+
+// BenchmarkVerify measures the facade's verification of one Optimize:
+// capturing the input's responses to 16 rounds of 64 random patterns,
+// then checking the optimized network against them.
+func BenchmarkVerify(b *testing.B) {
+	verifyBench.once.Do(func() {
+		c, err := rapids.Generate("s38417")
+		if err != nil {
+			panic(err)
+		}
+		c.Place(rapids.PlaceMoves(5))
+		o := c.Clone()
+		if _, err := o.Optimize(context.Background(), rapids.WithVerification(0)); err != nil {
+			panic(err)
+		}
+		verifyBench.orig, verifyBench.opt = c.Network(), o.Network()
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// 12345 is the seed Optimize verifies with.
+		ce, err := sim.Capture(verifyBench.orig, rapids.DefaultVerifyRounds, 12345).Check(verifyBench.opt)
+		if err != nil || ce != nil {
+			b.Fatalf("optimized s38417 failed verification: ce=%v err=%v", ce, err)
 		}
 	}
 }

@@ -7,10 +7,10 @@
 // supergate coverage, the largest supergate's input count L, and the
 // number of redundancies found during extraction.
 //
-// Every optimized network is verified against its pre-optimization copy
-// by random simulation (the facade's WithVerification contract); a
-// verification failure fails the run loudly rather than producing a
-// bogus row.
+// Every optimized network is verified by random simulation against the
+// responses captured from its input (the facade's WithVerification
+// contract); a verification failure fails the run loudly rather than
+// producing a bogus row.
 package harness
 
 import (

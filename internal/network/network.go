@@ -458,7 +458,7 @@ func (n *Network) Sweep() int {
 // use Validate to check first.
 func (n *Network) TopoOrder() []*Gate {
 	order := make([]*Gate, 0, n.NumGates())
-	pending := make(map[*Gate]int, n.NumGates())
+	pending := make([]int32, n.nextID) // unplaced fanin occurrences, by gate id
 	ready := &gateHeap{}
 	for _, g := range n.gates {
 		if g == nil {
@@ -467,7 +467,7 @@ func (n *Network) TopoOrder() []*Gate {
 		if len(g.fanins) == 0 {
 			heap.Push(ready, g)
 		} else {
-			pending[g] = len(g.fanins)
+			pending[g.id] = int32(len(g.fanins))
 		}
 	}
 	for ready.Len() > 0 {
@@ -476,9 +476,8 @@ func (n *Network) TopoOrder() []*Gate {
 		// A sink's pending count drops once per fanin occurrence,
 		// including multi-edges.
 		for _, s := range g.fanouts {
-			pending[s]--
-			if pending[s] == 0 {
-				delete(pending, s)
+			pending[s.id]--
+			if pending[s.id] == 0 {
 				heap.Push(ready, s)
 			}
 		}

@@ -2,40 +2,145 @@
 // Boolean networks and simulation-based equivalence checking. It is the
 // verification oracle of this reproduction: every rewiring move the
 // supergate theory claims to be function-preserving is checked against it
-// in tests, and the harness re-verifies optimized circuits against their
-// originals.
+// in tests, and the facade checks every optimized circuit against the
+// responses Capture recorded from its input.
+//
+// Every entry point runs one evaluator: a network is compiled once into a
+// program (one dense value slot per live gate in topological order, fanins
+// as slot arrays, PIs and POs as slots in name order) that is then
+// evaluated round after round into one reused word array.
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/logic"
 	"repro/internal/network"
 )
+
+// program is a network compiled for repeated 64-pattern simulation.
+type program struct {
+	pis, pos       []string // interface names, sorted
+	piSlot, poSlot []int32  // value slot of pis[i] and pos[i]
+	ops            []op     // logic gates in topological order
+	fanin          []int32  // fanin slots of every op, concatenated
+	vals           []uint64 // one word per live gate
+	buf            []uint64 // scratch fanin words for GateType.EvalWords
+}
+
+// op evaluates one logic gate: vals[out] = t(vals[fanin[lo:hi]]).
+type op struct {
+	t      logic.GateType
+	out    int32
+	lo, hi int32
+}
+
+// port is an interface gate's name and value slot.
+type port struct {
+	name string
+	slot int32
+}
+
+// compile assigns every live gate of n a slot in TopoOrderFast order. It
+// panics if n contains a cycle.
+func compile(n *network.Network) *program {
+	order := n.TopoOrderFast()
+	slot := make([]int32, n.IDBound())
+	edges, width := 0, 0
+	for _, g := range order {
+		edges += g.NumFanins()
+		width = max(width, g.NumFanins())
+	}
+	p := &program{
+		fanin: make([]int32, 0, edges),
+		vals:  make([]uint64, len(order)),
+		buf:   make([]uint64, 0, width),
+	}
+	var pis, pos []port
+	for i, g := range order {
+		s := int32(i)
+		slot[g.ID()] = s
+		if g.PO {
+			pos = append(pos, port{g.Name(), s})
+		}
+		if g.IsInput() {
+			pis = append(pis, port{g.Name(), s})
+			continue
+		}
+		lo := int32(len(p.fanin))
+		for _, f := range g.Fanins() {
+			p.fanin = append(p.fanin, slot[f.ID()])
+		}
+		p.ops = append(p.ops, op{g.Type, s, lo, int32(len(p.fanin))})
+	}
+	p.pis, p.piSlot = sortPorts(pis)
+	p.pos, p.poSlot = sortPorts(pos)
+	return p
+}
+
+func sortPorts(ps []port) ([]string, []int32) {
+	slices.SortFunc(ps, func(a, b port) int { return cmp.Compare(a.name, b.name) })
+	names := make([]string, len(ps))
+	slots := make([]int32, len(ps))
+	for i, p := range ps {
+		names[i], slots[i] = p.name, p.slot
+	}
+	return names, slots
+}
+
+// run evaluates every logic gate from the PI words already in vals.
+func (p *program) run() {
+	for _, o := range p.ops {
+		buf := p.buf[:0]
+		for _, s := range p.fanin[o.lo:o.hi] {
+			buf = append(buf, p.vals[s])
+		}
+		p.vals[o.out] = o.t.EvalWords(buf)
+	}
+}
+
+// randomRound draws one round of PI words from rng in PI name order and
+// evaluates it.
+func (p *program) randomRound(rng *rand.Rand) {
+	for _, s := range p.piSlot {
+		p.vals[s] = rng.Uint64()
+	}
+	p.run()
+}
+
+// counterexample reports output pos[po] disagreeing on the lowest set bit
+// of wa^wb, under that bit of the PI words in vals.
+func (p *program) counterexample(po int, wa, wb uint64) *Counterexample {
+	bit := bits.TrailingZeros64(wa ^ wb)
+	ce := &Counterexample{
+		Inputs: make(map[string]logic.Bit, len(p.pis)),
+		Output: p.pos[po],
+		A:      logic.Bit(wa >> bit & 1),
+		B:      logic.Bit(wb >> bit & 1),
+	}
+	for i, name := range p.pis {
+		ce.Inputs[name] = logic.Bit(p.vals[p.piSlot[i]] >> bit & 1)
+	}
+	return ce
+}
 
 // EvalWords simulates one 64-pattern round. in maps primary-input names to
 // 64 packed patterns (bit i of each word is pattern i). The result maps
 // primary-output names to their packed responses. Missing inputs default
 // to all-zero words.
 func EvalWords(n *network.Network, in map[string]uint64) map[string]uint64 {
-	vals := make(map[*network.Gate]uint64, n.NumGates())
-	var buf []uint64
-	for _, g := range n.TopoOrder() {
-		if g.IsInput() {
-			vals[g] = in[g.Name()]
-			continue
-		}
-		buf = buf[:0]
-		for _, f := range g.Fanins() {
-			buf = append(buf, vals[f])
-		}
-		vals[g] = g.Type.EvalWords(buf)
+	p := compile(n)
+	for i, name := range p.pis {
+		p.vals[p.piSlot[i]] = in[name]
 	}
-	out := make(map[string]uint64)
-	for _, po := range n.Outputs() {
-		out[po.Name()] = vals[po]
+	p.run()
+	out := make(map[string]uint64, len(p.pos))
+	for i, name := range p.pos {
+		out[name] = p.vals[p.poSlot[i]]
 	}
 	return out
 }
@@ -66,22 +171,8 @@ func (c *Counterexample) String() string {
 	return fmt.Sprintf("output %s: A=%d B=%d under %v", c.Output, c.A, c.B, c.Inputs)
 }
 
-// interfaceNames returns the sorted PI and PO name sets of n.
-func interfaceNames(n *network.Network) (pis, pos []string) {
-	for _, g := range n.Inputs() {
-		pis = append(pis, g.Name())
-	}
-	for _, g := range n.Outputs() {
-		pos = append(pos, g.Name())
-	}
-	sort.Strings(pis)
-	sort.Strings(pos)
-	return pis, pos
-}
-
-func sameInterface(a, b *network.Network) error {
-	apis, apos := interfaceNames(a)
-	bpis, bpos := interfaceNames(b)
+// sameInterface compares two sorted PI and PO name sets.
+func sameInterface(apis, apos, bpis, bpos []string) error {
 	if len(apis) != len(bpis) {
 		return fmt.Errorf("sim: PI count differs: %d vs %d", len(apis), len(bpis))
 	}
@@ -101,53 +192,61 @@ func sameInterface(a, b *network.Network) error {
 	return nil
 }
 
-// extractCE pulls the first disagreeing pattern out of a word-level
-// mismatch.
-func extractCE(in map[string]uint64, po string, wa, wb uint64) *Counterexample {
-	diff := wa ^ wb
-	bit := 0
-	for ; bit < 64; bit++ {
-		if diff>>bit&1 == 1 {
-			break
-		}
-	}
-	ce := &Counterexample{
-		Inputs: make(map[string]logic.Bit, len(in)),
-		Output: po,
-		A:      logic.Bit(wa >> bit & 1),
-		B:      logic.Bit(wb >> bit & 1),
-	}
-	for name, w := range in {
-		ce.Inputs[name] = logic.Bit(w >> bit & 1)
-	}
-	return ce
+// Reference is a network's recorded response to rounds×64 pseudo-random
+// patterns: enough to check another network against it without keeping
+// the original network around.
+type Reference struct {
+	pis, pos []string
+	rounds   int
+	seed     int64
+	resp     []uint64 // rounds × len(pos) response words, round-major
 }
 
-// EquivalentRandom checks a and b on rounds×64 pseudo-random patterns
-// derived from seed. The networks must have identical PI and PO name sets;
-// otherwise an error is returned. On disagreement it returns a
-// counterexample. A nil counterexample with nil error means no difference
-// was observed (probabilistic equivalence).
-func EquivalentRandom(a, b *network.Network, rounds int, seed int64) (*Counterexample, error) {
-	if err := sameInterface(a, b); err != nil {
+// Capture simulates n on rounds×64 pseudo-random patterns derived from
+// seed and records its PO responses.
+func Capture(n *network.Network, rounds int, seed int64) *Reference {
+	p := compile(n)
+	r := &Reference{pis: p.pis, pos: p.pos, rounds: rounds, seed: seed,
+		resp: make([]uint64, 0, max(rounds, 0)*len(p.pos))}
+	rng := rand.New(rand.NewSource(seed))
+	for range rounds {
+		p.randomRound(rng)
+		for _, s := range p.poSlot {
+			r.resp = append(r.resp, p.vals[s])
+		}
+	}
+	return r
+}
+
+// Check simulates n on the captured pattern set and compares every PO on
+// every round against the reference. n must have the reference's PI and
+// PO name sets; otherwise an error is returned. On disagreement it returns
+// the counterexample of the first disagreeing round, PO (in name order)
+// and pattern, with A the reference's response and B n's. A nil
+// counterexample with nil error means no difference was observed
+// (probabilistic equivalence).
+func (r *Reference) Check(n *network.Network) (*Counterexample, error) {
+	p := compile(n)
+	if err := sameInterface(r.pis, r.pos, p.pis, p.pos); err != nil {
 		return nil, err
 	}
-	pis, pos := interfaceNames(a)
-	rng := rand.New(rand.NewSource(seed))
-	in := make(map[string]uint64, len(pis))
-	for r := 0; r < rounds; r++ {
-		for _, pi := range pis {
-			in[pi] = rng.Uint64()
-		}
-		outA := EvalWords(a, in)
-		outB := EvalWords(b, in)
-		for _, po := range pos {
-			if outA[po] != outB[po] {
-				return extractCE(in, po, outA[po], outB[po]), nil
+	rng := rand.New(rand.NewSource(r.seed))
+	for round := range r.rounds {
+		p.randomRound(rng)
+		want := r.resp[round*len(r.pos):]
+		for i, s := range p.poSlot {
+			if p.vals[s] != want[i] {
+				return p.counterexample(i, want[i], p.vals[s]), nil
 			}
 		}
 	}
 	return nil, nil
+}
+
+// EquivalentRandom checks a and b on rounds×64 pseudo-random patterns
+// derived from seed: Capture(a, rounds, seed).Check(b).
+func EquivalentRandom(a, b *network.Network, rounds int, seed int64) (*Counterexample, error) {
+	return Capture(a, rounds, seed).Check(b)
 }
 
 // MaxExhaustiveInputs bounds EquivalentExhaustive: 2^20 patterns.
@@ -157,37 +256,38 @@ const MaxExhaustiveInputs = 20
 // the number of primary inputs. It returns an error when k exceeds
 // MaxExhaustiveInputs. A nil counterexample means proven equivalence.
 func EquivalentExhaustive(a, b *network.Network) (*Counterexample, error) {
-	if err := sameInterface(a, b); err != nil {
+	pa, pb := compile(a), compile(b)
+	if err := sameInterface(pa.pis, pa.pos, pb.pis, pb.pos); err != nil {
 		return nil, err
 	}
-	pis, pos := interfaceNames(a)
-	k := len(pis)
+	k := len(pa.pis)
 	if k > MaxExhaustiveInputs {
 		return nil, fmt.Errorf("sim: %d inputs exceed exhaustive limit %d", k, MaxExhaustiveInputs)
 	}
 	total := uint64(1) << k
-	in := make(map[string]uint64, k)
 	// Enumerate patterns in blocks of 64: pattern index = base + bit.
 	for base := uint64(0); base < total; base += 64 {
-		for i, pi := range pis {
+		for i := range pa.pis {
 			var w uint64
 			for bit := uint64(0); bit < 64 && base+bit < total; bit++ {
 				if (base+bit)>>uint(i)&1 == 1 {
 					w |= 1 << bit
 				}
 			}
-			in[pi] = w
+			pa.vals[pa.piSlot[i]] = w
+			pb.vals[pb.piSlot[i]] = w
 		}
 		valid := total - base
 		var mask uint64 = ^uint64(0)
 		if valid < 64 {
 			mask = (1 << valid) - 1
 		}
-		outA := EvalWords(a, in)
-		outB := EvalWords(b, in)
-		for _, po := range pos {
-			if (outA[po]^outB[po])&mask != 0 {
-				return extractCE(in, po, outA[po]&mask, outB[po]&mask), nil
+		pa.run()
+		pb.run()
+		for i := range pa.pos {
+			wa, wb := pa.vals[pa.poSlot[i]]&mask, pb.vals[pb.poSlot[i]]&mask
+			if wa != wb {
+				return pa.counterexample(i, wa, wb), nil
 			}
 		}
 	}
@@ -208,19 +308,15 @@ func Equivalent(a, b *network.Network, rounds int, seed int64) (*Counterexample,
 // equal networks with the same interface always produce equal signatures;
 // unequal ones almost surely differ.
 func Signature(n *network.Network, rounds int, seed int64) uint64 {
-	pis, pos := interfaceNames(n)
+	p := compile(n)
 	rng := rand.New(rand.NewSource(seed))
-	in := make(map[string]uint64, len(pis))
 	const fnvOffset = 14695981039346656037
 	const fnvPrime = 1099511628211
 	h := uint64(fnvOffset)
-	for r := 0; r < rounds; r++ {
-		for _, pi := range pis {
-			in[pi] = rng.Uint64()
-		}
-		out := EvalWords(n, in)
-		for _, po := range pos {
-			w := out[po]
+	for range rounds {
+		p.randomRound(rng)
+		for _, s := range p.poSlot {
+			w := p.vals[s]
 			for b := 0; b < 64; b += 8 {
 				h ^= w >> b & 0xff
 				h *= fnvPrime

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/network"
 	"repro/internal/opt"
 	"repro/internal/sim"
 )
@@ -193,9 +192,9 @@ func (c *Circuit) Optimize(ctx context.Context, opts ...Option) (*Result, error)
 		}
 	}
 
-	var orig *network.Network
+	var ref *sim.Reference
 	if cfg.verifyRounds > 0 {
-		orig, _ = c.net.Clone()
+		ref = sim.Capture(c.net, cfg.verifyRounds, verifySeed)
 	}
 
 	oo := opt.Options{
@@ -272,7 +271,7 @@ func (c *Circuit) Optimize(ctx context.Context, opts ...Option) (*Result, error)
 		res.Verification = VerifySkipped
 	default:
 		res.VerifyRounds = cfg.verifyRounds
-		ce, err := sim.EquivalentRandom(orig, c.net, cfg.verifyRounds, verifySeed)
+		ce, err := ref.Check(c.net)
 		switch {
 		case err != nil:
 			res.Verification = VerifyFailed
