@@ -36,9 +36,10 @@ bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
 # Fast subset for CI: the PR-2 engine benchmarks, the incremental STA
-# pair and the post-optimization verification, one iteration each.
+# benchmarks (one move, one wide update) and the post-optimization
+# verification, one iteration each.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkMoveGen|BenchmarkExtractIncremental|BenchmarkFig2Swap|BenchmarkIncrementalSTA|BenchmarkVerify$$' -benchtime 1x .
+	$(GO) test -run xxx -bench 'BenchmarkMoveGen|BenchmarkExtractIncremental|BenchmarkFig2Swap|BenchmarkIncrementalSTA|BenchmarkIncrementalWideUpdate|BenchmarkVerify$$' -benchtime 1x .
 
 # Scaling-curve harness (internal/perf via cmd/benchscale): full
 # optimizer runs over the workers x regions x window x circuit grid,
@@ -66,7 +67,7 @@ bench-fleet:
 # the golden bands in PERF_BASELINE.json (tight allocs/op, generous
 # ns/op — see the note in that file). Fails with a readable diff.
 perf-gate:
-	$(GO) test -run xxx -bench 'BenchmarkMoveGen$$|BenchmarkIncrementalSTA$$|BenchmarkExtractIncremental$$|BenchmarkFig2Swap$$|BenchmarkRegionRoundTrip$$|BenchmarkSessionApply$$|BenchmarkSnapshotAfterResize$$|BenchmarkVerify$$' -benchmem -benchtime 1x -count 3 . \
+	$(GO) test -run xxx -bench 'BenchmarkMoveGen$$|BenchmarkIncrementalSTA$$|BenchmarkIncrementalWideUpdate$$|BenchmarkExtractIncremental$$|BenchmarkFig2Swap$$|BenchmarkRegionRoundTrip$$|BenchmarkSessionApply$$|BenchmarkSnapshotAfterResize$$|BenchmarkVerify$$' -benchmem -benchtime 1x -count 3 . \
 	  | $(GO) run ./cmd/perfgate -baseline PERF_BASELINE.json
 
 table1:

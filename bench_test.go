@@ -343,6 +343,42 @@ func BenchmarkIncrementalSTA(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkIncrementalWideUpdate measures one Update that re-times
+// thousands of gates: the first logic gate on s38417's critical path,
+// next to the primary inputs, alternates between two sizes, so every op
+// re-propagates its whole fanout cone — the shape of a regioned round's
+// batch rather than a single optimizer move. The level queues and the
+// stamped sets are warm after the first op, so the sweep itself should
+// allocate nothing.
+func BenchmarkIncrementalWideUpdate(b *testing.B) {
+	n, lib, _ := staSwapSetup(b)
+	inc := sta.NewIncremental(n, lib, 0)
+	defer inc.Close()
+	var g *network.Gate
+	for _, x := range inc.Timing().CriticalPath() {
+		if !x.IsInput() {
+			g = x
+			break
+		}
+	}
+	sizes := [2]int{g.SizeIdx, (g.SizeIdx + 1) % library.NumSizes}
+	n.SetSize(g, sizes[1])
+	inc.Update()
+	before := inc.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.SetSize(g, sizes[i%2])
+		inc.Update()
+	}
+	b.StopTimer()
+	st := inc.Stats()
+	if st.FullAnalyses != before.FullAnalyses {
+		b.Fatalf("the update fell back to a full analysis")
+	}
+	b.ReportMetric(float64(st.ArrivalRecomputes+st.RequiredRecomputes-before.ArrivalRecomputes-before.RequiredRecomputes)/float64(b.N), "recomputes/op")
+}
+
 // --- PR 2: the move-evaluation engine ---
 
 // BenchmarkMoveGen measures one phase of candidate generation + scoring

@@ -11,7 +11,6 @@
 package network
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"strconv"
@@ -459,26 +458,26 @@ func (n *Network) Sweep() int {
 func (n *Network) TopoOrder() []*Gate {
 	order := make([]*Gate, 0, n.NumGates())
 	pending := make([]int32, n.nextID) // unplaced fanin occurrences, by gate id
-	ready := &gateHeap{}
+	var ready GateQueue
 	for _, g := range n.gates {
 		if g == nil {
 			continue
 		}
 		if len(g.fanins) == 0 {
-			heap.Push(ready, g)
+			ready.Push(uint64(g.id), g)
 		} else {
 			pending[g.id] = int32(len(g.fanins))
 		}
 	}
 	for ready.Len() > 0 {
-		g := heap.Pop(ready).(*Gate)
+		g := ready.Pop()
 		order = append(order, g)
 		// A sink's pending count drops once per fanin occurrence,
 		// including multi-edges.
 		for _, s := range g.fanouts {
 			pending[s.id]--
 			if pending[s.id] == 0 {
-				heap.Push(ready, s)
+				ready.Push(uint64(s.id), s)
 			}
 		}
 	}
@@ -516,20 +515,6 @@ func (n *Network) TopoOrderFast() []*Gate {
 	return order
 }
 
-// gateHeap is a min-heap of gates by id.
-type gateHeap []*Gate
-
-func (h gateHeap) Len() int            { return len(h) }
-func (h gateHeap) Less(i, j int) bool  { return h[i].id < h[j].id }
-func (h gateHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *gateHeap) Push(x interface{}) { *h = append(*h, x.(*Gate)) }
-func (h *gateHeap) Pop() interface{} {
-	old := *h
-	g := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return g
-}
-
 // TopoOrderAmong returns the given gates in topological order with
 // respect to the edges whose endpoints are both in the set (membership
 // decided by in): fanins in the set come before their in-set fanouts,
@@ -538,7 +523,7 @@ func (h *gateHeap) Pop() interface{} {
 // extraction uses it to walk a region interior fanin-first.
 func TopoOrderAmong(gates []*Gate, in func(*Gate) bool) []*Gate {
 	pending := make(map[*Gate]int, len(gates))
-	ready := &gateHeap{}
+	var ready GateQueue
 	for _, g := range gates {
 		c := 0
 		for _, f := range g.fanins {
@@ -547,14 +532,14 @@ func TopoOrderAmong(gates []*Gate, in func(*Gate) bool) []*Gate {
 			}
 		}
 		if c == 0 {
-			heap.Push(ready, g)
+			ready.Push(uint64(g.id), g)
 		} else {
 			pending[g] = c
 		}
 	}
 	order := make([]*Gate, 0, len(gates))
 	for ready.Len() > 0 {
-		g := heap.Pop(ready).(*Gate)
+		g := ready.Pop()
 		order = append(order, g)
 		for _, s := range g.fanouts {
 			if !in(s) {
@@ -563,7 +548,7 @@ func TopoOrderAmong(gates []*Gate, in func(*Gate) bool) []*Gate {
 			pending[s]--
 			if pending[s] == 0 {
 				delete(pending, s)
-				heap.Push(ready, s)
+				ready.Push(uint64(s.id), s)
 			}
 		}
 	}

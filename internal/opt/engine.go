@@ -17,6 +17,7 @@ package opt
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -328,14 +329,20 @@ func (e *Engine) budgetSites(tm *sta.Timing, swapSites []*supergate.Supergate, r
 		}
 		ranked = append(ranked, rankedSite{slack: s, id: g.ID(), gate: g})
 	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].slack != ranked[j].slack {
-			return ranked[i].slack < ranked[j].slack
+	// A total order: swap is unique per swap site and 0 for resizes, so
+	// the budget selected never depends on the sort algorithm.
+	slices.SortFunc(ranked, func(a, b rankedSite) int {
+		switch {
+		case a.slack != b.slack:
+			if a.slack < b.slack {
+				return -1
+			}
+			return 1
+		case a.id != b.id:
+			return a.id - b.id
+		default:
+			return b.swap - a.swap
 		}
-		if ranked[i].id != ranked[j].id {
-			return ranked[i].id < ranked[j].id
-		}
-		return ranked[i].swap > ranked[j].swap
 	})
 	var outSwaps []*supergate.Supergate
 	var outResizes []*network.Gate

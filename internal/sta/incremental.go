@@ -41,11 +41,13 @@
 // propagation queues, and the PO set — is held in dense gate-ID-indexed
 // arrays with epoch stamps (no per-event map operations): the PR 6 profile
 // showed the per-move notification cost and the per-update map churn were
-// a measurable slice of the region scheduler's overhead.
+// a measurable slice of the region scheduler's overhead. The level queues
+// are typed heaps keyed by (level, ID) packed into one integer at push
+// (see levelQueue), so a compare is one integer compare with no level
+// lookup: the queues are the inner loop of every wide update.
 package sta
 
 import (
-	"container/heap"
 	"math"
 	"sync"
 
@@ -189,6 +191,7 @@ type Incremental struct {
 	fwdQ, bwdQ levelQueue
 	backSeeds  gateSet
 	forced     gateSet
+	pinArr     []Edge // per-pin arrivals of the gate being recomputed
 
 	// touched records every gate whose arrival or required time was
 	// recomputed by the most recent Update, deduplicated across the two
@@ -251,8 +254,8 @@ func (it *Incremental) seed(clock float64) {
 	// regrow each stamped set by appending.
 	it.backSeeds.grow(bound)
 	it.forced.grow(bound)
-	it.fwdQ.h.qset.grow(bound)
-	it.bwdQ.h.qset.grow(bound)
+	it.fwdQ.qset.grow(bound)
+	it.bwdQ.qset.grow(bound)
 	it.touched.reset()
 	it.touched.grow(bound)
 	it.lastFull = true
@@ -499,7 +502,7 @@ func (it *Incremental) propagateArrivals() {
 			q.push(g)
 		}
 	}
-	var pinArr []Edge
+	pinArr := it.pinArr
 	for q.Len() > 0 {
 		g := q.pop()
 		it.touched.add(g)
@@ -537,6 +540,7 @@ func (it *Incremental) propagateArrivals() {
 			}
 		}
 	}
+	it.pinArr = pinArr
 }
 
 // propagateRequired runs the backward sweep from the seeds, recomputing
@@ -601,68 +605,53 @@ func requiredCandidate(t *Timing, s *network.Gate, w float64) Edge {
 
 // levelQueue is a deduplicating priority queue of gates ordered by logic
 // level — ascending for the forward sweep, descending for the backward
-// sweep. Levels are read through the owning timer at comparison time, so
-// repairs made mid-sweep take effect on the next push. The dedup set is an
-// epoch-stamped dense array; the queue persists across updates so its
-// backing storage amortizes.
+// sweep — with ties broken on dense gate ID, so the pop order (and with
+// it the exact propagation work) does not depend on the order the dirty
+// set seeded the queue in.
+//
+// Each entry's key is packed once, at push: level<<32 | id ascending,
+// (MaxUint32-level)<<32 | id descending (dense IDs and levels stay far
+// below 2^32). Caching the level in the key is
+// exact because a queued gate's level never changes while it waits: the
+// forward sweep rewrites only the level of the gate it just popped (and
+// re-pushes the fanouts afterwards), and the backward sweep writes none.
+// The dedup set holds each gate at most once, so keys are unique and the
+// pop sequence is the same as a heap that re-reads levels on every
+// compare. The dedup set is an epoch-stamped dense array; the queue
+// persists across updates so its backing storage amortizes.
 type levelQueue struct {
-	h levelHeap
-}
-
-type levelHeap struct {
-	gates []*network.Gate
-	it    *Incremental
-	desc  bool
-	qset  gateSet
+	h    network.GateQueue
+	it   *Incremental
+	desc bool
+	qset gateSet
 }
 
 func (q *levelQueue) init(it *Incremental, desc bool) {
-	q.h.it = it
-	q.h.desc = desc
+	q.it = it
+	q.desc = desc
 }
 
 func (q *levelQueue) reset() {
-	q.h.gates = q.h.gates[:0]
-	q.h.qset.reset()
+	q.h.Reset()
+	q.qset.reset()
 }
 
-func (q *levelQueue) Len() int { return len(q.h.gates) }
+func (q *levelQueue) Len() int { return q.h.Len() }
 
 func (q *levelQueue) push(g *network.Gate) {
-	if q.h.qset.has(g) {
+	if q.qset.has(g) {
 		return
 	}
-	q.h.qset.add(g)
-	heap.Push(&q.h, g)
+	q.qset.add(g)
+	lv := uint64(q.it.levelOf(g))
+	if q.desc {
+		lv = math.MaxUint32 - lv
+	}
+	q.h.Push(lv<<32|uint64(g.ID()), g)
 }
 
 func (q *levelQueue) pop() *network.Gate {
-	g := heap.Pop(&q.h).(*network.Gate)
-	q.h.qset.remove(g)
-	return g
-}
-
-func (h levelHeap) Len() int { return len(h.gates) }
-func (h levelHeap) Less(i, j int) bool {
-	li, lj := h.it.levelOf(h.gates[i]), h.it.levelOf(h.gates[j])
-	if li != lj {
-		if h.desc {
-			return li > lj
-		}
-		return li < lj
-	}
-	// Ties break on dense gate ID so pop order — and with it the exact
-	// propagation work — is deterministic no matter what order the dirty
-	// set seeded the queue in.
-	return h.gates[i].ID() < h.gates[j].ID()
-}
-func (h levelHeap) Swap(i, j int) { h.gates[i], h.gates[j] = h.gates[j], h.gates[i] }
-func (h *levelHeap) Push(x interface{}) {
-	h.gates = append(h.gates, x.(*network.Gate))
-}
-func (h *levelHeap) Pop() interface{} {
-	old := h.gates
-	g := old[len(old)-1]
-	h.gates = old[:len(old)-1]
+	g := q.h.Pop()
+	q.qset.remove(g)
 	return g
 }

@@ -2,6 +2,7 @@ package sta_test
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -267,4 +268,91 @@ func TestIncrementalRemovedGates(t *testing.T) {
 	}
 	n.Sweep()
 	requireMatch(t, "after sweep", n, lib, clock, inc.Update())
+}
+
+// incWorkGolden is the work each Update of TestIncrementalWorkGolden's
+// script performs: arrival and required recomputes and an FNV-1a hash of
+// the LastTouched ID sequence. A change to the propagation queue's pop
+// order moves these even when the timing stays exact.
+var incWorkGolden = []struct {
+	arr, req int
+	touched  uint64
+}{
+	{33, 26, 0xfe15e17f77fdfb96},    // resize, 55 touched
+	{9, 9, 0x5767b413ff4f8b60},      // swap, 15 touched
+	{73, 24, 0x2bfaf60395f8a05d},    // resize, 93 touched
+	{14, 45, 0xacf1e11ed5e8ede1},    // resize, 55 touched
+	{0, 0, 0xcbf29ce484222325},      // resize to the current size: no work
+	{303, 176, 0xfbc438ae4aa3c7dd},  // resize, 473 touched
+	{11, 13, 0xe40c72fdb571be06},    // swap, 19 touched
+	{1016, 389, 0x4f1b498dc11b44a7}, // resize, 1403 touched
+	{946, 473, 0x6aceea23cd8602c8},  // resize, 1410 touched
+	{1103, 175, 0x2196052dc02687f0}, // resize, 1273 touched
+	{0, 0, 0xcbf29ce484222325},      // resize to the current size: no work
+	{5, 9, 0x8f83f54da4ffa37d},      // swap, 11 touched
+	{0, 0, 0xcbf29ce484222325},      // resize to the current size: no work
+	{51, 246, 0x444b0b652cdb7bc0},   // resize, 292 touched
+	{11, 11, 0x784c9bcfc386d5eb},    // swap, 15 touched
+	{470, 800, 0x4ce8281800fd58f},   // resize, 1266 touched
+	{0, 0, 0xcbf29ce484222325},      // resize to the current size: no work
+	{1197, 105, 0xc035afebbccbcd67}, // swap, 1295 touched
+	{15, 18, 0xa165267ca98d2ec1},    // resize, 29 touched
+	{1777, 311, 0x9b1b2f5ede707a7e}, // swap, 1209 touched (levels repaired: gates popped twice)
+	{1718, 6, 0x1cda137ef72b1509},   // resize, 1720 touched
+	{1355, 92, 0x37987df9a6e27c45},  // swap, 1436 touched
+	{105, 245, 0xcc4f9d5a6b5ca9fc},  // swap, 345 touched
+	{0, 0, 0xcbf29ce484222325},      // resize to the current size: no work
+	{13, 9, 0x3db106af4d70a297},     // swap, 15 touched
+	{590, 783, 0x58dc35470e9d9f86},  // swap, 1340 touched
+	{30, 26, 0x9b553ed4f519806d},    // resize, 52 touched
+	{11, 6, 0x6b1a6f80cb3472f1},     // resize, 14 touched
+	{82, 13, 0xcad161d933908ff2},    // resize, 91 touched
+	{8, 9, 0xf5e2f5cabac84459},      // swap, 14 touched
+	{19, 42, 0xbadb06a91cf51b3b},    // swap, 53 touched
+	{56, 16, 0x14abbaafab9b21e3},    // swap, 49 touched
+}
+
+// TestIncrementalWorkGolden pins the incremental timer's propagation
+// order end to end: a fixed seeded script of swaps and resizes on s5378,
+// where every Update must match the full-Analyze oracle to 1e-9 and
+// perform exactly the recorded work, re-timing the recorded gates in the
+// recorded order.
+func TestIncrementalWorkGolden(t *testing.T) {
+	lib := library.Default035()
+	n, err := gen.Generate("s5378")
+	if err != nil {
+		t.Fatal(err)
+	}
+	place.Place(n, lib, place.Options{Seed: 7, MovesPerCell: 5})
+	sizing.SeedForLoad(n, lib, 0)
+	inc := sta.NewIncremental(n, lib, 0)
+	defer inc.Close()
+	inc.FullFraction = 2
+	clock := inc.Timing().Clock
+
+	m := &mutator{rng: rand.New(rand.NewSource(15)), n: n}
+	prev := inc.Stats()
+	for i, want := range incWorkGolden {
+		if m.rng.Intn(2) == 0 {
+			if m.randomSwap() == nil {
+				t.Fatalf("step %d: no swap available", i)
+			}
+		} else if !m.randomResize() {
+			t.Fatalf("step %d: no gate to resize", i)
+		}
+		requireMatch(t, fmt.Sprintf("step %d", i), n, lib, clock, inc.Update())
+		st := inc.Stats()
+		h := fnv.New64a()
+		for _, g := range inc.LastTouched() {
+			fmt.Fprintf(h, "%d,", g.ID())
+		}
+		got := struct {
+			arr, req int
+			touched  uint64
+		}{st.ArrivalRecomputes - prev.ArrivalRecomputes, st.RequiredRecomputes - prev.RequiredRecomputes, h.Sum64()}
+		if got != want {
+			t.Fatalf("step %d: work %+v, want %+v", i, got, want)
+		}
+		prev = st
+	}
 }
