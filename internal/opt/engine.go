@@ -67,10 +67,12 @@ func sortMoves(moves []Move) {
 }
 
 // workerState is one worker's private evaluation state: a scoring arena,
-// a reusable swap-enumeration buffer, and local work counters merged into
-// the engine's stats after every phase.
+// the resize frame that evaluates through it, a reusable swap-enumeration
+// buffer, and local work counters merged into the engine's stats after
+// every phase.
 type workerState struct {
 	sc    *sta.Scratch
+	rs    *sizing.Frame
 	swaps []rewire.Swap
 
 	swapEvals   int
@@ -147,7 +149,8 @@ func NewEngine(workers int) *Engine {
 	}
 	e := &Engine{workers: workers, state: make([]*workerState, workers)}
 	for i := range e.state {
-		e.state[i] = &workerState{sc: sta.GetScratch()}
+		sc := sta.GetScratch()
+		e.state[i] = &workerState{sc: sc, rs: sizing.NewFrame(sc)}
 	}
 	return e
 }
@@ -259,7 +262,7 @@ func (e *Engine) Moves(tm *sta.Timing, strat Strategy, obj sizing.Objective, o O
 		}
 		g := resizeSites[i-len(swapSites)]
 		ws.resizeEvals += library.NumSizes - 1
-		if size, gain := sizing.BestResizeScratch(tm, g, obj, ws.sc); gain > eps {
+		if size, gain := ws.rs.BestResize(tm, g, obj); gain > eps {
 			results[i] = Move{Gain: gain, Gate: g, Size: size}
 		}
 	})

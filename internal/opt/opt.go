@@ -130,6 +130,9 @@ type PhaseReport struct {
 	Phase string
 	// Applied is the number of moves the phase committed (post-guard).
 	Applied int
+	// Retried reports that the phase's batch regressed the global guard
+	// and was rolled back; Applied then counts the single-move retry.
+	Retried bool
 	// Delay and Lateness are the current critical delay and boundary
 	// lateness after the phase, per the incremental timer.
 	Delay    float64
@@ -262,10 +265,10 @@ func Optimize(ctx context.Context, n *network.Network, lib *library.Library, str
 	// delay: for whole networks the two differ by the constant clock, so
 	// comparisons are identical, while for bounded subnetworks lateness
 	// scores each output against its own pinned required time.
-	report := func(iter int, obj sizing.Objective, applied int, tm *sta.Timing) {
+	report := func(iter int, obj sizing.Objective, applied int, retried bool, tm *sta.Timing) {
 		if o.Progress != nil {
 			o.Progress(PhaseReport{
-				Iteration: iter + 1, Phase: phaseName(obj), Applied: applied,
+				Iteration: iter + 1, Phase: phaseName(obj), Applied: applied, Retried: retried,
 				Delay: tm.CriticalDelay, Lateness: tm.Lateness,
 				Swaps: res.Swaps, Resizes: res.Resizes,
 			})
@@ -293,47 +296,50 @@ func Optimize(ctx context.Context, n *network.Network, lib *library.Library, str
 			// Snapshot the move counters: a rolled-back batch must not
 			// count toward the Result's committed work.
 			swaps0, resizes0 := res.Swaps, res.Resizes
-			applied, undos := runPhaseCapped(n, tm, strat, obj, o, &res, 0, eng, cache)
+			var ext *supergate.Extraction
+			if strat != GS {
+				ext = cache.Extraction()
+			}
+			ranked := eng.Moves(tm, strat, obj, o, ext)
+			applied, undos := applyMoves(n, tm, ranked, obj, &res, 0, eng)
 			if applied == 0 {
-				report(iter, obj, 0, tm)
+				report(iter, obj, 0, false, tm)
 				continue
 			}
 			tm = inc.Update()
 			after := tm.Lateness
-			if after > before+eps {
+			retried := after > before+eps
+			if retried {
 				// The batch regressed globally (a locally-scored move
 				// misled); roll it back and retry with only the single
-				// best move, which is almost always sound.
-				n.BeginBatch()
-				for i := len(undos) - 1; i >= 0; i-- {
-					undos[i]()
-				}
-				n.EndBatch()
+				// best move, which is almost always sound. The rollback
+				// restores the scored network, so the retry walks the
+				// phase's own ranking, revalidating each move against
+				// the restored timing, instead of scoring it again; the
+				// extraction cache sees the batch and its undo at the
+				// next phase's flush.
+				undoAll(n, undos)
 				res.Swaps, res.Resizes = swaps0, resizes0
 				tm = inc.Update()
-				applied, undos = runPhaseCapped(n, tm, strat, obj, o, &res, 1, eng, cache)
+				applied, undos = applyMoves(n, tm, ranked, obj, &res, 1, eng)
 				if applied == 0 {
-					report(iter, obj, 0, tm)
+					report(iter, obj, 0, true, tm)
 					continue
 				}
 				tm = inc.Update()
 				after = tm.Lateness
 				if after > before+eps {
-					n.BeginBatch()
-					for i := len(undos) - 1; i >= 0; i-- {
-						undos[i]()
-					}
-					n.EndBatch()
+					undoAll(n, undos)
 					res.Swaps, res.Resizes = swaps0, resizes0
 					tm = inc.Update()
-					report(iter, obj, 0, tm)
+					report(iter, obj, 0, true, tm)
 					continue
 				}
 			}
 			// The batch is accepted; gates orphaned by inverter
 			// collapses are now safe to sweep (no pending undos).
 			n.Sweep()
-			report(iter, obj, applied, tm)
+			report(iter, obj, applied, retried, tm)
 			if after < bestLateness-eps {
 				bestLateness = after
 				improved = true
@@ -370,25 +376,19 @@ func Optimize(ctx context.Context, n *network.Network, lib *library.Library, str
 	return res
 }
 
-// runPhaseCapped computes the best move per site for the strategy through
-// the engine (sorted by gain with dense-ID tie-break) and applies the
-// best sequence with revalidation, with an optional cap on applied moves
-// (0 = unlimited). It returns the number of applied moves and their undo
+// applyMoves applies the best sequence of a phase's ranked moves (sorted
+// by gain with dense-ID tie-break), revalidating each against the current,
+// partially mutated state, with an optional cap on applied moves (0 =
+// unlimited). It returns the number of applied moves and their undo
 // functions in application order.
-func runPhaseCapped(n *network.Network, tm *sta.Timing, strat Strategy, obj sizing.Objective, o Options, res *Result, maxApply int, eng *Engine, cache *supergate.Cache) (int, []Undo) {
-	var ext *supergate.Extraction
-	if strat != GS {
-		ext = cache.Extraction()
-	}
-	moves := eng.Moves(tm, strat, obj, o, ext)
-
+func applyMoves(n *network.Network, tm *sta.Timing, moves []Move, obj sizing.Objective, res *Result, maxApply int, eng *Engine) (int, []Undo) {
 	applied := 0
 	var undos []Undo
-	sc := eng.state[0].sc
+	ws := eng.state[0]
 	// One batch window per application round: the extraction cache sees
 	// the round's mutations as a single coalesced GateBatch at EndBatch
 	// instead of per-move callbacks; the next Extraction call (top of the
-	// following round) is the flush point either way.
+	// following phase) is the flush point either way.
 	n.BeginBatch()
 	defer n.EndBatch()
 	for _, m := range moves {
@@ -396,14 +396,13 @@ func runPhaseCapped(n *network.Network, tm *sta.Timing, strat Strategy, obj sizi
 			break
 		}
 		if m.IsSwap {
-			// Revalidate against the current (partially mutated) state.
-			if gain := EvalSwapScratch(tm, m.Swap, obj, sc); gain <= eps {
+			if gain := EvalSwapScratch(tm, m.Swap, obj, ws.sc); gain <= eps {
 				continue
 			}
 			undos = append(undos, applySwap(n, m.Swap))
 			res.Swaps++
 		} else {
-			if gain := sizing.EvalResizeScratch(tm, m.Gate, m.Size, obj, sc); gain <= eps {
+			if gain := ws.rs.EvalResize(tm, m.Gate, m.Size, obj); gain <= eps {
 				continue
 			}
 			g, old := m.Gate, m.Gate.SizeIdx
@@ -414,6 +413,15 @@ func runPhaseCapped(n *network.Network, tm *sta.Timing, strat Strategy, obj sizi
 		applied++
 	}
 	return applied, undos
+}
+
+// undoAll reverts applied moves in reverse order as one batch.
+func undoAll(n *network.Network, undos []Undo) {
+	n.BeginBatch()
+	for i := len(undos) - 1; i >= 0; i-- {
+		undos[i]()
+	}
+	n.EndBatch()
 }
 
 // Undo reverts one applied move.

@@ -320,3 +320,30 @@ func TestOptimizeUsesIncrementalTimer(t *testing.T) {
 			r.Timer.FullAnalyses, r.Iterations, r.Timer)
 	}
 }
+
+// TestRollbackRetryDoesNotRescore pins the rollback path's cost: a phase
+// whose batch regresses retries from the ranking it already scored, so
+// every reported phase is exactly one scoring pass of the engine.
+func TestRollbackRetryDoesNotRescore(t *testing.T) {
+	for _, name := range []string{"alu2", "s5378"} {
+		n := prepBench(t, name)
+		sizing.SeedForLoad(n, lib(), 0)
+		phases, retried := 0, 0
+		res := Optimize(context.Background(), n, lib(), GsgGS, Options{Progress: func(pr PhaseReport) {
+			if pr.Phase == "start" {
+				return
+			}
+			phases++
+			if pr.Retried {
+				retried++
+			}
+		}})
+		if retried == 0 {
+			t.Fatalf("%s: no phase rolled back; the test needs a rollback to exercise the retry", name)
+		}
+		if res.Evals.Phases != phases {
+			t.Fatalf("%s: engine scored %d phases for %d reported phases (%d retried)", name, res.Evals.Phases, phases, retried)
+		}
+		t.Logf("%s: %d phases, %d retried", name, phases, retried)
+	}
+}

@@ -78,120 +78,236 @@ func Score(obj Objective, slacks []float64, clock float64) float64 {
 	}
 }
 
-// localSlacks computes the per-gate slacks of the neighborhood under the
-// scratch's effective gate sizes (committed SizeIdx plus any override),
-// with upstream arrivals and required times frozen from tm. The caller
-// must have opened the evaluation with sc.Begin; results live in the
-// scratch's Slacks buffer until the next evaluation. Everything is a pure
-// read of tm and the network, so concurrent workers with private
-// scratches can evaluate disjoint candidates in parallel.
-func localSlacks(tm *sta.Timing, g *network.Gate, sc *sta.Scratch) []float64 {
-	// Recompute the nets of g's fanin drivers (their loads and sink wire
-	// delays change with g's pin capacitance).
+// Frame is one worker's resize-evaluation arena: the frame of a single
+// resize site, shared by the baseline and every alternative size. A
+// resize of g changes only g's pin capacitance on its fanin drivers' nets
+// and g's own cell, so everything else a local evaluation reads is the
+// same for all sizes. Build freezes it once from the timing view — the
+// driver list and neighborhood, each neighborhood gate's required time
+// and load, and every pin edge (arrival plus committed wire delay) whose
+// driver is not one of g's drivers. Scoring a size then rebuilds only
+// what depends on it: the driver nets, the driver arrivals, and the pins
+// those drivers feed. The arithmetic is the per-size evaluation's, term
+// for term, so the gains are bit-identical to re-deriving the whole
+// neighborhood for every size.
+//
+// A Frame borrows its worker's sta.Scratch (for the net models and the
+// pin and slack buffers) and reuses its own slices, so a steady-state
+// evaluation allocates nothing. It is not safe for concurrent use.
+type Frame struct {
+	sc *sta.Scratch
+	g  *network.Gate
+
+	drivers []frameDriver
+	hood    []frameGate
+	pins    []framePin
+}
+
+// frameDriver is one distinct fanin driver of the resized gate, in first
+// fanin order. pins[lo:hi] are its in-pins (none for a primary input);
+// net and arr hold the current size's rebuilt net and out-pin arrival.
+type frameDriver struct {
+	d      *network.Gate
+	lo, hi int32
+	net    *sta.NetModel
+	arr    sta.Edge
+}
+
+// frameGate is one neighborhood gate whose slack the objective scores.
+// A driver (drv >= 0) takes its slack from the driver's rebuilt arrival;
+// any other gate is re-timed from pins[lo:hi] under its frozen load.
+type frameGate struct {
+	x      *network.Gate
+	req    sta.Edge
+	load   float64
+	drv    int32
+	lo, hi int32
+}
+
+// framePin is one in-pin of a re-timed gate: the frozen edge, or (drv >=
+// 0) a dynamic pin fed by driver drv — its arrival plus its net's wire
+// delay to the pin's gate.
+type framePin struct {
+	edge sta.Edge
+	drv  int32
+}
+
+// NewFrame returns an empty frame evaluating through sc, sized for a
+// typical site so most frames never grow.
+func NewFrame(sc *sta.Scratch) *Frame {
+	return &Frame{
+		sc:      sc,
+		drivers: make([]frameDriver, 0, library.MaxFanin),
+		hood:    make([]frameGate, 0, 64),
+		pins:    make([]framePin, 0, 256),
+	}
+}
+
+// driverIndex returns the index of d among the drivers listed so far, or
+// -1. Gates have a handful of fanins, so the scan beats any lookup table.
+func (f *Frame) driverIndex(d *network.Gate) int32 {
+	for i := range f.drivers {
+		if f.drivers[i].d == d {
+			return int32(i)
+		}
+	}
+	return -1
+}
+
+// appendPins freezes x's in-pins. A pin fed by a driver already listed is
+// dynamic; any other pin reads the committed arrival and wire delay.
+// Drivers are listed in order, so a driver feeding a later driver of the
+// same gate is dynamic for it, and one feeding an earlier driver is not —
+// exactly the order in which a driver's hypothetical arrival becomes
+// visible when the neighborhood is re-timed driver by driver.
+func (f *Frame) appendPins(tm *sta.Timing, x *network.Gate) (lo, hi int32) {
+	lo = int32(len(f.pins))
+	for _, d := range x.Fanins() {
+		if k := f.driverIndex(d); k >= 0 {
+			f.pins = append(f.pins, framePin{drv: k})
+			continue
+		}
+		a, w := tm.Arrival(d), tm.WireDelay(d, x)
+		f.pins = append(f.pins, framePin{edge: sta.Edge{Rise: a.Rise + w, Fall: a.Fall + w}, drv: -1})
+	}
+	return lo, int32(len(f.pins))
+}
+
+// build captures the size-independent frame of a resize of g against tm.
+func (f *Frame) build(tm *sta.Timing, g *network.Gate) {
+	f.g = g
+	f.drivers = f.drivers[:0]
+	f.hood = f.hood[:0]
+	f.pins = f.pins[:0]
 	for _, d := range g.Fanins() {
-		if sc.NetOf(d) != nil {
+		if f.driverIndex(d) >= 0 {
 			continue
 		}
-		// Scratch.Net already folds in the PO pad load.
-		m := sc.Net(tm, d, d.Fanouts())
-		if d.IsInput() {
-			sc.SetArrival(d, sta.Edge{})
-			continue
+		var lo, hi int32
+		if !d.IsInput() {
+			lo, hi = f.appendPins(tm, d)
 		}
-		sc.SetArrival(d, tm.GateOutputSc(sc, d, pinArrivals(tm, d, sc), m.Load))
+		f.drivers = append(f.drivers, frameDriver{d: d, lo: lo, hi: hi})
 	}
-	// Then every sink of those drivers, g included.
-	sc.Slacks = sc.Slacks[:0]
-	appendSlack := func(x *network.Gate, arr sta.Edge) {
-		r := tm.Required(x)
-		sc.Slacks = append(sc.Slacks, math.Min(r.Rise-arr.Rise, r.Fall-arr.Fall))
-	}
-	for _, x := range neighborhood(g, sc) {
+	f.sc.Begin(tm)
+	for _, x := range neighborhood(g, f.sc) {
 		if x.IsInput() {
 			continue
 		}
-		if arr, isDriver := sc.HypArrival(x); isDriver {
-			appendSlack(x, arr)
-			continue
+		h := frameGate{x: x, req: tm.Required(x), drv: f.driverIndex(x)}
+		if h.drv < 0 {
+			// A sink's load is unchanged (same sinks; for g itself the
+			// cell changed but not the net), so tm.Load is still valid.
+			h.load = tm.Load(x)
+			h.lo, h.hi = f.appendPins(tm, x)
 		}
-		// A sink's load is unchanged (same sinks; for g itself the cell
-		// changed but not the net), so tm.Load is still valid.
-		arr := tm.GateOutputSc(sc, x, pinArrivals(tm, x, sc), tm.Load(x))
-		appendSlack(x, arr)
+		f.hood = append(f.hood, h)
 	}
-	return sc.Slacks
 }
 
-// pinArrivals assembles the in-pin arrival edges of gate x into the
-// scratch's Pins buffer, preferring hypothetical driver arrivals and net
-// models where the evaluation recorded them.
-func pinArrivals(tm *sta.Timing, x *network.Gate, sc *sta.Scratch) []sta.Edge {
+// pinEdges assembles the in-pin edges of pins[lo:hi] for gate x into the
+// scratch's Pins buffer, completing dynamic pins from the current size's
+// driver arrivals and nets.
+func (f *Frame) pinEdges(x *network.Gate, lo, hi int32) []sta.Edge {
+	sc := f.sc
 	sc.Pins = sc.Pins[:0]
-	for _, d := range x.Fanins() {
-		arr, ok := sc.HypArrival(d)
-		if !ok {
-			arr = tm.Arrival(d)
+	for _, p := range f.pins[lo:hi] {
+		if p.drv < 0 {
+			sc.Pins = append(sc.Pins, p.edge)
+			continue
 		}
-		var w float64
-		if m := sc.NetOf(d); m != nil {
-			w = m.SinkDelay(x)
-		} else {
-			w = tm.WireDelay(d, x)
-		}
-		sc.Pins = append(sc.Pins, sta.Edge{Rise: arr.Rise + w, Fall: arr.Fall + w})
+		dr := &f.drivers[p.drv]
+		w := dr.net.SinkDelay(x)
+		sc.Pins = append(sc.Pins, sta.Edge{Rise: dr.arr.Rise + w, Fall: dr.arr.Fall + w})
 	}
 	return sc.Pins
 }
 
-// EvalResize returns the objective gain of switching g to newSize, locally
-// evaluated against tm. Positive is better. It is a convenience wrapper
-// over EvalResizeScratch with a pooled arena.
-func EvalResize(tm *sta.Timing, g *network.Gate, newSize int, obj Objective) float64 {
-	sc := sta.GetScratch()
-	gain := EvalResizeScratch(tm, g, newSize, obj, sc)
-	sta.PutScratch(sc)
-	return gain
+// score evaluates the built frame's objective with g at the given size:
+// the drivers' nets and arrivals are rebuilt under the size's pin
+// capacitance, then every neighborhood gate's slack is scored with
+// required times frozen.
+func (f *Frame) score(tm *sta.Timing, size int, obj Objective) float64 {
+	sc := f.sc
+	sc.Begin(tm)
+	sc.OverrideSize(f.g, size)
+	for i := range f.drivers {
+		dr := &f.drivers[i]
+		// Scratch.Net already folds in the PO pad load.
+		dr.net = sc.Net(tm, dr.d, dr.d.Fanouts())
+		if dr.d.IsInput() {
+			dr.arr = sta.Edge{}
+			continue
+		}
+		dr.arr = tm.GateOutputSc(sc, dr.d, f.pinEdges(dr.d, dr.lo, dr.hi), dr.net.Load)
+	}
+	sc.Slacks = sc.Slacks[:0]
+	for i := range f.hood {
+		h := &f.hood[i]
+		var arr sta.Edge
+		if h.drv >= 0 {
+			arr = f.drivers[h.drv].arr
+		} else {
+			arr = tm.GateOutputSc(sc, h.x, f.pinEdges(h.x, h.lo, h.hi), h.load)
+		}
+		sc.Slacks = append(sc.Slacks, math.Min(h.req.Rise-arr.Rise, h.req.Fall-arr.Fall))
+	}
+	return Score(obj, sc.Slacks, tm.Clock)
 }
 
-// EvalResizeScratch is EvalResize evaluating through an explicit arena. g
-// is never written: the hypothetical size lives in the scratch as an
-// override (so mutation observers never see it and concurrent evaluations
-// of neighboring gates never race on SizeIdx).
-func EvalResizeScratch(tm *sta.Timing, g *network.Gate, newSize int, obj Objective, sc *sta.Scratch) float64 {
+// EvalResize returns the objective gain of switching g to newSize, locally
+// evaluated against tm: the arrival times of g's fanin drivers and of all
+// their sinks are recomputed with upstream arrivals and downstream
+// required times frozen. Positive is better. g is never written: the
+// hypothetical size lives in the scratch as an override, so mutation
+// observers never see it and concurrent evaluations of neighboring gates
+// never race on SizeIdx.
+func (f *Frame) EvalResize(tm *sta.Timing, g *network.Gate, newSize int, obj Objective) float64 {
 	if g.IsInput() || newSize == g.SizeIdx {
 		return 0
 	}
-	sc.Begin(tm)
-	before := Score(obj, localSlacks(tm, g, sc), tm.Clock)
-	sc.Begin(tm)
-	sc.OverrideSize(g, newSize)
-	after := Score(obj, localSlacks(tm, g, sc), tm.Clock)
-	return after - before
+	f.build(tm, g)
+	before := f.score(tm, g.SizeIdx, obj)
+	return f.score(tm, newSize, obj) - before
 }
 
-// BestResize returns the best alternative size for g and its gain.
-// A non-positive gain means the current size is locally optimal.
-func BestResize(tm *sta.Timing, g *network.Gate, obj Objective) (int, float64) {
-	sc := sta.GetScratch()
-	size, gain := BestResizeScratch(tm, g, obj, sc)
-	sta.PutScratch(sc)
-	return size, gain
-}
-
-// BestResizeScratch is BestResize evaluating through an explicit arena —
-// the scoring engine's per-worker entry point.
-func BestResizeScratch(tm *sta.Timing, g *network.Gate, obj Objective, sc *sta.Scratch) (int, float64) {
+// BestResize returns the best alternative size for g and its gain from
+// one frame: the baseline is scored once and each alternative size
+// against it. A non-positive gain means the current size is locally
+// optimal. It is the scoring engine's per-worker entry point.
+func (f *Frame) BestResize(tm *sta.Timing, g *network.Gate, obj Objective) (int, float64) {
 	bestSize, bestGain := g.SizeIdx, 0.0
+	if g.IsInput() {
+		return bestSize, bestGain
+	}
+	f.build(tm, g)
+	before := f.score(tm, g.SizeIdx, obj)
 	for s := 0; s < library.NumSizes; s++ {
 		if s == g.SizeIdx {
 			continue
 		}
-		if gain := EvalResizeScratch(tm, g, s, obj, sc); gain > bestGain+eps {
+		if gain := f.score(tm, s, obj) - before; gain > bestGain+eps {
 			bestGain = gain
 			bestSize = s
 		}
 	}
 	return bestSize, bestGain
+}
+
+// EvalResize is Frame.EvalResize through a pooled arena.
+func EvalResize(tm *sta.Timing, g *network.Gate, newSize int, obj Objective) float64 {
+	sc := sta.GetScratch()
+	gain := NewFrame(sc).EvalResize(tm, g, newSize, obj)
+	sta.PutScratch(sc)
+	return gain
+}
+
+// BestResize is Frame.BestResize through a pooled arena.
+func BestResize(tm *sta.Timing, g *network.Gate, obj Objective) (int, float64) {
+	sc := sta.GetScratch()
+	size, gain := NewFrame(sc).BestResize(tm, g, obj)
+	sta.PutScratch(sc)
+	return size, gain
 }
 
 // DefaultStageTargetNS is the load-delay budget per stage used by
