@@ -73,13 +73,15 @@ perf-gate:
 table1:
 	$(GO) run ./cmd/table1 -quick
 
-# Native fuzz smoke: each parser target for FUZZTIME (default 10s); the
-# CI fuzz-smoke job runs the same invocations.
+# Native fuzz smoke: each parser target, plus the resize frame against
+# its oracle on random placed DAGs, for FUZZTIME (default 10s); the CI
+# fuzz-smoke job runs the same invocations.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz=FuzzParseBLIF -fuzztime=$(FUZZTIME) ./internal/blif
 	$(GO) test -fuzz=FuzzParseBench -fuzztime=$(FUZZTIME) ./internal/bench
 	$(GO) test -fuzz=FuzzSessionEdit -fuzztime=$(FUZZTIME) ./rapids
+	$(GO) test -fuzz=FuzzResizeFrame -fuzztime=$(FUZZTIME) ./internal/sizing
 
 # Docs gate: vet the service packages and run the markdown link + flag
 # checkers over README/DESIGN/EXPERIMENTS (docs_test.go).

@@ -83,7 +83,9 @@ type workerState struct {
 // across its phases. All counts are deterministic functions of the input
 // (per-site work is fixed), so they are identical at every worker count.
 type EvalStats struct {
-	// Phases counts Moves calls.
+	// Phases counts Moves calls: one per optimizer phase scored. A
+	// phase whose batch is rolled back retries from the same ranking,
+	// so it still counts once.
 	Phases int
 	// SwapSites and ResizeSites count candidate sites scored: supergates
 	// whose swap enumerations were evaluated, gates whose alternative

@@ -2,8 +2,8 @@
 // (§5, §6): supergate-based rewiring formulated as a sizing problem. Each
 // set of leaf swaps of a supergate acts as an alternative "library
 // implementation" of that supergate; finding the best implementation per
-// site and applying the best sequence is exactly the Coudert-style loop of
-// the sizing package.
+// site and applying the best sequence is exactly the Coudert-style loop
+// that gate sizing uses (the resize move itself lives in package sizing).
 //
 // Three strategies reproduce the experimental comparison of §6:
 //
@@ -15,7 +15,10 @@
 //
 // Every accepted batch of moves is guarded by a network-wide timing
 // check, so the critical delay never regresses; local evaluations only
-// *rank* candidates. The guard itself is cheap: an incremental timer
+// *rank* candidates. Each phase scores its candidates once: a batch that
+// fails the guard is rolled back, and the single-move retry walks the
+// same ranking against the restored timing instead of scoring the
+// restored network again. The guard itself is cheap: an incremental timer
 // (sta.Incremental) absorbs each batch by re-propagating timing through
 // the mutated region only. From-scratch ground-truth analyses run twice
 // per optimization — once to seed the timer and once at the end for the

@@ -186,8 +186,8 @@ var fuzzTypes = []logic.GateType{logic.Inv, logic.Buf, logic.Nand, logic.Nor, lo
 // fuzzDAG builds a small placed, sized DAG from the fuzz bytes: fanins
 // pick any earlier gate (repeats allowed), every sink-less gate is a
 // primary output, and a flag byte pins boundary conditions. It returns
-// the network and its (possibly bounded) timing; when another flag byte
-// asks, one more gate is added after the analysis.
+// the (possibly bounded) timing; when another flag byte asks, one more
+// gate is added to the network after the analysis.
 func fuzzDAG(data []byte) *sta.Timing {
 	r := &fuzzReader{data: data}
 	n := network.New("fuzz")

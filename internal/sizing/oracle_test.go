@@ -1,9 +1,8 @@
 package sizing
 
-// The resize-scoring oracle: the evaluator Frame replaced, kept verbatim
-// (renamed) so the frame can be checked against it bit for bit. It
-// re-derives every pin, net, and arrival of the neighborhood from the
-// timing view for each evaluated size, baseline included.
+// The resize-scoring oracle: a direct evaluator that re-derives every pin,
+// net, and arrival of the neighborhood from the timing view for each
+// evaluated size, baseline included. Frame must match it bit for bit.
 
 import (
 	"math"
@@ -78,9 +77,8 @@ func pinArrivals(tm *sta.Timing, x *network.Gate, sc *sta.Scratch) []sta.Edge {
 	return sc.Pins
 }
 
-// oracleEvalResize is the pre-frame EvalResizeScratch: it re-derives the
-// whole neighborhood from the timing view for the baseline and again for
-// the candidate size.
+// oracleEvalResize re-derives the whole neighborhood from the timing view
+// for the baseline and again for the candidate size.
 func oracleEvalResize(tm *sta.Timing, g *network.Gate, newSize int, obj Objective, sc *sta.Scratch) float64 {
 	if g.IsInput() || newSize == g.SizeIdx {
 		return 0
@@ -93,8 +91,8 @@ func oracleEvalResize(tm *sta.Timing, g *network.Gate, newSize int, obj Objectiv
 	return after - before
 }
 
-// oracleBestResize is the pre-frame BestResizeScratch: one full
-// oracleEvalResize (baseline included) per alternative size.
+// oracleBestResize runs one full oracleEvalResize (baseline included) per
+// alternative size.
 func oracleBestResize(tm *sta.Timing, g *network.Gate, obj Objective, sc *sta.Scratch) (int, float64) {
 	bestSize, bestGain := g.SizeIdx, 0.0
 	for s := 0; s < library.NumSizes; s++ {

@@ -9,7 +9,9 @@
 // Every candidate resize is evaluated *locally*: the arrival times of the
 // resized gate's fanin drivers and of all their sinks are recomputed with
 // upstream arrivals and downstream required times frozen from the last
-// analysis, as a pure read that concurrent scoring workers can share.
+// analysis, as a pure read that concurrent scoring workers can share. A
+// Frame captures what a site's sizes share once, so the baseline and the
+// alternative sizes of one site are scored from a single frame.
 package sizing
 
 import (
@@ -82,7 +84,7 @@ func Score(obj Objective, slacks []float64, clock float64) float64 {
 // resize site, shared by the baseline and every alternative size. A
 // resize of g changes only g's pin capacitance on its fanin drivers' nets
 // and g's own cell, so everything else a local evaluation reads is the
-// same for all sizes. Build freezes it once from the timing view — the
+// same for all sizes and is frozen once per site from the timing view: the
 // driver list and neighborhood, each neighborhood gate's required time
 // and load, and every pin edge (arrival plus committed wire delay) whose
 // driver is not one of g's drivers. Scoring a size then rebuilds only
