@@ -35,11 +35,11 @@ race:
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
-# Fast subset for CI: the PR-2 engine benchmarks, the incremental STA
-# benchmarks (one move, one wide update) and the post-optimization
-# verification, one iteration each.
+# Fast subset for CI: the PR-2 engine benchmarks, the full and
+# incremental STA benchmarks (one move, one wide update) and the
+# post-optimization verification, one iteration each.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkMoveGen|BenchmarkExtractIncremental|BenchmarkFig2Swap|BenchmarkIncrementalSTA|BenchmarkIncrementalWideUpdate|BenchmarkVerify$$' -benchtime 1x .
+	$(GO) test -run xxx -bench 'BenchmarkMoveGen|BenchmarkExtractIncremental|BenchmarkFig2Swap|BenchmarkFullSTA|BenchmarkIncrementalSTA|BenchmarkIncrementalWideUpdate|BenchmarkVerify$$' -benchtime 1x .
 
 # Scaling-curve harness (internal/perf via cmd/benchscale): full
 # optimizer runs over the workers x regions x window x circuit grid,
@@ -67,21 +67,23 @@ bench-fleet:
 # the golden bands in PERF_BASELINE.json (tight allocs/op, generous
 # ns/op — see the note in that file). Fails with a readable diff.
 perf-gate:
-	$(GO) test -run xxx -bench 'BenchmarkMoveGen$$|BenchmarkIncrementalSTA$$|BenchmarkIncrementalWideUpdate$$|BenchmarkExtractIncremental$$|BenchmarkFig2Swap$$|BenchmarkRegionRoundTrip$$|BenchmarkSessionApply$$|BenchmarkSnapshotAfterResize$$|BenchmarkVerify$$' -benchmem -benchtime 1x -count 3 . \
+	$(GO) test -run xxx -bench 'BenchmarkMoveGen$$|BenchmarkFullSTA$$|BenchmarkIncrementalSTA$$|BenchmarkIncrementalWideUpdate$$|BenchmarkExtractIncremental$$|BenchmarkFig2Swap$$|BenchmarkRegionRoundTrip$$|BenchmarkSessionApply$$|BenchmarkSnapshotAfterResize$$|BenchmarkVerify$$' -benchmem -benchtime 1x -count 3 . \
 	  | $(GO) run ./cmd/perfgate -baseline PERF_BASELINE.json
 
 table1:
 	$(GO) run ./cmd/table1 -quick
 
 # Native fuzz smoke: each parser target, plus the resize frame against
-# its oracle on random placed DAGs, for FUZZTIME (default 10s); the CI
-# fuzz-smoke job runs the same invocations.
+# its oracle and the incremental timer against full analysis on random
+# placed DAGs, for FUZZTIME (default 10s); the CI fuzz-smoke job runs the
+# same invocations.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz=FuzzParseBLIF -fuzztime=$(FUZZTIME) ./internal/blif
 	$(GO) test -fuzz=FuzzParseBench -fuzztime=$(FUZZTIME) ./internal/bench
 	$(GO) test -fuzz=FuzzSessionEdit -fuzztime=$(FUZZTIME) ./rapids
 	$(GO) test -fuzz=FuzzResizeFrame -fuzztime=$(FUZZTIME) ./internal/sizing
+	$(GO) test -fuzz=FuzzIncrementalTiming -fuzztime=$(FUZZTIME) ./internal/sta
 
 # Docs gate: vet the service packages and run the markdown link + flag
 # checkers over README/DESIGN/EXPERIMENTS (docs_test.go).

@@ -60,7 +60,7 @@ func TestCheckAcyclicDetectsDeadFanin(t *testing.T) {
 
 // TestTopoOrderFastFallback: creation order is topological for freshly
 // built networks (the fast path), and rewiring that breaks it must make
-// TopoOrderFast fall back to a correct full sort.
+// TopoOrderFast fall back to a correct, deterministic full sort.
 func TestTopoOrderFastFallback(t *testing.T) {
 	n := New("fast")
 	a := n.AddInput("a")
@@ -96,14 +96,28 @@ func TestTopoOrderFastFallback(t *testing.T) {
 	n.ReplaceFanin(g1, 0, g2)
 	order := n.TopoOrderFast()
 	assertTopological(order)
-	// The fallback is TopoOrder itself, id-tie-break order included.
-	want := n.TopoOrder()
+	// The fallback is a Kahn walk: sources in creation order, then each
+	// gate as its last fanin is placed. TopoOrder keeps its own id
+	// tie-break, which the fallback does not promise.
+	want := []*Gate{a, b, g2, g3, g1}
 	for i := range want {
 		if order[i] != want[i] {
-			t.Fatalf("fallback order differs from TopoOrder at %d: %s vs %s",
+			t.Fatalf("fallback order differs from Kahn's at %d: %s vs %s",
 				i, order[i], want[i])
 		}
 	}
+	if topo := n.TopoOrder(); topo[2] != g2 || topo[3] != g1 || topo[4] != g3 {
+		t.Fatalf("TopoOrder lost its id tie-break: %v", topo)
+	}
+
+	// A cycle panics instead of returning a short order.
+	n.ReplaceFanin(g2, 0, g1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("TopoOrderFast on a cyclic network did not panic")
+		}
+	}()
+	n.TopoOrderFast()
 }
 
 func TestRemoveGateForeignPanics(t *testing.T) {

@@ -491,12 +491,14 @@ func (n *Network) TopoOrder() []*Gate {
 // preferring the creation order when it is already topological — true
 // for freshly extracted, generated, or cloned networks — verified in
 // O(V+E) with a dense seen-array instead of TopoOrder's heap. When
-// rewiring has made the creation order non-topological it falls back to
-// TopoOrder. The result is deterministic for a given construction
-// history, but it is NOT TopoOrder's id-tie-break order; use it only
-// where any valid order serves (per-gate dataflow like timing passes),
-// not where the specific sequence feeds downstream identity (Clone,
-// Stitch).
+// rewiring has made the creation order non-topological (an inserted
+// inverter is enough) it falls back to a plain Kahn walk, still O(V+E)
+// and heap-free: the order slice itself is the FIFO of ready gates. The
+// result is deterministic for a given construction history, but it is
+// NOT TopoOrder's id-tie-break order; use it only where any valid order
+// serves (per-gate dataflow like timing passes), not where the specific
+// sequence feeds downstream identity (Clone, Stitch). It panics if the
+// network contains a cycle.
 func (n *Network) TopoOrderFast() []*Gate {
 	order := make([]*Gate, 0, n.NumGates())
 	seen := make([]bool, n.nextID)
@@ -506,11 +508,40 @@ func (n *Network) TopoOrderFast() []*Gate {
 		}
 		for _, f := range g.fanins {
 			if !seen[f.id] {
-				return n.TopoOrder()
+				return n.kahnOrder(order[:0])
 			}
 		}
 		seen[g.id] = true
 		order = append(order, g)
+	}
+	return order
+}
+
+// kahnOrder appends the live gates to order (empty, with room for all of
+// them) in Kahn's order: sources in creation order, then each gate once
+// its last fanin occurrence is placed, reading order as the queue.
+func (n *Network) kahnOrder(order []*Gate) []*Gate {
+	pending := make([]int32, n.nextID) // unplaced fanin occurrences, by gate id
+	for _, g := range n.gates {
+		if g == nil {
+			continue
+		}
+		if len(g.fanins) == 0 {
+			order = append(order, g)
+		} else {
+			pending[g.id] = int32(len(g.fanins))
+		}
+	}
+	for i := 0; i < len(order); i++ {
+		for _, s := range order[i].fanouts {
+			pending[s.id]--
+			if pending[s.id] == 0 {
+				order = append(order, s)
+			}
+		}
+	}
+	if len(order) != n.NumGates() {
+		panic("network: cycle detected in TopoOrderFast")
 	}
 	return order
 }

@@ -5,8 +5,8 @@ package network
 // and no per-compare callback, and allocation-free once its backing
 // array has grown. Keys must be unique among the queued gates; then the
 // pop sequence depends only on which gates are queued, never on the
-// order they were pushed in. TopoOrder keys on the dense gate ID; the
-// incremental timer packs (logic level, ID) into one key.
+// order they were pushed in. TopoOrder and TopoOrderAmong key on the
+// dense gate ID.
 type GateQueue struct {
 	e []queueEntry
 }

@@ -450,9 +450,9 @@ func EvalSwapScratch(tm *sta.Timing, s rewire.Swap, obj sizing.Objective, sc *st
 			return sta.Edge{}
 		}
 		sc.Pins = sc.Pins[:0]
-		for _, d := range k.Fanins() {
+		for j, d := range k.Fanins() {
 			a := tm.Arrival(d)
-			w := tm.WireDelay(d, k)
+			w := tm.PinWireDelay(d, k, j)
 			sc.Pins = append(sc.Pins, sta.Edge{Rise: a.Rise + w, Fall: a.Fall + w})
 		}
 		return tm.GateOutput(k, sc.Pins, load)
@@ -515,7 +515,7 @@ func EvalSwapScratch(tm *sta.Timing, s rewire.Swap, obj sizing.Objective, sc *st
 			case kb:
 				a, w = arrB, netB.SinkDelay(t)
 			default:
-				a, w = tm.Arrival(d), tm.WireDelay(d, t)
+				a, w = tm.Arrival(d), tm.PinWireDelay(d, t, i)
 			}
 			pen := 0.0
 			if cur == pa || cur == pb {

@@ -164,12 +164,12 @@ func (f *Frame) driverIndex(d *network.Gate) int32 {
 // visible when the neighborhood is re-timed driver by driver.
 func (f *Frame) appendPins(tm *sta.Timing, x *network.Gate) (lo, hi int32) {
 	lo = int32(len(f.pins))
-	for _, d := range x.Fanins() {
+	for j, d := range x.Fanins() {
 		if k := f.driverIndex(d); k >= 0 {
 			f.pins = append(f.pins, framePin{drv: k})
 			continue
 		}
-		a, w := tm.Arrival(d), tm.WireDelay(d, x)
+		a, w := tm.Arrival(d), tm.PinWireDelay(d, x, j)
 		f.pins = append(f.pins, framePin{edge: sta.Edge{Rise: a.Rise + w, Fall: a.Fall + w}, drv: -1})
 	}
 	return lo, int32(len(f.pins))

@@ -1,0 +1,182 @@
+package sta_test
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"repro/internal/library"
+	"repro/internal/logic"
+	"repro/internal/network"
+	"repro/internal/sta"
+)
+
+// byteReader hands out fuzz bytes, then zeros once they run out.
+type byteReader struct {
+	data []byte
+	pos  int
+}
+
+func (r *byteReader) next() int {
+	if r.pos >= len(r.data) {
+		return 0
+	}
+	r.pos++
+	return int(r.data[r.pos-1])
+}
+
+func (r *byteReader) more() bool { return r.pos < len(r.data) }
+
+var fuzzTypes = []logic.GateType{logic.Inv, logic.Buf, logic.Nand, logic.Nor, logic.Xor, logic.Xnor}
+
+// fuzzNet builds a small placed, sized DAG from the fuzz bytes: fanins
+// pick any earlier gate (repeats allowed, so a driver may feed one sink
+// through several pins), one gate may stay unplaced, every sink-less gate
+// is a primary output, and a flag byte pins boundary conditions.
+func fuzzNet(r *byteReader) (*network.Network, *sta.Bounds) {
+	n := network.New("fuzz")
+	var all []*network.Gate
+	for i, npi := 0, 1+r.next()%4; i < npi; i++ {
+		all = append(all, n.AddInput(fmt.Sprintf("i%d", i)))
+	}
+	for i, ng := 0, 1+r.next()%24; i < ng; i++ {
+		typ := fuzzTypes[r.next()%len(fuzzTypes)]
+		k := 1
+		if !typ.IsUnary() {
+			k = 2 + r.next()%(library.MaxFanin-1)
+		}
+		fanins := make([]*network.Gate, k)
+		for j := range fanins {
+			fanins[j] = all[r.next()%len(all)]
+		}
+		g := n.AddGate(fmt.Sprintf("g%d", i), typ, fanins...)
+		g.SizeIdx = r.next() % library.NumSizes
+		all = append(all, g)
+	}
+	unplaced := r.next() % 8 // 0 leaves one gate unplaced (zero-wire nets)
+	for i, g := range all {
+		g.X, g.Y, g.Placed = float64(r.next()*7), float64(r.next()*5), unplaced != 0 || i != len(all)-1
+		if !g.IsInput() && (g.NumFanouts() == 0 || r.next()%5 == 0) {
+			n.MarkOutput(g)
+		}
+	}
+	if r.next()%2 == 0 {
+		return n, nil
+	}
+	bd := &sta.Bounds{
+		PIArrival:  map[*network.Gate]sta.Edge{},
+		PORequired: map[*network.Gate]sta.Edge{},
+		POLoad:     map[*network.Gate]float64{},
+	}
+	for _, g := range all {
+		switch {
+		case g.IsInput():
+			bd.PIArrival[g] = sta.Edge{Rise: float64(r.next()) / 100, Fall: float64(r.next()) / 100}
+		case g.PO:
+			bd.PORequired[g] = sta.Edge{Rise: float64(r.next()) / 50, Fall: float64(r.next()) / 50}
+			bd.POLoad[g] = float64(r.next()%16-4) / 1000
+		}
+	}
+	return n, bd
+}
+
+// fuzzEdit applies one random structural or sizing edit through the
+// event layer. Edits that would close a cycle are undone in the same
+// batch, which the timer must absorb like any other no-op batch.
+func fuzzEdit(r *byteReader, n *network.Network) string {
+	gates := n.GateSlice()
+	var pins []network.Pin
+	var cells []*network.Gate
+	for _, g := range gates {
+		for j := range g.Fanins() {
+			pins = append(pins, network.Pin{Gate: g, Index: j})
+		}
+		if !g.IsInput() {
+			cells = append(cells, g)
+		}
+	}
+	if len(pins) == 0 {
+		return "none"
+	}
+	pick := func() network.Pin { return pins[r.next()%len(pins)] }
+	switch r.next() % 5 {
+	case 0:
+		a, b := pick(), pick()
+		n.SwapPins(a, b)
+		if n.CheckAcyclic() != nil {
+			n.SwapPins(a, b)
+			return "swap+undo"
+		}
+		return "swap"
+	case 1:
+		n.SetSize(cells[r.next()%len(cells)], r.next()%library.NumSizes)
+		return "resize"
+	case 2:
+		inv := n.InsertInverter(pick())
+		inv.X, inv.Y, inv.Placed = float64(r.next()*7), float64(r.next()*5), true
+		return "inverter"
+	case 3:
+		p, d := pick(), gates[r.next()%len(gates)]
+		old := p.Driver()
+		n.ReplaceFanin(p.Gate, p.Index, d)
+		if n.CheckAcyclic() != nil {
+			n.ReplaceFanin(p.Gate, p.Index, old)
+		}
+		return fmt.Sprintf("rewire+sweep(%d)", n.Sweep())
+	default:
+		// Widen or narrow a multi-input gate: its pin count changes, so
+		// the pin table must re-slot it.
+		g := cells[r.next()%len(cells)]
+		if g.Type.IsUnary() {
+			return "none"
+		}
+		old := append([]*network.Gate(nil), g.Fanins()...)
+		fanins := append([]*network.Gate(nil), old...)
+		if len(fanins) < library.MaxFanin && r.next()%2 == 0 {
+			fanins = append(fanins, gates[r.next()%len(gates)])
+		} else if len(fanins) > 2 {
+			fanins = fanins[1:]
+		}
+		n.SetFanins(g, fanins)
+		if n.CheckAcyclic() != nil {
+			n.SetFanins(g, old)
+		}
+		return fmt.Sprintf("fanins(%d)", g.NumFanins())
+	}
+}
+
+// FuzzIncrementalTiming drives an incremental timer on a random placed
+// DAG through a random script of pin swaps, resizes, inverter
+// insertions, rewires with sweeps and fanin-count changes. Before each
+// Update the pin table must agree with the scan on the pending network;
+// after it, the timing must be bit-identical to a fresh analysis. A flag
+// byte starts the net-generation counter just short of its wrap.
+func FuzzIncrementalTiming(f *testing.F) {
+	f.Add([]byte{2, 5, 2, 0, 1, 0, 3, 0, 1, 2, 1, 2, 3, 1, 0, 0, 9, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+	f.Add([]byte{3, 9, 2, 1, 0, 1, 1, 3, 2, 1, 3, 0, 4, 0, 2, 4, 2, 5, 4, 0, 3, 4, 0, 1, 1, 50, 60, 70, 80, 90, 1, 3, 1, 2, 2, 4, 3, 7, 4, 1, 0, 2})
+	f.Add([]byte{1, 12, 3, 2, 0, 0, 2, 0, 0, 1, 1, 0, 1, 2, 5, 0, 2, 1, 3, 4, 7, 1, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 1, 200, 0, 0, 2, 3, 4, 0, 1, 2, 4, 2, 2, 1, 3, 3, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		lib := library.Default035()
+		r := &byteReader{data: data}
+		n, bd := fuzzNet(r)
+		inc := sta.NewIncrementalBounded(n, lib, float64(r.next())/40, bd)
+		defer inc.Close()
+		if r.next()%4 != 0 {
+			inc.FullFraction = 2 // keep to dirty-region propagation
+		}
+		if r.next()%4 == 0 {
+			sta.SetGeneration(inc.Timing(), math.MaxUint32-uint32(r.next()%64))
+		}
+		clock := inc.Timing().Clock
+		requireMatch(t, "seed", n, lib, clock, inc.Timing())
+		for step := 0; step < 16 && r.more(); step++ {
+			desc := ""
+			for k := 1 + r.next()%3; k > 0; k-- {
+				desc += fuzzEdit(r, n) + ","
+			}
+			name := fmt.Sprintf("step %d (%s)", step, desc)
+			requirePinTable(t, name+" pending", n, inc.Timing())
+			requireMatch(t, name, n, lib, clock, inc.Update())
+		}
+	})
+}

@@ -41,14 +41,21 @@
 // propagation queues, and the PO set — is held in dense gate-ID-indexed
 // arrays with epoch stamps (no per-event map operations): the PR 6 profile
 // showed the per-move notification cost and the per-update map churn were
-// a measurable slice of the region scheduler's overhead. The level queues
-// are typed heaps keyed by (level, ID) packed into one integer at push
-// (see levelQueue), so a compare is one integer compare with no level
-// lookup: the queues are the inner loop of every wide update.
+// a measurable slice of the region scheduler's overhead.
+//
+// The cost per re-timed gate is what a wide update pays thousands of
+// times, so both of its parts are O(1) amortized: the level queues keep
+// one bucket per logic level, sorted by ID when first popped (see
+// levelQueue); the forward sweep reads each fanin pin's wire delay from
+// the Timing's pin table (PinWireDelay) and the backward sweep walks the
+// gate's own cached net, so no sweep scans a driver's sink list. Neither
+// changes a value or the order of work.
 package sta
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/library"
@@ -222,6 +229,12 @@ var incPool = sync.Pool{New: func() interface{} { return new(Incremental) }}
 // dirty-region updates, and threshold fallbacks — honors them.
 func NewIncrementalBounded(n *network.Network, lib *library.Library, clock float64, b *Bounds) *Incremental {
 	it := incPool.Get().(*Incremental)
+	it.start(n, lib, clock, b)
+	return it
+}
+
+// start points a fresh or recycled timer at n and seeds it.
+func (it *Incremental) start(n *network.Network, lib *library.Library, clock float64, b *Bounds) {
 	it.n = n
 	it.lib = lib
 	it.bounds = b
@@ -235,7 +248,6 @@ func NewIncrementalBounded(n *network.Network, lib *library.Library, clock float
 	it.bwdQ.init(it, true)
 	it.seed(clock)
 	n.Observe(it)
-	return it
 }
 
 // seed runs the ground-truth analysis and rebuilds levels and the PO list.
@@ -273,6 +285,7 @@ func (it *Incremental) rebuildLevels(order []*network.Gate) {
 	for i := range it.levels {
 		it.levels[i] = 0
 	}
+	var depth int32
 	for _, g := range order {
 		var lv int32
 		for _, f := range g.Fanins() {
@@ -281,7 +294,12 @@ func (it *Incremental) rebuildLevels(order []*network.Gate) {
 			}
 		}
 		it.levels[g.ID()] = lv
+		depth = max(depth, lv)
 	}
+	// One bucket per level up front, so the sweeps never grow them one
+	// level at a time.
+	it.fwdQ.grow(int(depth) + 1)
+	it.bwdQ.grow(int(depth) + 1)
 }
 
 // levelOf reads a gate's cached logic level (0 for gates created after the
@@ -518,15 +536,14 @@ func (it *Incremental) propagateArrivals() {
 		isDirty := it.dirty.has(g)
 		if isDirty {
 			it.dirty.remove(g)
-			w := it.t.setNet(g, g.Fanouts())
-			it.t.load[g.ID()] = w.load + it.t.padLoad(g)
+			it.t.load[g.ID()] = it.t.setNet(g) + it.t.padLoad(g)
 		}
 
 		arr := it.bounds.arrivalOf(g)
 		if !g.IsInput() {
 			pinArr = pinArr[:0]
-			for _, d := range g.Fanins() {
-				w := it.t.WireDelay(d, g)
+			for j, d := range g.Fanins() {
+				w := it.t.PinWireDelay(d, g, j)
 				pinArr = append(pinArr, it.t.Arrival(d).add(w))
 			}
 			arr = it.t.GateOutput(g, pinArr, it.t.Load(g))
@@ -548,6 +565,14 @@ func (it *Incremental) propagateArrivals() {
 // required times, delays, and wire models, and enqueuing fanins whenever
 // the value moved — or unconditionally for gates in forced, whose own
 // delay changed.
+//
+// A gate's sinks are read from its own cached net, which is current: the
+// forward sweep rebuilt every dirty gate's net, and a clean gate's sink
+// multiset has not moved since its net was built. A sink fed through
+// several pins appears once per pin, each with its own delay; since the
+// arc equation subtracts the delay and rounding is monotone, the minimum
+// over the entries is bit-identical to taking the worst delay over the
+// duplicates, as WireDelay does.
 func (it *Incremental) propagateRequired() {
 	q := &it.bwdQ
 	q.reset()
@@ -561,8 +586,9 @@ func (it *Incremental) propagateRequired() {
 		if g.PO {
 			req = it.bounds.requiredOf(g, it.t.Clock)
 		}
-		for _, s := range g.Fanouts() {
-			cand := requiredCandidate(it.t, s, it.t.WireDelay(g, s))
+		sinks, delays := it.t.net(g.ID())
+		for i, s := range sinks {
+			cand := requiredCandidate(it.t, s, delays[i])
 			if cand.Rise < req.Rise {
 				req.Rise = cand.Rise
 			}
@@ -605,25 +631,40 @@ func requiredCandidate(t *Timing, s *network.Gate, w float64) Edge {
 
 // levelQueue is a deduplicating priority queue of gates ordered by logic
 // level — ascending for the forward sweep, descending for the backward
-// sweep — with ties broken on dense gate ID, so the pop order (and with
-// it the exact propagation work) does not depend on the order the dirty
-// set seeded the queue in.
+// sweep — with ties broken on ascending dense gate ID, so the pop order
+// (and with it the exact propagation work) does not depend on the order
+// the dirty set seeded the queue in.
 //
-// Each entry's key is packed once, at push: level<<32 | id ascending,
-// (MaxUint32-level)<<32 | id descending (dense IDs and levels stay far
-// below 2^32). Caching the level in the key is
-// exact because a queued gate's level never changes while it waits: the
-// forward sweep rewrites only the level of the gate it just popped (and
-// re-pushes the fanouts afterwards), and the backward sweep writes none.
-// The dedup set holds each gate at most once, so keys are unique and the
-// pop sequence is the same as a heap that re-reads levels on every
-// compare. The dedup set is an epoch-stamped dense array; the queue
-// persists across updates so its backing storage amortizes.
+// It keeps one bucket per level. A push appends to its level's bucket;
+// a bucket is sorted by ID when it is first popped, and a push into a
+// bucket that is already sorted (being drained, or left part-drained when
+// the cursor moved back) is inserted in ID order. The cursor is the level
+// being drained; a push ahead of it in pop order — below it ascending,
+// above it descending, which happens while the forward sweep repairs
+// levels — moves it back. A bucket that empties is reset, so it refills
+// unsorted, and a bitmap of non-empty buckets lets the cursor skip empty
+// levels a word at a time. The pop sequence is exactly that of a (level,
+// ID) heap: bucketing by the level at push is exact because a queued
+// gate's level never changes while it waits (the forward sweep rewrites
+// only the level of the gate it just popped, and re-pushes the fanouts
+// afterwards; the backward sweep writes none). The dedup set holds each
+// gate at most once. Buckets, like the epoch-stamped dedup set, persist
+// across updates, so a warm sweep allocates nothing.
 type levelQueue struct {
-	h    network.GateQueue
-	it   *Incremental
-	desc bool
-	qset gateSet
+	it      *Incremental
+	desc    bool
+	qset    gateSet
+	buckets []levelBucket // by logic level
+	full    []uint64      // bit l set when buckets[l] is non-empty
+	cur     int           // the level being drained
+	n       int           // queued gates
+}
+
+// levelBucket holds the queued gates of one level in gates[head:].
+type levelBucket struct {
+	gates  []*network.Gate
+	head   int
+	sorted bool // gates[head:] ascending by ID
 }
 
 func (q *levelQueue) init(it *Incremental, desc bool) {
@@ -631,27 +672,113 @@ func (q *levelQueue) init(it *Incremental, desc bool) {
 	q.desc = desc
 }
 
+// reset empties the queue. Draining leaves every bucket empty, so only
+// an abandoned sweep has buckets to clear.
 func (q *levelQueue) reset() {
-	q.h.Reset()
+	if q.n != 0 {
+		for i := range q.buckets {
+			q.buckets[i] = levelBucket{gates: q.buckets[i].gates[:0]}
+		}
+		clear(q.full)
+		q.n = 0
+	}
 	q.qset.reset()
 }
 
-func (q *levelQueue) Len() int { return q.h.Len() }
+func (q *levelQueue) Len() int { return q.n }
 
 func (q *levelQueue) push(g *network.Gate) {
 	if q.qset.has(g) {
 		return
 	}
 	q.qset.add(g)
-	lv := uint64(q.it.levelOf(g))
-	if q.desc {
-		lv = math.MaxUint32 - lv
+	lv := int(q.it.levelOf(g))
+	if lv >= len(q.buckets) {
+		q.grow(max(lv+1, 2*len(q.buckets)))
 	}
-	q.h.Push(lv<<32|uint64(g.ID()), g)
+	ahead := lv < q.cur
+	if q.desc {
+		ahead = lv > q.cur
+	}
+	if q.n == 0 || ahead {
+		q.cur = lv
+	}
+	q.n++
+	b := &q.buckets[lv]
+	q.full[lv/64] |= 1 << (lv % 64)
+	if len(b.gates) == cap(b.gates) {
+		// Move to twice the room and clear the slots left behind: they
+		// may be the shared arena's, which would otherwise keep this
+		// network's gates reachable after the timer is recycled.
+		old := b.gates
+		b.gates = append(make([]*network.Gate, 0, 2*cap(old)), old...)
+		clear(old)
+	}
+	if !b.sorted {
+		b.gates = append(b.gates, g)
+		return
+	}
+	i, _ := slices.BinarySearchFunc(b.gates[b.head:], g, byID)
+	b.gates = slices.Insert(b.gates, b.head+i, g)
+}
+
+func byID(x, y *network.Gate) int { return x.ID() - y.ID() }
+
+// bucketCap is the capacity a new bucket starts with, carved from one
+// shared array so a deep network's first sweep does not grow every bucket
+// from nothing.
+const bucketCap = 4
+
+// grow adds empty buckets up to level levels-1, if missing.
+func (q *levelQueue) grow(levels int) {
+	k := levels - len(q.buckets)
+	if k <= 0 {
+		return
+	}
+	arena := make([]*network.Gate, k*bucketCap)
+	for i := 0; i < k; i++ {
+		q.buckets = append(q.buckets, levelBucket{gates: arena[i*bucketCap : i*bucketCap : (i+1)*bucketCap]})
+	}
+	q.full = append(q.full, make([]uint64, levels/64+1-len(q.full))...)
 }
 
 func (q *levelQueue) pop() *network.Gate {
-	g := q.h.Pop()
+	if q.full[q.cur/64]&(1<<(q.cur%64)) == 0 {
+		q.advance()
+	}
+	b := &q.buckets[q.cur]
+	if !b.sorted {
+		slices.SortFunc(b.gates, byID)
+		b.sorted = true
+	}
+	g := b.gates[b.head]
+	b.head++
+	if b.head == len(b.gates) {
+		*b = levelBucket{gates: b.gates[:0]}
+		q.full[q.cur/64] &^= 1 << (q.cur % 64)
+	}
+	q.n--
 	q.qset.remove(g)
 	return g
+}
+
+// advance moves the cursor from an empty bucket to the next non-empty one
+// in pop order; the queue must not be empty.
+func (q *levelQueue) advance() {
+	w := q.cur / 64
+	if q.desc {
+		m := q.full[w] & (1<<(q.cur%64) - 1)
+		for m == 0 {
+			w--
+			m = q.full[w]
+		}
+		q.cur = w*64 + 63 - bits.LeadingZeros64(m)
+		return
+	}
+	m := q.full[w] &^ (1<<(q.cur%64+1) - 1)
+	for m == 0 {
+		w++
+		m = q.full[w]
+	}
+	q.cur = w*64 + bits.TrailingZeros64(m)
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/library"
+	"repro/internal/logic"
 	"repro/internal/network"
 	"repro/internal/place"
 	"repro/internal/rewire"
@@ -17,42 +18,50 @@ import (
 	"repro/internal/supergate"
 )
 
-const tol = 1e-9
+// same reports bit equality. Comparing bits rather than values keeps the
+// +inf == +inf case (a gate that reaches no primary output) and tells
+// -0 from +0.
+func same(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 
-// requireMatch asserts that the incremental view agrees with a fresh
-// ground-truth Analyze on arrivals, required times, and critical delay.
-func requireMatch(t *testing.T, step string, n *network.Network, lib *library.Library, clock float64, got *sta.Timing) {
+func sameEdge(a, b sta.Edge) bool { return same(a.Rise, b.Rise) && same(a.Fall, b.Fall) }
+
+// requireMatch asserts that the incremental view is bit-identical to a
+// fresh ground-truth analysis under the same bounds — arrivals, required
+// times, loads, critical delay and lateness — and that its pin table
+// agrees with the scan.
+func requireMatch(t testing.TB, step string, n *network.Network, lib *library.Library, clock float64, got *sta.Timing) {
 	t.Helper()
-	want := sta.Analyze(n, lib, clock)
-	if d := math.Abs(want.CriticalDelay - got.CriticalDelay); d > tol {
-		t.Fatalf("%s: critical delay diverged by %g (incremental %v, full %v)",
-			step, d, got.CriticalDelay, want.CriticalDelay)
+	want := sta.AnalyzeBounded(n, lib, clock, got.Bounds())
+	if !same(want.CriticalDelay, got.CriticalDelay) || !same(want.Lateness, got.Lateness) {
+		t.Fatalf("%s: critical delay/lateness diverged: incremental %v/%v, full %v/%v",
+			step, got.CriticalDelay, got.Lateness, want.CriticalDelay, want.Lateness)
 	}
 	n.Gates(func(g *network.Gate) {
-		ga, wa := got.Arrival(g), want.Arrival(g)
-		if math.Abs(ga.Rise-wa.Rise) > tol || math.Abs(ga.Fall-wa.Fall) > tol {
+		if ga, wa := got.Arrival(g), want.Arrival(g); !sameEdge(ga, wa) {
 			t.Fatalf("%s: arrival of %v diverged: incremental %+v, full %+v", step, g, ga, wa)
 		}
-		gr, wr := got.Required(g), want.Required(g)
-		if !edgeClose(gr, wr) {
+		if gr, wr := got.Required(g), want.Required(g); !sameEdge(gr, wr) {
 			t.Fatalf("%s: required of %v diverged: incremental %+v, full %+v", step, g, gr, wr)
 		}
-		if math.Abs(got.Load(g)-want.Load(g)) > tol {
+		if !same(got.Load(g), want.Load(g)) {
 			t.Fatalf("%s: load of %v diverged: incremental %v, full %v", step, g, got.Load(g), want.Load(g))
 		}
 	})
+	requirePinTable(t, step, n, got)
 }
 
-// edgeClose compares required-time edges, treating the +inf sentinel (a
-// gate that reaches no primary output) as equal to itself.
-func edgeClose(a, b sta.Edge) bool {
-	close := func(x, y float64) bool {
-		if x == y { // covers the +inf == +inf case exactly
-			return true
+// requirePinTable asserts that PinWireDelay agrees bit for bit with the
+// WireDelay scan on every pin of every live gate, whatever state the
+// Timing's nets are in relative to the network.
+func requirePinTable(t testing.TB, step string, n *network.Network, tm *sta.Timing) {
+	t.Helper()
+	n.Gates(func(g *network.Gate) {
+		for j, d := range g.Fanins() {
+			if got, want := tm.PinWireDelay(d, g, j), tm.WireDelay(d, g); !same(got, want) {
+				t.Fatalf("%s: pin %d of %v (driver %v): table %v, scan %v", step, j, g, d, got, want)
+			}
 		}
-		return math.Abs(x-y) <= tol
-	}
-	return close(a.Rise, b.Rise) && close(a.Fall, b.Fall)
+	})
 }
 
 // mutator applies one randomized, functionality-preserving (or at least
@@ -113,7 +122,7 @@ func (m *mutator) randomDeMorgan() bool {
 // TestIncrementalMatchesFullSTA is the equivalence property test: random
 // sequences of swaps, resizes, DeMorgan transforms, undos, and sweeps are
 // applied to generated benchmarks, and after every batch the incremental
-// timer must match a fresh full Analyze to within 1e-9.
+// timer must match a fresh full Analyze bit for bit.
 func TestIncrementalMatchesFullSTA(t *testing.T) {
 	for _, name := range []string{"c432", "alu2"} {
 		t.Run(name, func(t *testing.T) {
@@ -314,7 +323,7 @@ var incWorkGolden = []struct {
 
 // TestIncrementalWorkGolden pins the incremental timer's propagation
 // order end to end: a fixed seeded script of swaps and resizes on s5378,
-// where every Update must match the full-Analyze oracle to 1e-9 and
+// where every Update must match the full-Analyze oracle bit for bit and
 // perform exactly the recorded work, re-timing the recorded gates in the
 // recorded order.
 func TestIncrementalWorkGolden(t *testing.T) {
@@ -354,5 +363,148 @@ func TestIncrementalWorkGolden(t *testing.T) {
 			t.Fatalf("step %d: work %+v, want %+v", i, got, want)
 		}
 		prev = st
+	}
+}
+
+// staleNet is a small placed network for the pin-table tests: drivers d
+// and e, with d feeding pin 0 of s and both feeding s2.
+type staleNet struct {
+	n              *network.Network
+	d, e, x, s, s2 *network.Gate
+	inc            *sta.Incremental
+	clock          float64
+}
+
+func newStaleNet(lib *library.Library) *staleNet {
+	n := network.New("stale")
+	a, b := n.AddInput("a"), n.AddInput("b")
+	k := &staleNet{n: n}
+	k.d = n.AddGate("d", logic.Nand, a, b)
+	k.e = n.AddGate("e", logic.Nor, a, b)
+	k.x = n.AddGate("x", logic.Inv, b)
+	k.s = n.AddGate("s", logic.Nand, k.d, k.x)
+	k.s2 = n.AddGate("s2", logic.Nand, k.d, k.e)
+	for _, g := range []*network.Gate{
+		k.s, k.s2, n.AddGate("dt", logic.Inv, k.d), n.AddGate("et", logic.Inv, k.e),
+	} {
+		n.MarkOutput(g)
+	}
+	n.Gates(func(g *network.Gate) {
+		g.X, g.Y, g.Placed = float64(7*g.ID()%11)*20, float64(g.ID()*g.ID()%13)*15, true
+	})
+	k.inc = sta.NewIncremental(n, lib, 0)
+	k.inc.FullFraction = 2
+	k.clock = k.inc.Timing().Clock
+	return k
+}
+
+// TestPinTableStaleTag rewires a pin away from its driver d and back,
+// with d's net rebuilt in between: the pin's slot then holds the interim
+// driver's delay, and only its generation tag tells the table that d's
+// current net no longer feeds the pin. Every state, before and after each
+// Update, is checked against the scan, once from a fresh generation
+// counter and once across its wrap.
+func TestPinTableStaleTag(t *testing.T) {
+	for _, start := range []uint32{0, math.MaxUint32 - 3} {
+		t.Run(fmt.Sprintf("gen=%d", start), func(t *testing.T) {
+			lib := library.Default035()
+			k := newStaleNet(lib)
+			n, d, e, s, s2, inc, clock := k.n, k.d, k.e, k.s, k.s2, k.inc, k.clock
+			defer inc.Close()
+			sta.SetGeneration(inc.Timing(), start)
+
+			step := func(name string, edit func()) {
+				t.Helper()
+				edit()
+				requirePinTable(t, name+" (pending)", n, inc.Timing())
+				requireMatch(t, name, n, lib, clock, inc.Update())
+			}
+			step("s.0 to e", func() { n.ReplaceFanin(s, 0, e) })
+			if w := inc.Timing().WireDelay(e, s); w == 0 {
+				t.Fatalf("e's delay into s is 0; the stale slot would be indistinguishable")
+			}
+			// The slot of s's pin 0 is now tagged by e's net; d's current
+			// net (rebuilt by the last Update) no longer lists s.
+			n.ReplaceFanin(s, 0, d)
+			if got := inc.Timing().PinWireDelay(d, s, 0); got != 0 {
+				t.Fatalf("pin rewired back to d reads %v, d's current net does not feed it", got)
+			}
+			requirePinTable(t, "s.0 back to d (pending)", n, inc.Timing())
+			requireMatch(t, "s.0 back to d", n, lib, clock, inc.Update())
+			// d now feeds s2 through both pins: duplicate sinks.
+			step("s2.1 to d", func() { n.ReplaceFanin(s2, 1, d) })
+			step("s2.0 to e and resize d", func() {
+				n.ReplaceFanin(s2, 0, e)
+				n.SetSize(d, 2)
+			})
+			step("inverter on s.1", func() {
+				inv := n.InsertInverter(network.Pin{Gate: s, Index: 1})
+				inv.X, inv.Y, inv.Placed = 33, 44, true
+			})
+		})
+	}
+}
+
+// TestPinTableGenerationWrap checks that the generation wrap clears every
+// pin tag. The seed builds the nets in creation order with generations
+// 1, 2, ..., so pin 0 of s is tagged with d's generation 3. The counter
+// is driven across the wrap by one rebuild, then set so that e's next
+// rebuild draws generation 3 again; rewiring s's pin to e must not find
+// the pre-wrap tag looking current.
+func TestPinTableGenerationWrap(t *testing.T) {
+	lib := library.Default035()
+	k := newStaleNet(lib)
+	defer k.inc.Close()
+	tm := k.inc.Timing()
+	sta.SetGeneration(tm, math.MaxUint32)
+	k.n.Touch(k.x)
+	requireMatch(t, "wrap", k.n, lib, k.clock, k.inc.Update())
+	// After the wrap every current net is stamped 1 and x's rebuild drew
+	// 2, so 3 is fresh.
+	sta.SetGeneration(tm, 2)
+	k.n.Touch(k.e)
+	requireMatch(t, "e rebuilt with generation 3", k.n, lib, k.clock, k.inc.Update())
+	k.n.ReplaceFanin(k.s, 0, k.e)
+	requirePinTable(t, "s.0 to e (pending)", k.n, tm)
+	requireMatch(t, "s.0 to e", k.n, lib, k.clock, k.inc.Update())
+}
+
+// TestIncrementalPooledReuse re-seeds one timer — the reuse a pooled
+// timer goes through — from a larger network onto a smaller one, whose
+// IDs then index arrays and a pin table still holding the first
+// network's state, and drives it through swaps (which create gates past
+// the new network's bound), resizes and sweeps.
+func TestIncrementalPooledReuse(t *testing.T) {
+	lib := library.Default035()
+	placed := func(name string) *network.Network {
+		n, err := gen.Generate(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		place.Place(n, lib, place.Options{Seed: 5, MovesPerCell: 5})
+		return n
+	}
+	big, small := placed("s5378"), placed("c432")
+	inc := sta.NewIncremental(big, lib, 0)
+	inc.FullFraction = 2
+	m := &mutator{rng: rand.New(rand.NewSource(3)), n: big}
+	for i := 0; i < 4; i++ {
+		m.randomSwap()
+		m.randomResize()
+		inc.Update()
+	}
+	sta.Restart(inc, small, lib, 0)
+	defer inc.Close()
+	inc.FullFraction = 2
+	clock := inc.Timing().Clock
+	requireMatch(t, "re-seeded", small, lib, clock, inc.Timing())
+	m = &mutator{rng: rand.New(rand.NewSource(4)), n: small}
+	for i := 0; i < 12; i++ {
+		m.randomSwap()
+		m.randomResize()
+		if i%4 == 3 {
+			small.Sweep()
+		}
+		requireMatch(t, fmt.Sprintf("step %d", i), small, lib, clock, inc.Update())
 	}
 }

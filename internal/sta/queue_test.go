@@ -9,9 +9,9 @@ import (
 	"repro/internal/network"
 )
 
-// oracleQueue is the container/heap level queue the typed levelQueue
-// replaced, kept as the reference: it re-reads every gate's level
-// through the timer on each compare instead of caching it in a key.
+// oracleQueue is a container/heap level queue kept as the reference: it
+// re-reads every gate's level through the timer on each compare instead
+// of bucketing gates by the level they were pushed at.
 type oracleQueue struct {
 	h    oracleHeap
 	qset gateSet
@@ -59,12 +59,41 @@ func (h *oracleHeap) Pop() interface{} {
 	return g
 }
 
-// TestLevelQueueMatchesOracle drives the typed queue and the oracle
+// queueEvents counts the pushes that exercise the bucket queue's edge
+// cases, classified against its state just before the push.
+type queueEvents struct {
+	behind   int // ahead of the cursor in pop order: the cursor moves back
+	partial  int // into a sorted, part-drained bucket: an ordered insert
+	refilled int // into a bucket a pop emptied earlier in the same sweep
+}
+
+// classify records which edge cases pushing g would exercise. emptied
+// marks the levels whose bucket a pop emptied since the last reset.
+func (e *queueEvents) classify(q *levelQueue, g *network.Gate, emptied map[int]bool) {
+	if q.qset.has(g) {
+		return
+	}
+	lv := int(q.it.levelOf(g))
+	if q.n > 0 && (lv < q.cur && !q.desc || lv > q.cur && q.desc) {
+		e.behind++
+	}
+	if lv < len(q.buckets) && q.buckets[lv].sorted {
+		e.partial++
+	}
+	if emptied[lv] {
+		e.refilled++
+	}
+}
+
+// TestLevelQueueMatchesOracle drives the bucket queue and the oracle
 // through the same random push/pop interleavings, ascending and
 // descending, and requires identical pop sequences. As in the forward
 // sweep, a popped gate may get a new level before it is pushed again;
 // some gates have IDs past the level array (level 0, like gates created
-// since the last repair), and narrow level ranges force ID tie-breaks.
+// since the last repair), narrow level ranges force ID tie-breaks, and
+// the widest range leaves most buckets empty. Each direction must push
+// behind the cursor, into part-drained buckets, and into buckets that
+// emptied and refill within one sweep.
 func TestLevelQueueMatchesOracle(t *testing.T) {
 	n := network.New("q")
 	var gates []*network.Gate
@@ -72,6 +101,7 @@ func TestLevelQueueMatchesOracle(t *testing.T) {
 		gates = append(gates, n.AddInput(fmt.Sprintf("g%d", i)))
 	}
 	for _, desc := range []bool{false, true} {
+		var ev queueEvents
 		for _, maxLevel := range []int{3, 40, 1 << 20} {
 			t.Run(fmt.Sprintf("desc=%v/levels=%d", desc, maxLevel), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(maxLevel)))
@@ -87,12 +117,14 @@ func TestLevelQueueMatchesOracle(t *testing.T) {
 					q.reset()
 					o.h.gates = o.h.gates[:0]
 					o.qset.reset()
+					emptied := map[int]bool{}
 					for step := 0; step < 2000; step++ {
 						if q.Len() != o.h.Len() {
 							t.Fatalf("round %d step %d: lengths %d vs oracle %d", round, step, q.Len(), o.h.Len())
 						}
 						if q.Len() == 0 || rng.Intn(5) < 3 {
 							g := gates[rng.Intn(len(gates))]
+							ev.classify(&q, g, emptied)
 							q.push(g)
 							o.push(g)
 							continue
@@ -102,10 +134,14 @@ func TestLevelQueueMatchesOracle(t *testing.T) {
 						if got != want {
 							t.Fatalf("round %d step %d: popped %v, oracle popped %v", round, step, got, want)
 						}
+						if lv := int(it.levelOf(got)); len(q.buckets[lv].gates) == 0 {
+							emptied[lv] = true
+						}
 						if rng.Intn(2) == 0 {
 							it.setLevel(got, int32(rng.Intn(maxLevel)))
 						}
 						if rng.Intn(3) == 0 {
+							ev.classify(&q, got, emptied)
 							q.push(got)
 							o.push(got)
 						}
@@ -125,5 +161,9 @@ func TestLevelQueueMatchesOracle(t *testing.T) {
 				}
 			})
 		}
+		if ev.behind == 0 || ev.partial == 0 || ev.refilled == 0 {
+			t.Fatalf("desc=%v: edge cases not all exercised: %+v", desc, ev)
+		}
+		t.Logf("desc=%v: %+v", desc, ev)
 	}
 }

@@ -26,6 +26,7 @@ package sta
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/library"
@@ -60,25 +61,33 @@ func (e Edge) add(d float64) Edge { return Edge{e.Rise + d, e.Fall + d} }
 
 const inf = math.MaxFloat64
 
-// wireEntry is one driver's cached star model: the total net load and the
-// wire delay to each sink, in parallel slices reused across rebuilds (an
-// incremental update that re-models a dirty net truncates and refills them
-// in place instead of allocating a fresh map per net).
+// wireEntry is one driver's cached star model: the total net load, and
+// the sink list and wire delay to each sink in slots off through off+n-1
+// of the Timing's net arena (netSinks/netDelays), which has room for cp
+// sinks there. A rebuild refills the slots in place; a net that outgrows
+// them moves to fresh slots at the arena's end, and a full analysis
+// re-lays the arena compactly. Whether the entry is current lives in
+// Timing.netGen.
 type wireEntry struct {
-	valid  bool
-	load   float64
-	sinks  []*network.Gate
-	delays []float64
+	load       float64
+	off, n, cp int32
 }
 
-// sinkDelay returns the wire delay to sink s — the worst over duplicate
-// entries, 0 when s is not a sink. Nets average a few pins, so the linear
-// scan beats any map.
-func (w *wireEntry) sinkDelay(s *network.Gate) float64 {
+// net returns driver id's cached sinks and their wire delays.
+func (t *Timing) net(id int) ([]*network.Gate, []float64) {
+	w := &t.wire[id]
+	return t.netSinks[w.off : w.off+w.n], t.netDelays[w.off : w.off+w.n]
+}
+
+// sinkDelay returns the wire delay from driver id to sink s on its cached
+// net — the worst over duplicate entries, 0 when s is not a sink. Nets
+// average a few pins, so the linear scan beats any map.
+func (t *Timing) sinkDelay(id int, s *network.Gate) float64 {
+	sinks, delays := t.net(id)
 	d, found := 0.0, false
-	for i, t := range w.sinks {
-		if t == s && (!found || w.delays[i] > d) {
-			d = w.delays[i]
+	for i, x := range sinks {
+		if x == s && (!found || delays[i] > d) {
+			d = delays[i]
 			found = true
 		}
 	}
@@ -103,9 +112,31 @@ type Timing struct {
 	load     []float64
 	wire     []wireEntry
 
+	// The net arena behind the wire entries: one sink list and delay
+	// list per driver, in two shared arrays, so a full analysis
+	// allocates a handful of times instead of twice per gate.
+	netSinks  []*network.Gate
+	netDelays []float64
+
+	// The pin table: each fanin pin's wire delay, written by its driver's
+	// setNet so the sweeps read a pin in O(1) instead of scanning the
+	// driver's sink list. Gate g's pins occupy slots pinOff[g] through
+	// pinOff[g]+pinN[g]-1 of pinGen/pinDelay. netGen[d] is the generation
+	// of driver d's cached net, 0 when d has none; every setNet draws a
+	// fresh generation from gen and tags the slots it writes with it. A
+	// slot whose tag equals its driver's netGen was written by the
+	// driver's current net, so it holds exactly what WireDelay's scan
+	// returns; any other slot is ignored (PinWireDelay).
+	netGen   []uint32
+	pinOff   []int32
+	pinN     []uint8
+	pinGen   []uint32
+	pinDelay []float64
+	gen      uint32
+
 	// nsc is the net-model scratch setNet rebuilds committed nets through;
-	// only its geometry buffers persist (sink/delay slices belong to the
-	// wire entries).
+	// only its geometry buffers persist (its sink/delay slices are set to
+	// the net's arena slots for each rebuild).
 	nsc NetModel
 
 	// Clock is the PO required time used; equals CriticalDelay when
@@ -132,6 +163,9 @@ func (t *Timing) grow(bound int) {
 	t.required = append(t.required, make([]Edge, bound-len(t.required))...)
 	t.load = append(t.load, make([]float64, bound-len(t.load))...)
 	t.wire = append(t.wire, make([]wireEntry, bound-len(t.wire))...)
+	t.netGen = append(t.netGen, make([]uint32, bound-len(t.netGen))...)
+	t.pinOff = append(t.pinOff, make([]int32, bound-len(t.pinOff))...)
+	t.pinN = append(t.pinN, make([]uint8, bound-len(t.pinN))...)
 }
 
 // forget zeroes every per-gate entry of a removed gate, restoring the
@@ -144,25 +178,85 @@ func (t *Timing) forget(g *network.Gate) {
 	t.arrival[id] = Edge{}
 	t.required[id] = Edge{}
 	t.load[id] = 0
-	t.wire[id].valid = false
+	t.netGen[id] = 0
 }
 
-// setNet installs the committed star model of driver d, reusing the
-// entry's slices for the sink/delay pairs and the Timing-held scratch for
-// the star geometry, so a net rebuild allocates only on first growth.
-func (t *Timing) setNet(d *network.Gate, sinks []*network.Gate) *wireEntry {
-	w := &t.wire[d.ID()]
-	w.valid = true
+// setNet installs the committed star model of driver d over its current
+// fanouts and returns its load. The sink/delay pairs go to the net's arena
+// slots and the star geometry through the Timing-held scratch, so a net
+// rebuild allocates only when the arena grows. It tags the net with a
+// fresh generation and writes every sink pin d feeds into the pin table:
+// a sink that d feeds through several pins appears once per pin in the
+// sink list, and each of those pins gets the worst delay over the
+// duplicates, as WireDelay does.
+func (t *Timing) setNet(d *network.Gate) float64 {
+	id := d.ID()
+	w := &t.wire[id]
+	fo := d.Fanouts()
+	if k := len(fo); k > int(w.cp) {
+		w.off, w.cp = int32(len(t.netSinks)), int32(k)
+		t.netSinks = append(t.netSinks, make([]*network.Gate, k)...)
+		t.netDelays = append(t.netDelays, make([]float64, k)...)
+	}
 	m := &t.nsc
-	m.sinks = w.sinks[:0]
-	m.delays = w.delays[:0]
-	t.computeNetInto(nil, m, d, sinks)
+	m.sinks = t.netSinks[w.off : w.off : w.off+w.cp]
+	m.delays = t.netDelays[w.off : w.off : w.off+w.cp]
+	t.computeNetInto(nil, m, d, fo)
 	w.load = m.Load
-	w.sinks = m.sinks
-	w.delays = m.delays
-	m.sinks = nil // the entry owns these now; never reuse them as scratch
+	w.n = int32(len(fo))
+	m.sinks = nil // the arena owns these; never reuse them as scratch
 	m.delays = nil
-	return w
+
+	gen := t.nextGen()
+	t.netGen[id] = gen
+	sinks, delays := t.net(id)
+	for i, s := range sinks {
+		off := t.pinSlots(s)
+		for j, f := range s.Fanins() {
+			if f != d {
+				continue
+			}
+			if k := off + j; t.pinGen[k] != gen || delays[i] > t.pinDelay[k] {
+				t.pinGen[k] = gen
+				t.pinDelay[k] = delays[i]
+			}
+		}
+	}
+	return w.load
+}
+
+// nextGen draws a fresh net generation. When the counter would wrap, every
+// pin tag is cleared and every current net re-stamped to 1, below any
+// generation drawn afterwards, so no old tag can alias a new net.
+func (t *Timing) nextGen() uint32 {
+	if t.gen == math.MaxUint32 {
+		clear(t.pinGen)
+		for i, g := range t.netGen {
+			if g != 0 {
+				t.netGen[i] = 1
+			}
+		}
+		t.gen = 1
+	}
+	t.gen++
+	return t.gen
+}
+
+// pinSlots returns the first pin-table slot of gate s, first appending
+// zero-tagged slots for all of its pins when it has none or fewer than it
+// now has fanins (a gate created since the last analysis, or widened by
+// SetFanins; its old slots are abandoned until the next full analysis
+// re-lays the table). A timed gate has at most library.MaxFanin pins, so
+// the count fits pinN's byte.
+func (t *Timing) pinSlots(s *network.Gate) int {
+	id, k := s.ID(), s.NumFanins()
+	if int(t.pinN[id]) < k {
+		t.pinOff[id] = int32(len(t.pinGen))
+		t.pinN[id] = uint8(k)
+		t.pinGen = append(t.pinGen, make([]uint32, k)...)
+		t.pinDelay = append(t.pinDelay, make([]float64, k)...)
+	}
+	return int(t.pinOff[id])
 }
 
 // Analyze runs a full timing analysis of the mapped, placed network. If
@@ -222,22 +316,40 @@ func (t *Timing) analyzeInto(clock float64, order []*network.Gate) {
 		order = n.TopoOrderFast()
 	}
 	bound := n.IDBound()
-	// Reset: zero the reused prefix, then grow to the current bound.
+	// Reset: zero the reused prefix, then grow to the current bound. The
+	// net arena and the pin table are re-laid from empty, each sized once
+	// for every pin plus a sixteenth for the nets and gates an incremental
+	// timer re-slots later: pass 1 gives each driver its net slots, and
+	// each gate with fanins its pin slots as its first driver's net is
+	// built.
 	for i := range t.arrival {
 		t.arrival[i] = Edge{}
 		t.required[i] = Edge{}
 		t.load[i] = 0
-		t.wire[i].valid = false
+		t.wire[i] = wireEntry{}
+		t.netGen[i] = 0
+		t.pinN[i] = 0
 	}
+	pins := 0
+	for _, g := range order {
+		pins += g.NumFanins()
+	}
+	pins += pins / 16
+	// Clear the whole arena first: slots past the new layout would keep
+	// the gates of an earlier network — a recycled Timing's — reachable.
+	clear(t.netSinks[:cap(t.netSinks)])
+	t.netSinks = slices.Grow(t.netSinks[:0], pins)
+	t.netDelays = slices.Grow(t.netDelays[:0], pins)
+	t.pinGen = slices.Grow(t.pinGen[:0], pins)
+	t.pinDelay = slices.Grow(t.pinDelay[:0], pins)
 	t.grow(bound)
 	t.CriticalDelay = 0
 
 	// Pass 1: driver loads (wire + sink pins + PO pad). The star models are
-	// kept in the wire cache so passes 2-3 (and the incremental timer) never
-	// rebuild them.
+	// kept in the wire cache, and each pin's delay in the pin table, so
+	// passes 2-3 (and the incremental timer) never rebuild them.
 	for _, g := range order {
-		w := t.setNet(g, g.Fanouts())
-		t.load[g.ID()] = w.load + t.padLoad(g)
+		t.load[g.ID()] = t.setNet(g) + t.padLoad(g)
 	}
 
 	// Pass 2: arrivals.
@@ -248,8 +360,8 @@ func (t *Timing) analyzeInto(clock float64, order []*network.Gate) {
 			continue
 		}
 		pinArr = pinArr[:0]
-		for _, d := range g.Fanins() {
-			pinArr = append(pinArr, t.arrival[d.ID()].add(t.WireDelay(d, g)))
+		for j, d := range g.Fanins() {
+			pinArr = append(pinArr, t.arrival[d.ID()].add(t.PinWireDelay(d, g, j)))
 		}
 		t.arrival[g.ID()] = t.GateOutput(g, pinArr, t.load[g.ID()])
 	}
@@ -277,10 +389,10 @@ func (t *Timing) analyzeInto(clock float64, order []*network.Gate) {
 		if s.IsInput() {
 			continue
 		}
-		for _, d := range s.Fanins() {
+		for j, d := range s.Fanins() {
 			// requiredCandidate is the single source of the arc equation,
 			// shared with the incremental timer's backward sweep.
-			cand := requiredCandidate(t, s, t.WireDelay(d, s))
+			cand := requiredCandidate(t, s, t.PinWireDelay(d, s, j))
 			cur := t.required[d.ID()]
 			if cand.Rise < cur.Rise {
 				cur.Rise = cand.Rise
@@ -383,10 +495,27 @@ func (t *Timing) ComputeNet(d *network.Gate, sinks []*network.Gate) NetInfo {
 // driver (possible only for gates created after the analysis) recomputes
 // on the fly.
 func (t *Timing) WireDelay(d, s *network.Gate) float64 {
-	if id := d.ID(); id < len(t.wire) && t.wire[id].valid {
-		return t.wire[id].sinkDelay(s)
+	if id := d.ID(); id < len(t.netGen) && t.netGen[id] != 0 {
+		return t.sinkDelay(id, s)
 	}
 	return t.ComputeNet(d, d.Fanouts()).SinkDelay[s]
+}
+
+// PinWireDelay returns the wire delay into in-pin j of sink s, which
+// driver d feeds: exactly WireDelay(d, s) at this moment, read from the
+// pin table in O(1) when the pin's slot was written by d's current net
+// and through WireDelay's scan otherwise (a pin rewired since its
+// drivers' nets were last built, or a gate created since). Like
+// WireDelay it never mutates the Timing, so concurrent scoring workers
+// can call it.
+func (t *Timing) PinWireDelay(d, s *network.Gate, j int) float64 {
+	if id := s.ID(); id < len(t.pinN) && j < int(t.pinN[id]) {
+		k := int(t.pinOff[id]) + j
+		if tag, did := t.pinGen[k], d.ID(); tag != 0 && did < len(t.netGen) && tag == t.netGen[did] {
+			return t.pinDelay[k]
+		}
+	}
+	return t.WireDelay(d, s)
 }
 
 // GateOutput computes the out-pin arrival of g from explicit per-pin input
