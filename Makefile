@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race bench bench-smoke bench-scaling bench-scaling-smoke bench-fleet perf-gate table1 fuzz cover fmt-check api api-check docs-check serve-smoke session-smoke chaos metrics-smoke fleet-smoke flake
+.PHONY: all vet build test race bench bench-smoke perf-gate table1 fuzz cover fmt-check api api-check docs-check serve-smoke session-smoke chaos metrics-smoke fleet-smoke flake
 
 all: vet fmt-check api-check build test docs-check
 
@@ -40,28 +40,6 @@ bench:
 # post-optimization verification, one iteration each.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkMoveGen|BenchmarkExtractIncremental|BenchmarkFig2Swap|BenchmarkFullSTA|BenchmarkIncrementalSTA|BenchmarkIncrementalWideUpdate|BenchmarkVerify$$' -benchtime 1x .
-
-# Scaling-curve harness (internal/perf via cmd/benchscale): full
-# optimizer runs over the workers x regions x window x circuit grid,
-# interleaved reps, wall + process-CPU time + allocs per arm, host facts,
-# written to BENCH_PR6.json. See DESIGN.md §3c for the methodology.
-bench-scaling:
-	$(GO) run ./cmd/benchscale -out BENCH_PR6.json
-
-# Seconds-long CI arm: prove the harness runs end to end and the report
-# is well-formed without burning runner minutes.
-bench-scaling-smoke:
-	$(GO) run ./cmd/benchscale -quick -out bench-scaling-smoke.json
-	@grep -q '"cpu_ratio_vs_sequential"' bench-scaling-smoke.json && \
-	  grep -q '"determinism_checked": true' bench-scaling-smoke.json || \
-	  (echo "bench-scaling-smoke.json malformed"; exit 1)
-
-# Fleet-throughput report (DESIGN.md §5c): in-process replica fleets
-# over a replica-count x fleet-shape grid — cold (optimizer-bound) vs
-# warm (dedupe-bound) traffic — written to BENCH_PR9.json with the
-# fleet invariants re-checked on every arm.
-bench-fleet:
-	$(GO) run ./cmd/benchfleet -out BENCH_PR9.json
 
 # Perf-regression gate: the micro-benchmark set under -benchmem against
 # the golden bands in PERF_BASELINE.json (tight allocs/op, generous

@@ -538,19 +538,19 @@ func BenchmarkOptimizeWindowed(b *testing.B) {
 	}
 }
 
-// BenchmarkOptimizeRegioned runs gsg+GS on s38417 sequentially versus
-// region-partitioned (8 regions per round). On a multi-core host the
-// regioned arm additionally overlaps region optimization on goroutines;
-// on any host it shows the windowed-partition work reduction.
+// BenchmarkOptimizeRegioned runs gsg+GS on s38417 as one Optimize call
+// versus the rounds loop behind WithRegions (up to 3 whole-network
+// rounds with a full re-analysis between them), unwindowed and with a
+// 0.005 criticality window.
 func BenchmarkOptimizeRegioned(b *testing.B) {
 	for _, arm := range []struct {
-		name    string
-		regions int
-		window  float64
+		name   string
+		rounds bool
+		window float64
 	}{
-		{"regions=1", 1, 0},
-		{"regions=8", 8, 0},
-		{"regions=8,window=0.005", 8, 0.005},
+		{"optimize", false, 0},
+		{"rounds", true, 0},
+		{"rounds,window=0.005", true, 0.005},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
 			var res opt.Result
@@ -558,9 +558,12 @@ func BenchmarkOptimizeRegioned(b *testing.B) {
 				b.StopTimer()
 				n, l, _ := staSwapSetup(b)
 				b.StartTimer()
-				res = opt.OptimizeRegioned(context.Background(), n, l, opt.GsgGS,
-					opt.Options{MaxIters: 4, Workers: 1, Window: arm.window},
-					opt.RegionSchedule{Regions: arm.regions})
+				o := opt.Options{MaxIters: 4, Workers: 1, Window: arm.window}
+				if arm.rounds {
+					res = opt.OptimizeRounds(context.Background(), n, l, opt.GsgGS, o)
+				} else {
+					res = opt.Optimize(context.Background(), n, l, opt.GsgGS, o)
+				}
 			}
 			b.ReportMetric(res.Evals.PerPhase(), "evals/phase")
 			b.ReportMetric(res.FinalDelay, "final-ns")
@@ -569,22 +572,30 @@ func BenchmarkOptimizeRegioned(b *testing.B) {
 	}
 }
 
-// BenchmarkLargeRegioned stresses the region scheduler beyond the Table 1
-// scale: a stitched multi-block circuit (~50k gates, unplaced — pin-cap
-// loads only) optimized gsg region-partitioned. Not part of bench-smoke.
+// BenchmarkLargeRegioned runs gsg beyond the Table 1 scale: a stitched
+// multi-block circuit (~50k gates, unplaced — pin-cap loads only)
+// optimized as one Optimize call and in rounds. Not part of bench-smoke.
 func BenchmarkLargeRegioned(b *testing.B) {
 	l := library.Default035()
 	base := gen.Large(50000, 1)
 	sizing.SeedForLoad(base, l, 0)
-	for _, regions := range []int{1, 8} {
-		b.Run(fmt.Sprintf("regions=%d", regions), func(b *testing.B) {
+	for _, rounds := range []bool{false, true} {
+		name := "optimize"
+		if rounds {
+			name = "rounds"
+		}
+		b.Run(name, func(b *testing.B) {
 			var res opt.Result
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				n, _ := base.Clone()
 				b.StartTimer()
-				res = opt.OptimizeRegioned(context.Background(), n, l, opt.Gsg, opt.Options{MaxIters: 2, Workers: 1},
-					opt.RegionSchedule{Regions: regions, Rounds: 2})
+				o := opt.Options{MaxIters: 2, Workers: 1}
+				if rounds {
+					res = opt.OptimizeRounds(context.Background(), n, l, opt.Gsg, o)
+				} else {
+					res = opt.Optimize(context.Background(), n, l, opt.Gsg, o)
+				}
 			}
 			b.ReportMetric(res.Evals.PerPhase(), "evals/phase")
 			b.ReportMetric(res.ImprovementPct(), "improve%")
@@ -593,15 +604,13 @@ func BenchmarkLargeRegioned(b *testing.B) {
 	}
 }
 
-// BenchmarkRegionRoundTrip isolates the region scheduler's fixed costs —
-// the part of a regioned run that is pure overhead relative to a
-// sequential Optimize: partition the network, extract every region under
-// pinned bounds, capture its rollback snapshot, stitch the (unmodified)
-// subnetwork back, run the post-stitch acyclicity check, and reconcile
-// with a full re-analysis, exactly one accepted scheduler round with the
-// optimizer taken out. The measured time and allocations are the
-// extract/snapshot/stitch/verify path PR 6 tuned, and the allocs/op
-// band in PERF_BASELINE.json keeps it from regressing silently.
+// BenchmarkRegionRoundTrip times internal/region's partition → extract →
+// stitch round trip on s38417 with the optimizer taken out: partition
+// the network, extract every region under pinned bounds, stitch the
+// (unmodified) subnetwork back, check acyclicity and re-analyze. No
+// optimizer path uses it; it is the micro-benchmark twin of cmd/bench's
+// region.roundtrip_ms probe, and the allocs/op band in
+// PERF_BASELINE.json keeps that probe's code from regressing silently.
 func BenchmarkRegionRoundTrip(b *testing.B) {
 	n, l, _ := staSwapSetup(b)
 	tm := sta.AnalyzeReleased(n, l, 0, nil)
@@ -613,16 +622,13 @@ func BenchmarkRegionRoundTrip(b *testing.B) {
 		regionsSeen = len(part.Regions)
 		for _, r := range part.Regions {
 			ext := region.Extract(n, tm, r)
-			pre := ext.Snapshot()
-			installed := region.Stitch(n, ext.Net, r.Interior)
-			_ = pre
-			_ = installed
+			region.Stitch(n, ext.Net, r.Interior)
 		}
 		if err := n.CheckAcyclic(); err != nil {
 			b.Fatal(err)
 		}
-		// The round's global reconcile (stitching replaced every gate
-		// object, so the next partition needs a fresh analysis anyway).
+		// Stitching replaced every gate object, so the next partition
+		// needs a fresh analysis.
 		clock := tm.Clock
 		sta.ReleaseTiming(tm)
 		tm = sta.AnalyzeReleased(n, l, clock, nil)

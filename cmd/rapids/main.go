@@ -33,7 +33,7 @@ func main() {
 		clock     = flag.Float64("clock", 0, "required time at outputs in ns (0 = critical delay)")
 		workers   = flag.Int("workers", 0, "move-scoring workers (0 = GOMAXPROCS, 1 = sequential; results identical)")
 		window    = flag.Float64("window", 0, "criticality window as a fraction of the clock (0 = default margins)")
-		regions   = flag.Int("regions", 0, "region-parallel optimization: max concurrent timing regions (<=1 = whole-network)")
+		regions   = flag.Int("regions", 0, "> 1 runs up to 3 whole-network optimizer rounds with a full re-analysis between them (<=1 = one run)")
 		moves     = flag.Int("moves", 30, "placement annealing moves per cell")
 		seed      = flag.Int64("seed", 1, "placement seed")
 		verify    = flag.Int("verify", rapids.DefaultVerifyRounds, "random equivalence rounds (0 disables; see rapids.WithVerification)")

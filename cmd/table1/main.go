@@ -28,7 +28,7 @@ func main() {
 		seed       = flag.Int64("seed", 1, "placement seed")
 		workers    = flag.Int("workers", 0, "move-scoring workers (0 = GOMAXPROCS, 1 = sequential; results identical)")
 		window     = flag.Float64("window", 0, "criticality window as a fraction of the clock (0 = default margins)")
-		regions    = flag.Int("regions", 0, "region-parallel optimization: max concurrent timing regions (<=1 = whole-network)")
+		regions    = flag.Int("regions", 0, "> 1 runs up to 3 whole-network optimizer rounds with a full re-analysis between them (<=1 = one run)")
 		verify     = flag.Int("verify", 0, "random equivalence rounds per optimizer (0 = default, negative = off; see rapids.WithVerification)")
 		quick      = flag.Bool("quick", false, "small/fast subset with reduced effort")
 		summary    = flag.Bool("summary", false, "print only the averages against the paper's")

@@ -14,8 +14,7 @@
 // The implementation lives under internal/: the generalized implication
 // supergate theory (internal/supergate), symmetry-based rewiring
 // (internal/rewire), the Coudert-style optimizers (internal/sizing,
-// internal/opt), the region-parallel scheduler (internal/region), and
-// the full experimental substrate the paper's flow needs — mapped
+// internal/opt), and the full experimental substrate the paper's flow needs — mapped
 // Boolean networks with a mutation-event layer, a cell library,
 // technology mapping, benchmark generators, placement, star-model RC
 // interconnect, incremental static timing analysis, bit-parallel

@@ -1,6 +1,6 @@
 // Stitched multi-block generation: circuits one to two orders of
-// magnitude beyond the Table 1 stand-ins, for stressing the region
-// scheduler and the windowed optimizer at new-scenario scale. A stitched
+// magnitude beyond the Table 1 stand-ins, for stressing the windowed
+// optimizer at new-scenario scale. A stitched
 // circuit instantiates several profile blocks into one network — each
 // block namespaced by a "b<i>_" prefix — and cross-wires them by seeding
 // part of every later block's input pool with signals exported from

@@ -44,10 +44,9 @@ type Config struct {
 	// Window, when > 0, narrows candidate generation to sites within
 	// Window×Clock of the worst slack (see rapids.WithWindow).
 	Window float64
-	// Regions, when > 1, runs every optimizer region-partitioned: up to
-	// Regions timing regions are extracted and optimized concurrently
-	// per round, with a global re-analysis reconciling rounds (see
-	// rapids.WithRegions).
+	// Regions, when > 1, runs every optimizer in up to 3 whole-network
+	// rounds with a full re-analysis between them (see
+	// rapids.WithRegions); the value beyond 1 is not used.
 	Regions int
 	// Progress, when non-nil, receives the typed rapids.Event stream of
 	// every optimizer run.

@@ -7,10 +7,9 @@ import (
 	"repro/internal/logic"
 )
 
-// CheckAcyclic is the region scheduler's per-round safety net; these
-// tests pin both invariants it guards (see regions.go): a combinational
-// cycle introduced by region-blind rewiring, and a fanin pointer left
-// dangling at a deleted gate.
+// CheckAcyclic guards a stitched network; these tests pin both
+// invariants it checks: a combinational cycle introduced by region-blind
+// rewiring, and a fanin pointer left dangling at a deleted gate.
 
 func TestCheckAcyclicClean(t *testing.T) {
 	n := New("clean")

@@ -706,10 +706,9 @@ func (n *Network) Validate() error {
 
 // CheckAcyclic verifies the two invariants region-blind rewiring can
 // break — acyclicity and fanin liveness — and returns the first
-// violation, or nil. It is the region scheduler's per-round safety net:
-// the same checks Validate performs, minus the edge-multiset audit, on
-// dense ID-indexed scratch instead of maps, so it is cheap enough to run
-// after every stitched round.
+// violation, or nil: the same checks Validate performs, minus the
+// edge-multiset audit, on dense ID-indexed scratch instead of maps, so it
+// is cheap enough to run after every region stitch.
 func (n *Network) CheckAcyclic() error {
 	const (
 		white = 0

@@ -111,9 +111,8 @@ func (s EvalStats) PerPhase() float64 {
 	return float64(s.Candidates()) / float64(s.Phases)
 }
 
-// Add folds another engine's counters into s; the region scheduler
-// aggregates per-region engines with it. Every EvalStats field must be
-// folded here.
+// Add folds another run's counters into s; OptimizeRounds sums its
+// rounds with it. Every EvalStats field must be folded here.
 func (s *EvalStats) Add(o EvalStats) {
 	s.Phases += o.Phases
 	s.SwapSites += o.SwapSites
@@ -142,9 +141,8 @@ type Engine struct {
 
 // NewEngine builds an engine with the given parallelism; workers <= 0
 // selects GOMAXPROCS. The per-worker arenas come from the shared scratch
-// pool, so engines created round after round (the region scheduler builds
-// one engine per concurrency slot) reuse grown arrays instead of paying
-// the warm-up allocations again; Release returns them.
+// pool, so engines created run after run reuse grown arrays instead of
+// paying the warm-up allocations again; Release returns them.
 func NewEngine(workers int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -174,9 +172,8 @@ func (e *Engine) Workers() int { return e.workers }
 func (e *Engine) Stats() EvalStats { return e.stats }
 
 // TakeStats returns the accumulated counters and resets them, so one
-// engine can serve several Optimize runs (the region scheduler reuses an
-// engine per concurrency slot across regions and rounds) with each run
-// reporting only its own work.
+// engine can serve several Optimize runs (OptimizeRounds reuses one
+// engine across its rounds) with each run reporting only its own work.
 func (e *Engine) TakeStats() EvalStats {
 	s := e.stats
 	e.stats = EvalStats{}

@@ -75,7 +75,7 @@ var goldenRows = map[string][2]string{
 	"alu2/regions4-w0.005":  {"e15bf1a7106e0d85", "a6e4b6516accd1e5"},
 	"alu2/GS":               {"fb16aec40999a18f", "186ffb788b91f3f2"},
 	"c432/default":          {"b822b9f02ed3c542", "9c9c3681507a0c7a"},
-	"c432/regions4-w0.005":  {"dc6b7f8da45da6ff", "aa903b8cd786bf5b"},
+	"c432/regions4-w0.005":  {"b8296adb8ec0fac0", "f91df6da2356504a"},
 	"c432/GS":               {"3a1a95acc76608ad", "8676d03f25dd83ab"},
 	"c1908/default":         {"2b9ec0433cdc572d", "20985322fadeb270"},
 	"c1908/regions4-w0.005": {"ab324094f50eab8b", "af7248055832ef8e"},
@@ -101,7 +101,7 @@ func TestOptimizeNetworkGolden(t *testing.T) {
 			o := Options{Window: cfg.window}
 			var r Result
 			if cfg.regions > 1 {
-				r = OptimizeRegioned(context.Background(), n, lib(), cfg.strat, o, RegionSchedule{Regions: cfg.regions})
+				r = OptimizeRounds(context.Background(), n, lib(), cfg.strat, o)
 			} else {
 				r = Optimize(context.Background(), n, lib(), cfg.strat, o)
 			}

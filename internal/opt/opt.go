@@ -98,35 +98,34 @@ type Options struct {
 	Window float64
 	// Bounds pins boundary timing conditions (arrivals at selected
 	// primary inputs, required times and exterior loads at selected
-	// primary outputs) for every analysis of the run. The region
-	// scheduler sets it when optimizing an extracted subnetwork; leave
-	// nil for whole networks.
+	// primary outputs) for every analysis of the run. ECO sessions set
+	// it from their pin edits; leave nil for unpinned networks.
 	Bounds *sta.Bounds
 	// Progress, when non-nil, receives one "start" PhaseReport after
 	// the seeding analysis and one PhaseReport after every completed
 	// optimizer phase (an objective pass of Optimize, or a whole round
-	// of OptimizeRegioned). It is called synchronously on the
+	// of OptimizeRounds). It is called synchronously on the
 	// optimizer's goroutine and must not mutate the network.
 	Progress func(PhaseReport)
 
 	// engine, when non-nil, is a caller-owned scoring engine to use
-	// instead of building (and releasing) a fresh one. The region
-	// scheduler hands each concurrency slot one persistent engine so its
-	// scratch arenas survive across regions and rounds. The run consumes
-	// the engine's counters via TakeStats.
+	// instead of building (and releasing) a fresh one. OptimizeRounds
+	// hands every round one persistent engine so its scratch arenas
+	// survive across rounds. The run consumes the engine's counters via
+	// TakeStats.
 	engine *Engine
 	// skipFinal skips the final from-scratch ground-truth analysis and
-	// reports FinalDelay from the incremental timer instead. The region
-	// scheduler sets it for per-region runs: their FinalDelay is
-	// discarded (the round's single global reconcile is the ground
-	// truth), so each region paying one extra full analysis is waste.
+	// reports FinalDelay from the incremental timer instead.
+	// OptimizeRounds sets it: each round's FinalDelay is discarded (the
+	// round's own re-analysis is the ground truth), so one extra full
+	// analysis per round would be waste.
 	skipFinal bool
 }
 
 // PhaseReport is one typed progress milestone of an optimization run.
 type PhaseReport struct {
-	// Iteration is the 1-based outer iteration (round, for the region
-	// scheduler); 0 for the "start" report.
+	// Iteration is the 1-based outer iteration (round, for
+	// OptimizeRounds); 0 for the "start" report.
 	Iteration int
 	// Phase names the completed phase: "start" (the seeding analysis),
 	// "min-slack", "sum-slack", or "round".

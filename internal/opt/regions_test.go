@@ -1,9 +1,10 @@
 package opt
 
-// Properties of the region-partitioned, criticality-windowed optimizer:
-// it must produce simulation-equivalent netlists, never regress the
-// critical delay, land within 1 % of the full sequential run, and — the
-// point of the exercise — evaluate no more candidates than the full run.
+// Properties of the rounds loop behind WithRegions and of the
+// criticality-windowed optimizer: they must produce simulation-equivalent
+// netlists, never regress the critical delay, land within 1 % of the full
+// sequential run, and the window must evaluate no more candidates than
+// the full run.
 
 import (
 	"context"
@@ -46,13 +47,17 @@ func regionCircuits(t *testing.T, short bool) map[string]*network.Network {
 }
 
 func TestOptimizeRegionedEquivalentAndWithin1Pct(t *testing.T) {
-	for name, base := range regionCircuits(t, testing.Short()) {
+	circuits := regionCircuits(t, testing.Short())
+	par44 := gen.FromProfile(parallelProfile(44))
+	place.Place(par44, lib(), place.Options{Seed: 1, MovesPerCell: 5})
+	sizing.SeedForLoad(par44, lib(), 0)
+	circuits[par44.Name()] = par44
+	for name, base := range circuits {
 		for _, strat := range []Strategy{Gsg, GsgGS} {
 			seq, _ := base.Clone()
 			reg, _ := base.Clone()
 			full := Optimize(context.Background(), seq, lib(), strat, Options{MaxIters: 3, Workers: 1})
-			regioned := OptimizeRegioned(context.Background(), reg, lib(), strat, Options{MaxIters: 3},
-				RegionSchedule{Regions: 4})
+			regioned := OptimizeRounds(context.Background(), reg, lib(), strat, Options{MaxIters: 3})
 
 			if ce, err := sim.EquivalentRandom(base, reg, 8, 7); err != nil {
 				t.Fatalf("%s/%v: %v", name, strat, err)
@@ -135,17 +140,17 @@ func TestWindowNarrowsCandidateGeneration(t *testing.T) {
 	}
 }
 
-// TestOptimizeRegionedDeterministic: two runs from identical inputs give
-// identical results and netlists, no matter that regions optimize on
-// concurrent goroutines.
+// TestOptimizeRegionedDeterministic: the rounds loop gives identical
+// results and netlists at every scoring-worker count, as Optimize does.
 func TestOptimizeRegionedDeterministic(t *testing.T) {
 	base := gen.FromProfile(parallelProfile(31))
 	place.Place(base, lib(), place.Options{Seed: 2, MovesPerCell: 6})
 	sizing.SeedForLoad(base, lib(), 0)
 	a, _ := base.Clone()
 	b, _ := base.Clone()
-	ra := OptimizeRegioned(context.Background(), a, lib(), GsgGS, Options{MaxIters: 2}, RegionSchedule{Regions: 3})
-	rb := OptimizeRegioned(context.Background(), b, lib(), GsgGS, Options{MaxIters: 2}, RegionSchedule{Regions: 3})
+	ra := OptimizeRounds(context.Background(), a, lib(), GsgGS, Options{MaxIters: 2, Workers: 1})
+	rb := OptimizeRounds(context.Background(), b, lib(), GsgGS, Options{MaxIters: 2, Workers: 4})
+	ra.Evals, rb.Evals = EvalStats{}, EvalStats{}
 	if ra != rb {
 		t.Fatalf("results differ:\n%+v\n%+v", ra, rb)
 	}
@@ -154,37 +159,43 @@ func TestOptimizeRegionedDeterministic(t *testing.T) {
 	}
 }
 
-// TestOptimizeRegionedDegradesToSequential: a schedule without region
-// parallelism is exactly Optimize.
+// TestOptimizeRegionedDegradesToSequential: the rounds loop is exactly a
+// sequence of whole-network Optimize runs under the first analysis's
+// clock, with a sweep between them, stopping at the first round that
+// commits nothing or does not improve the lateness.
 func TestOptimizeRegionedDegradesToSequential(t *testing.T) {
 	base := gen.FromProfile(parallelProfile(33))
 	place.Place(base, lib(), place.Options{Seed: 2, MovesPerCell: 5})
 	sizing.SeedForLoad(base, lib(), 0)
 	a, _ := base.Clone()
 	b, _ := base.Clone()
-	ra := OptimizeRegioned(context.Background(), a, lib(), GsgGS, Options{MaxIters: 2, Workers: 1}, RegionSchedule{Regions: 1})
-	rb := Optimize(context.Background(), b, lib(), GsgGS, Options{MaxIters: 2, Workers: 1})
-	if ra != rb {
-		t.Fatalf("degenerate schedule diverged from Optimize:\n%+v\n%+v", ra, rb)
+	o := Options{MaxIters: 2, Workers: 1, Window: 0.005}
+	ra := OptimizeRounds(context.Background(), a, lib(), GsgGS, o)
+
+	tm := sta.Analyze(b, lib(), 0)
+	o.Clock, o.MaxSwapLeaves = tm.Clock, 48
+	best := tm.Lateness
+	swaps, resizes, iters := 0, 0, 0
+	for iters < 3 {
+		iters++
+		r := Optimize(context.Background(), b, lib(), GsgGS, o)
+		swaps += r.Swaps
+		resizes += r.Resizes
+		if r.Swaps+r.Resizes == 0 {
+			break
+		}
+		b.Sweep()
+		tm = sta.Analyze(b, lib(), o.Clock)
+		if tm.Lateness >= best-eps {
+			break
+		}
+		best = tm.Lateness
+	}
+	if ra.Swaps != swaps || ra.Resizes != resizes || ra.Iterations != iters || ra.FinalDelay != tm.CriticalDelay {
+		t.Fatalf("rounds %+v, want %d swaps, %d resizes, %d rounds, delay %v",
+			ra, swaps, resizes, iters, tm.CriticalDelay)
 	}
 	if sa, sb := netSignature(a), netSignature(b); sa != sb {
-		t.Fatal("degenerate schedule produced a different netlist")
-	}
-}
-
-// TestRegionSchedulerUnderRace gives `go test -race` concurrent
-// region-level optimization to chew on; kept small so the race job stays
-// fast.
-func TestRegionSchedulerUnderRace(t *testing.T) {
-	base := gen.FromProfile(parallelProfile(44))
-	place.Place(base, lib(), place.Options{Seed: 1, MovesPerCell: 5})
-	sizing.SeedForLoad(base, lib(), 0)
-	orig, _ := base.Clone()
-	res := OptimizeRegioned(context.Background(), base, lib(), GsgGS, Options{MaxIters: 2}, RegionSchedule{Regions: 4})
-	if res.FinalDelay > res.InitialDelay+1e-9 {
-		t.Fatalf("regioned optimize worsened delay: %+v", res)
-	}
-	if ce, err := sim.EquivalentRandom(orig, base, 4, 5); err != nil || ce != nil {
-		t.Fatalf("function changed: %v %v", ce, err)
+		t.Fatal("rounds loop produced a different netlist than sequential Optimize runs")
 	}
 }

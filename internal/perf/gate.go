@@ -1,6 +1,8 @@
-// The perf-regression gate: golden bands for the repo's
-// micro-benchmarks, compared in CI against a fresh `go test -bench`
-// run. Two kinds of band, with deliberately different tightness:
+// Package perf holds the perf-regression gate that cmd/perfgate runs and
+// the profiling switches of the CLIs (StartProfiles).
+//
+// The gate keeps golden bands for the repo's micro-benchmarks, compared
+// in CI against a fresh `go test -bench` run. Two kinds of band, with deliberately different tightness:
 //
 //   - allocs/op is deterministic (allocation sites do not depend on
 //     host speed), so its band is tight — a regression of a few percent
@@ -8,12 +10,11 @@
 //   - ns/op on a shared runner is noisy, so its band is generous (a
 //     few multiples of the calm-host value); it exists to catch
 //     order-of-magnitude regressions (an accidental O(n) scan in an
-//     O(1) path), not percent-level drift. The scaling harness
-//     (BENCH_PR6.json), not this gate, tracks percent-level trends.
+//     O(1) path), not percent-level drift. The end-to-end benchmark
+//     (cmd/bench), not this gate, tracks percent-level trends.
 //
 // A benchmark listed in the baseline but absent from the run is a
 // violation too: renaming a benchmark must not silently disarm its gate.
-
 package perf
 
 import (

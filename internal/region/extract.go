@@ -4,9 +4,8 @@
 //
 // Extract and Stitch are exact inverses on an unmodified subnetwork: the
 // stitched-back network is structurally and functionally identical to the
-// original (new gate objects, same names at every boundary). The region
-// scheduler exploits this for rollback — it keeps a pristine clone of each
-// extracted subnetwork and re-stitches it when a round must be reverted.
+// original (new gate objects, same names at every boundary), so
+// re-stitching a Snapshot taken before a Stitch reverts it.
 
 package region
 
@@ -159,26 +158,11 @@ type snapGate struct {
 	fanins     []int32 // indices into gates; -1 never appears (inputs have none)
 }
 
-// CaptureSnapshot records region r from n. The interior must still be in
-// place (Extract never mutates n, and sibling stitches restore boundary
-// names, so capturing any not-yet-stitched region mid-round is sound).
-func CaptureSnapshot(n *network.Network, r *Region) *Snapshot {
-	interior := make(map[*network.Gate]bool, len(r.Interior))
-	for _, g := range r.Interior {
-		interior[g] = true
-	}
-	inInterior := func(g *network.Gate) bool { return interior[g] }
-	return captureSnapshot(network.TopoOrderAmong(r.Interior, inInterior), interior)
-}
-
 // Snapshot captures the rollback image of e's region, reusing the
 // topological order and membership set Extract already computed. The
-// interior must still be in place, as for CaptureSnapshot.
+// interior must still be in place (Extract never mutates n).
 func (e *Extracted) Snapshot() *Snapshot {
-	return captureSnapshot(e.order, e.interior)
-}
-
-func captureSnapshot(order []*network.Gate, interior map[*network.Gate]bool) *Snapshot {
+	order, interior := e.order, e.interior
 	s := &Snapshot{gates: make([]snapGate, 0, len(order)+len(order)/2)}
 	idx := make(map[*network.Gate]int32, len(order))
 	faninIdx := make([]int32, 0, 4*len(order))
@@ -263,8 +247,7 @@ func (s *Snapshot) Net(name string) *network.Network {
 // replacement, the old interior is deleted, and the replacements take the
 // subnetwork names wherever those are free (always, for boundary
 // outputs). It returns the installed gates — the oldInterior of a
-// subsequent Stitch that wants to replace this one (the scheduler's
-// rollback path).
+// subsequent Stitch that wants to replace this one (a revert).
 //
 // Stitch panics when sub's boundary does not match n (a missing boundary
 // driver or output name), which indicates a partitioning bug. It never

@@ -1,15 +1,13 @@
-// Package region partitions a mapped, placed network into timing regions
-// for windowed, region-parallel optimization.
+// Package region partitions a mapped, placed network into timing regions,
+// lifts a region out as a standalone subnetwork with pinned boundary
+// timing (Extract) and stitches a subnetwork back (Stitch).
 //
-// The paper's optimizers enumerate candidates over the whole netlist every
-// phase, but on large circuits the vast majority of gates sit far from the
-// critical path and can neither raise the minimum slack nor need
-// relaxation. A Partition clusters the near-critical gates — every gate
-// within a slack window of the worst slack — together with a few levels of
-// their fanin/fanout cones into connected regions. Each region can then be
-// extracted as a standalone subnetwork (Extract) whose boundary timing is
-// pinned from the last global analysis, optimized independently — and
-// concurrently — and stitched back (Stitch).
+// No optimizer path uses it (DESIGN.md §3b): the package is kept only for
+// cmd/bench's region.roundtrip_ms probe, and goes when that probe does.
+//
+// A Partition clusters the near-critical gates — every gate within a
+// slack window of the worst slack — together with a few levels of their
+// fanin/fanout cones into connected regions.
 //
 // # Boundary semantics
 //

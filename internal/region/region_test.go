@@ -110,7 +110,7 @@ func signature(n *network.Network) string {
 
 // TestExtractStitchIdentity is the roundtrip property: stitching back the
 // unmodified extracted subnetworks — and then re-stitching pristine
-// clones over the installed gates, the scheduler's rollback path — leaves
+// clones over the installed gates, a revert — leaves
 // a network that is structurally valid, simulation-equivalent, and
 // timing-identical to the original.
 func TestExtractStitchIdentity(t *testing.T) {

@@ -8,11 +8,11 @@ import (
 	"repro/internal/sta"
 )
 
-// TestSnapshotMatchesCaptureAndExtract: the three routes to a region's
-// rollback image — Extracted.Snapshot (reusing the extraction's order
-// and membership set), the standalone CaptureSnapshot, and the extracted
-// subnetwork itself — must materialize gate-for-gate identical nets.
-func TestSnapshotMatchesCaptureAndExtract(t *testing.T) {
+// TestSnapshotMatchesExtract: a region's rollback image
+// (Extracted.Snapshot, reusing the extraction's order and membership set)
+// and the extracted subnetwork itself must materialize gate-for-gate
+// identical nets.
+func TestSnapshotMatchesExtract(t *testing.T) {
 	n := buildPlaced(t, 4, 350)
 	tm := sta.Analyze(n, lib(), 0)
 	p := Build(n, tm, Options{Window: 0.15, MaxRegions: 4})
@@ -22,13 +22,8 @@ func TestSnapshotMatchesCaptureAndExtract(t *testing.T) {
 	for ri, r := range p.Regions {
 		e := Extract(n, tm, r)
 		fromExtracted := e.Snapshot().Net("snap")
-		fromCapture := CaptureSnapshot(n, r).Net("snap")
 		if err := fromExtracted.Validate(); err != nil {
 			t.Fatalf("region %d: snapshot net invalid: %v", ri, err)
-		}
-		if signature(fromExtracted) != signature(fromCapture) {
-			t.Fatalf("region %d: Extracted.Snapshot and CaptureSnapshot diverge:\n%s\n---\n%s",
-				ri, signature(fromExtracted), signature(fromCapture))
 		}
 		if signature(fromExtracted) != signature(e.Net) {
 			t.Fatalf("region %d: snapshot net differs from the extracted subnetwork:\n%s\n---\n%s",
@@ -37,10 +32,10 @@ func TestSnapshotMatchesCaptureAndExtract(t *testing.T) {
 	}
 }
 
-// TestSnapshotRevertRestoresNetwork drives the scheduler's actual revert
-// path (regions.go): capture snapshots, stitch in subnetworks an
-// optimizer round has mutated, then re-stitch the materialized snapshots
-// over the installed gates. The network must come back structurally
+// TestSnapshotRevertRestoresNetwork drives a multi-region revert:
+// capture snapshots, stitch in subnetworks an optimizer round has
+// mutated, then re-stitch the materialized snapshots over the installed
+// gates. The network must come back structurally
 // identical — names included, which pins Stitch's guarantee that
 // replacements take the original interior names.
 func TestSnapshotRevertRestoresNetwork(t *testing.T) {
@@ -53,7 +48,7 @@ func TestSnapshotRevertRestoresNetwork(t *testing.T) {
 	}
 
 	// Snapshots must all be captured before any stitch deletes an
-	// interior — same order as the scheduler.
+	// interior.
 	var exts []*Extracted
 	var snaps []*Snapshot
 	for _, r := range p.Regions {

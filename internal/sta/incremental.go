@@ -41,7 +41,7 @@
 // propagation queues, and the PO set — is held in dense gate-ID-indexed
 // arrays with epoch stamps (no per-event map operations): the PR 6 profile
 // showed the per-move notification cost and the per-update map churn were
-// a measurable slice of the region scheduler's overhead.
+// a measurable slice of a regioned run's cost.
 //
 // The cost per re-timed gate is what a wide update pays thousands of
 // times, so both of its parts are O(1) amortized: the level queues keep
@@ -90,8 +90,8 @@ type IncStats struct {
 }
 
 // Add folds another timer's counters into s (MaxDirty takes the max);
-// the region scheduler aggregates per-region timers with it. Every
-// IncStats field must be folded here.
+// opt.OptimizeRounds sums its rounds with it. Every IncStats field must
+// be folded here.
 func (s *IncStats) Add(o IncStats) {
 	s.FullAnalyses += o.FullAnalyses
 	s.IncrementalUpdates += o.IncrementalUpdates
@@ -219,9 +219,10 @@ func NewIncremental(n *network.Network, lib *library.Library, clock float64) *In
 }
 
 // incPool recycles whole Incremental timers — their Timing arrays, level
-// arrays, stamped sets, and propagation queues. The region scheduler
-// builds one timer per region per round; recycling makes the steady-state
-// cost of a new timer one full analysis, with no array warm-up.
+// arrays, stamped sets, and propagation queues. Every optimizer run (and
+// every round of opt.OptimizeRounds) builds one timer; recycling makes
+// the steady-state cost of a new timer one full analysis, with no array
+// warm-up.
 var incPool = sync.Pool{New: func() interface{} { return new(Incremental) }}
 
 // NewIncrementalBounded is NewIncremental under pinned boundary conditions

@@ -276,12 +276,11 @@ func AnalyzeBounded(n *network.Network, lib *library.Library, clock float64, b *
 	return t
 }
 
-// timingPool recycles the dense per-gate arrays of released analyses. The
-// region scheduler runs many short-lived analyses per round (one global
-// reconcile plus one seed per region); without recycling, each pays a
-// fresh allocation of four network-sized arrays plus the per-net sink
-// slices, which PR 6's memory profile showed as the largest allocator in
-// the regioned flow.
+// timingPool recycles the dense per-gate arrays of released analyses.
+// The optimizer's rounds run one full analysis each; without recycling,
+// each pays a fresh allocation of four network-sized arrays plus the
+// per-net sink slices, which PR 6's memory profile showed as the largest
+// allocator in the regioned flow.
 var timingPool = sync.Pool{New: func() interface{} { return &Timing{} }}
 
 // AnalyzeReleased is AnalyzeBounded on a pooled Timing: the returned

@@ -62,9 +62,8 @@ type CacheStats struct {
 	Reextracted int
 }
 
-// Add folds another cache's counters into s; the region scheduler
-// aggregates per-region caches with it. Every CacheStats field must be
-// folded here.
+// Add folds another cache's counters into s; opt.OptimizeRounds sums its
+// rounds with it. Every CacheStats field must be folded here.
 func (s *CacheStats) Add(o CacheStats) {
 	s.FullExtractions += o.FullExtractions
 	s.IncrementalFlushes += o.IncrementalFlushes

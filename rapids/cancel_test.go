@@ -5,9 +5,12 @@ package rapids_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -139,10 +142,9 @@ func TestOptimizeWithDeadlineOption(t *testing.T) {
 	}
 }
 
-// TestCancelledRunsLeakNoGoroutines runs cancelled whole-network and
-// region-partitioned optimizations and requires the goroutine count to
-// settle back to the baseline: neither the scoring pool nor the region
-// scheduler may outlive Optimize.
+// TestCancelledRunsLeakNoGoroutines runs cancelled single-run and
+// WithRegions optimizations and requires the goroutine count to settle
+// back to the baseline: the scoring pool must not outlive Optimize.
 func TestCancelledRunsLeakNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for _, regions := range []int{0, 3} {
@@ -190,8 +192,7 @@ func directFlow(t *testing.T, name string, iters, workers, regions int) (*networ
 	sizing.SeedForLoad(n, lib, 0)
 	o := opt.Options{MaxIters: iters, Workers: workers}
 	if regions > 1 {
-		return n, opt.OptimizeRegioned(context.Background(), n, lib, opt.GsgGS, o,
-			opt.RegionSchedule{Regions: regions})
+		return n, opt.OptimizeRounds(context.Background(), n, lib, opt.GsgGS, o)
 	}
 	return n, opt.Optimize(context.Background(), n, lib, opt.GsgGS, o)
 }
@@ -238,5 +239,41 @@ func TestFacadeMatchesDirectInternalRun(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// TestRegionsValueBeyondOneIsUnused pins WithRegions' contract: any n > 1
+// runs the same rounds, so WithRegions(2) and WithRegions(8) give a
+// byte-identical Result (Elapsed aside) and the same final network.
+func TestRegionsValueBeyondOneIsUnused(t *testing.T) {
+	run := func(regions int) (string, string) {
+		c := placedBench(t, "c432", 5)
+		res, err := c.Optimize(context.Background(),
+			rapids.WithWindow(0.005), rapids.WithRegions(regions))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Elapsed = 0
+		js, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var net strings.Builder
+		c.Network().Gates(func(g *network.Gate) {
+			fmt.Fprintf(&net, "%s:%v:s%d:po%v:%v,%v:[", g.Name(), g.Type, g.SizeIdx, g.PO, g.X, g.Y)
+			for _, f := range g.Fanins() {
+				fmt.Fprintf(&net, "%s,", f.Name())
+			}
+			net.WriteString("]\n")
+		})
+		return string(js), net.String()
+	}
+	r2, n2 := run(2)
+	r8, n8 := run(8)
+	if r2 != r8 {
+		t.Fatalf("results differ:\nregions=2 %s\nregions=8 %s", r2, r8)
+	}
+	if n2 != n8 {
+		t.Fatal("final networks differ between WithRegions(2) and WithRegions(8)")
 	}
 }

@@ -23,16 +23,16 @@
 // run returns the best-so-far network: still functionally equivalent to
 // the input, never slower than it, with the returned Result describing
 // exactly the work that was committed. No goroutine of the scoring pool
-// or the region scheduler outlives the call.
+// outlives the call.
 //
 // # Progress events
 //
 // WithProgress subscribes a callback to the run's typed Event stream:
-// one EventStart, one EventPhase per optimizer phase (or per region
-// round), one EventVerify when verification runs, and one EventDone
-// carrying the final *Result. Events are delivered synchronously on the
-// optimizing goroutine, so callbacks must be fast and must not call back
-// into the Circuit.
+// one EventStart, one EventPhase per optimizer phase (or per round
+// under WithRegions), one EventVerify when verification runs, and one
+// EventDone carrying the final *Result. Events are delivered
+// synchronously on the optimizing goroutine, so callbacks must be fast
+// and must not call back into the Circuit.
 //
 // # Stability
 //

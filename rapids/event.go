@@ -13,7 +13,7 @@ const (
 	// delay.
 	EventStart EventKind = iota
 	// EventPhase reports one completed optimizer phase (an objective
-	// pass, or a whole round of a region-partitioned run).
+	// pass, or a whole round of a WithRegions run).
 	EventPhase
 	// EventVerify reports the verification outcome (see Verification).
 	EventVerify

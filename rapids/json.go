@@ -109,7 +109,7 @@ type Spec struct {
 	Workers int `json:"workers,omitempty"`
 	// Window mirrors WithWindow; 0 keeps the default margins.
 	Window float64 `json:"window,omitempty"`
-	// Regions mirrors WithRegions; <= 1 optimizes whole-network.
+	// Regions mirrors WithRegions; > 1 optimizes in rounds.
 	Regions int `json:"regions,omitempty"`
 	// VerifyRounds mirrors WithVerification: nil runs
 	// DefaultVerifyRounds, an explicit value <= 0 disables, > 0 runs

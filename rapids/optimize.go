@@ -148,8 +148,7 @@ func (r *Result) AreaDeltaPct() float64 {
 // stops after the in-flight phase and returns the best-so-far network —
 // functionally equivalent to the input and never slower — with
 // Result.Interrupted set and an error wrapping ctx.Err(). No goroutine
-// of the scoring pool or region scheduler outlives the call. A nil ctx
-// never cancels.
+// of the scoring pool outlives the call. A nil ctx never cancels.
 //
 // With verification enabled (the default; see WithVerification), the
 // optimized network is checked against a pre-optimization snapshot by
@@ -221,8 +220,7 @@ func (c *Circuit) Optimize(ctx context.Context, opts ...Option) (*Result, error)
 	start := time.Now()
 	var ores opt.Result
 	if cfg.regions > 1 {
-		ores = opt.OptimizeRegioned(ctx, c.net, c.lib, opt.Strategy(cfg.strategy), oo,
-			opt.RegionSchedule{Regions: cfg.regions})
+		ores = opt.OptimizeRounds(ctx, c.net, c.lib, opt.Strategy(cfg.strategy), oo)
 	} else {
 		ores = opt.Optimize(ctx, c.net, c.lib, opt.Strategy(cfg.strategy), oo)
 	}

@@ -95,10 +95,10 @@ func WithWindow(window float64) Option {
 	return func(c *optConfig) { c.window = window }
 }
 
-// WithRegions runs the optimizer region-partitioned: up to n timing
-// regions are extracted and optimized concurrently per round, with a
-// global re-analysis reconciling rounds. n <= 1 (the default) optimizes
-// the whole network in one piece.
+// WithRegions runs the optimizer in rounds: n > 1 runs up to 3
+// whole-network rounds with a full re-analysis between them, stopping
+// at the first round that does not improve the lateness; the value of
+// n beyond 1 is not used. n <= 1 (the default) runs the optimizer once.
 func WithRegions(n int) Option {
 	return func(c *optConfig) { c.regions = n }
 }
