@@ -47,12 +47,7 @@ func regionCircuits(t *testing.T, short bool) map[string]*network.Network {
 }
 
 func TestOptimizeRegionedEquivalentAndWithin1Pct(t *testing.T) {
-	circuits := regionCircuits(t, testing.Short())
-	par44 := gen.FromProfile(parallelProfile(44))
-	place.Place(par44, lib(), place.Options{Seed: 1, MovesPerCell: 5})
-	sizing.SeedForLoad(par44, lib(), 0)
-	circuits[par44.Name()] = par44
-	for name, base := range circuits {
+	for name, base := range regionCircuits(t, testing.Short()) {
 		for _, strat := range []Strategy{Gsg, GsgGS} {
 			seq, _ := base.Clone()
 			reg, _ := base.Clone()
@@ -197,5 +192,22 @@ func TestOptimizeRegionedDegradesToSequential(t *testing.T) {
 	}
 	if sa, sb := netSignature(a), netSignature(b); sa != sb {
 		t.Fatal("rounds loop produced a different netlist than sequential Optimize runs")
+	}
+}
+
+// TestRegionSchedulerUnderRace gives `go test -race` the rounds loop
+// behind WithRegions with a shared multi-worker scoring engine reused
+// across rounds; kept small so the race job stays fast.
+func TestRegionSchedulerUnderRace(t *testing.T) {
+	base := gen.FromProfile(parallelProfile(44))
+	place.Place(base, lib(), place.Options{Seed: 1, MovesPerCell: 5})
+	sizing.SeedForLoad(base, lib(), 0)
+	orig, _ := base.Clone()
+	res := OptimizeRounds(context.Background(), base, lib(), GsgGS, Options{MaxIters: 2, Workers: 4})
+	if res.FinalDelay > res.InitialDelay+1e-9 {
+		t.Fatalf("rounds optimize worsened delay: %+v", res)
+	}
+	if ce, err := sim.EquivalentRandom(orig, base, 4, 5); err != nil || ce != nil {
+		t.Fatalf("function changed: %v %v", ce, err)
 	}
 }
