@@ -145,7 +145,9 @@ func TestOptimizeRegionedDeterministic(t *testing.T) {
 	b, _ := base.Clone()
 	ra := OptimizeRounds(context.Background(), a, lib(), GsgGS, Options{MaxIters: 2, Workers: 1})
 	rb := OptimizeRounds(context.Background(), b, lib(), GsgGS, Options{MaxIters: 2, Workers: 4})
-	ra.Evals, rb.Evals = EvalStats{}, EvalStats{}
+	if ra.Swaps+ra.Resizes == 0 || ra.Evals == (EvalStats{}) {
+		t.Fatalf("vacuous run: %+v", ra)
+	}
 	if ra != rb {
 		t.Fatalf("results differ:\n%+v\n%+v", ra, rb)
 	}

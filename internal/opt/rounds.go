@@ -15,7 +15,6 @@ import (
 	"repro/internal/library"
 	"repro/internal/network"
 	"repro/internal/sta"
-	"repro/internal/supergate"
 	"repro/internal/techmap"
 )
 
@@ -48,15 +47,10 @@ func OptimizeRounds(ctx context.Context, n *network.Network, lib *library.Librar
 	// reallocated per analysis.
 	tm := sta.AnalyzeReleased(n, lib, o.Clock, o.Bounds)
 	clock := tm.Clock
-	ext := supergate.Extract(n)
 	res := Result{
 		Strategy:     strat,
 		InitialDelay: tm.CriticalDelay,
 		FinalDelay:   tm.CriticalDelay,
-		InitialArea:  techmap.Area(n, lib),
-		Coverage:     ext.Coverage(),
-		MaxLeaves:    ext.MaxLeaves(),
-		Redundancies: len(ext.Redundancies),
 	}
 	res.Timer.FullAnalyses++
 	if o.Progress != nil {
@@ -86,16 +80,25 @@ func OptimizeRounds(ctx context.Context, n *network.Network, lib *library.Librar
 	so.Progress = nil
 
 	for round := 0; round < rounds; round++ {
-		if cancelled(ctx) {
+		// The first round always runs (Optimize checks the context
+		// itself): its Result carries the input network's area and
+		// supergate statistics.
+		if round > 0 && cancelled(ctx) {
 			res.Interrupted = true
 			break
 		}
 		before := tm.Lateness
 		r := Optimize(ctx, n, lib, strat, so)
+		if round == 0 {
+			res.InitialArea, res.Coverage = r.InitialArea, r.Coverage
+			res.MaxLeaves, res.Redundancies = r.MaxLeaves, r.Redundancies
+		}
 		res.Timer.Add(r.Timer)
 		res.Extractor.Add(r.Extractor)
 		res.Evals.Add(r.Evals)
-		res.Iterations = round + 1
+		if r.Iterations > 0 {
+			res.Iterations = round + 1
+		}
 		applied := r.Swaps + r.Resizes
 		if applied > 0 {
 			res.Swaps += r.Swaps
