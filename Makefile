@@ -51,10 +51,10 @@ perf-gate:
 table1:
 	$(GO) run ./cmd/table1 -quick
 
-# Native fuzz smoke: each parser target, plus the resize frame against
-# its oracle and the incremental timer against full analysis on random
-# placed DAGs, for FUZZTIME (default 10s); the CI fuzz-smoke job runs the
-# same invocations.
+# Native fuzz smoke: each parser target, the resize frame against its
+# oracle, the incremental timer against full analysis on random placed
+# DAGs, and result-store files with arbitrary content, for FUZZTIME
+# (default 10s); the CI fuzz-smoke job runs the same invocations.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz=FuzzParseBLIF -fuzztime=$(FUZZTIME) ./internal/blif
@@ -62,6 +62,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSessionEdit -fuzztime=$(FUZZTIME) ./rapids
 	$(GO) test -fuzz=FuzzResizeFrame -fuzztime=$(FUZZTIME) ./internal/sizing
 	$(GO) test -fuzz=FuzzIncrementalTiming -fuzztime=$(FUZZTIME) ./internal/sta
+	$(GO) test -fuzz=FuzzStoreEntry -fuzztime=$(FUZZTIME) ./rapids/server/store
 
 # Docs gate: vet the service packages and run the markdown link + flag
 # checkers over README/DESIGN/EXPERIMENTS (docs_test.go).

@@ -2,7 +2,10 @@
 // HTTP/JSON service (bounded job queue, worker pool of
 // Circuit.Optimize runs, content-hash result cache, SSE progress
 // streams) behind a plain net/http listener with graceful
-// signal-driven drain.
+// signal-driven drain. The result cache is one tiered path: a local
+// LRU of -cache entries, then the optional -store directory, each
+// entry sealed once with a sha256 checksum that every tier re-verifies
+// on read.
 //
 // Usage:
 //
@@ -51,15 +54,16 @@
 // optimization attempt; timed-out and panicked attempts retry up to
 // -job-retries times with exponential backoff.
 //
-// Fleet mode (DESIGN.md §5c): -store names a directory used as a
-// shared result store — N replicas pointed at the same directory dedupe
-// each other's finished runs (read-through behind the local cache,
-// write-through on completion, sha256-checksummed entries). -peers
+// Fleet mode (DESIGN.md §5c): -store names a directory used as the
+// shared result tier behind the local one — N replicas pointed at the
+// same directory dedupe each other's finished runs (a lookup reads the
+// local tier, then the store, promoting a store hit locally; a finished
+// run is written to both). -peers
 // lists every replica's base URL (this one included) and -self
 // identifies this replica in that list; each submission's content key
 // is consistent-hashed onto one owner, and non-owners transparently
 // proxy the submission, status polls, cancel, and the SSE stream to
-// it. Store failures degrade to cache-only operation (visible in
+// it. Store failures degrade to local-tier-only operation (visible in
 // /healthz and rapidsd_store_degraded_total) without failing jobs or
 // flipping /readyz.
 //

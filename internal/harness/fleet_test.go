@@ -95,7 +95,7 @@ func TestRunFleetInProcess(t *testing.T) {
 		{"shared-store-only", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			urls := startTestFleet(t, 3, tc.routed, store.NewMem())
+			urls := startTestFleet(t, 3, tc.routed, store.NewMem(64))
 			ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 			defer cancel()
 			rep, err := RunFleet(ctx, FleetConfig{

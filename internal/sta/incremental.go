@@ -389,9 +389,6 @@ func (it *Incremental) LastTouchedCount() int {
 // propagation.
 func (it *Incremental) LastUpdateFull() bool { return it.lastFull }
 
-// Pending returns the number of gates currently awaiting propagation.
-func (it *Incremental) Pending() int { return it.dirty.size() }
-
 // GateTouched records a mutated gate; part of network.Observer. PO-flag
 // changes only ever arrive through evented mutators (MarkOutput,
 // TransferFanouts), so the PO list's staleness can be detected here.

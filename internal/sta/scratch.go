@@ -43,7 +43,7 @@ type NetModel struct {
 	sinks  []*network.Gate
 	delays []float64
 
-	// geometry scratch for ComputeNetInto
+	// geometry scratch for computeNetInto
 	pts  []wire.Point
 	caps []float64
 	star wire.Star
@@ -64,16 +64,11 @@ func (m *NetModel) SinkDelay(s *network.Gate) float64 {
 	return d
 }
 
-// ComputeNetInto is ComputeNet writing into a reusable NetModel: the same
+// computeNetInto is ComputeNet writing into a reusable NetModel: the same
 // star model over an explicit (possibly hypothetical) sink list, with the
 // same load and per-sink delays bit for bit, and no steady-state
-// allocation.
-func (t *Timing) ComputeNetInto(m *NetModel, d *network.Gate, sinks []*network.Gate) {
-	t.computeNetInto(nil, m, d, sinks)
-}
-
-// computeNetInto is ComputeNetInto honoring a scratch's size override for
-// sink pin capacitances (sc may be nil).
+// allocation. Sink pin capacitances honor the scratch's size override
+// (sc may be nil).
 func (t *Timing) computeNetInto(sc *Scratch, m *NetModel, d *network.Gate, sinks []*network.Gate) {
 	m.Load = 0
 	m.sinks = append(m.sinks[:0], sinks...)

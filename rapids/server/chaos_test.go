@@ -19,9 +19,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/rapids"
 	"repro/rapids/server/journal"
+	"repro/rapids/server/store"
 )
 
 // deleteJob issues DELETE /v1/jobs/{id} and decodes the error body on
@@ -378,41 +378,73 @@ func TestRecoveryRebirthsTerminalJobs(t *testing.T) {
 	}
 }
 
-// TestCacheCorruptionDetected: a corrupted cache entry fails the
-// integrity checksum on lookup, is dropped, and the request re-runs to
-// the correct result instead of serving garbage.
+// TestCacheCorruptionDetected: a corrupted local-tier entry fails the
+// integrity checksum on lookup and is dropped. With no shared store the
+// request re-runs to the correct result instead of serving garbage;
+// with a healthy shared store in front of which the corruption happened,
+// it is served as a store_hit from the pristine copy, not re-run.
 func TestCacheCorruptionDetected(t *testing.T) {
-	var corruptOnce atomic.Bool
-	corruptOnce.Store(true)
-	hooks := &FaultHooks{
-		CorruptResult: func(key string) bool {
-			return corruptOnce.CompareAndSwap(true, false)
-		},
-	}
-	_, ts := startServer(t, Config{Hooks: hooks})
+	for _, tc := range []struct {
+		name   string
+		shared store.Store
+	}{
+		{"local-only", nil},
+		{"shared-store", store.NewMem(64)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var corruptOnce atomic.Bool
+			corruptOnce.Store(true)
+			hooks := &FaultHooks{
+				CorruptResult: func(key string) bool {
+					return corruptOnce.CompareAndSwap(true, false)
+				},
+			}
+			_, ts := startServer(t, Config{Hooks: hooks, Store: tc.shared})
 
-	req := quickRequest("c432")
-	st, _ := submit(t, ts.URL, req)
-	first := waitTerminal(t, ts.URL, st.ID)
-	if first.State != StateDone {
-		t.Fatalf("first run: %+v", first)
-	}
+			req := quickRequest("c432")
+			st, _ := submit(t, ts.URL, req)
+			first := waitTerminal(t, ts.URL, st.ID)
+			if first.State != StateDone {
+				t.Fatalf("first run: %+v", first)
+			}
 
-	// The cached copy is corrupted: the resubmission must MISS (202,
-	// fresh run), not serve the corrupted entry.
-	st2, code := submit(t, ts.URL, req)
-	if code != http.StatusAccepted || st2.Cached {
-		t.Fatalf("corrupted entry was served: code %d, %+v", code, st2)
-	}
-	second := waitTerminal(t, ts.URL, st2.ID)
-	if second.State != StateDone || !sameResult(first.Result, second.Result) {
-		t.Fatalf("re-run after corruption diverged: %+v", second)
-	}
+			st2, code := submit(t, ts.URL, req)
+			if m := scrape(t, ts.URL); m["rapidsd_cache_corruptions_total"] != 1 {
+				t.Fatalf("cache_corruptions_total = %v, want 1", m["rapidsd_cache_corruptions_total"])
+			}
+			if tc.shared == nil {
+				// The cached copy is corrupted: the resubmission must
+				// MISS (202, fresh run), not serve the corrupted entry.
+				if code != http.StatusAccepted || st2.Cached {
+					t.Fatalf("corrupted entry was served: code %d, %+v", code, st2)
+				}
+				second := waitTerminal(t, ts.URL, st2.ID)
+				if second.State != StateDone || !sameResult(first.Result, second.Result) {
+					t.Fatalf("re-run after corruption diverged: %+v", second)
+				}
+			} else {
+				// The shared store got the pristine entry: served from
+				// there, identical to the run, and promoted locally.
+				if code != http.StatusOK || !st2.Cached || !sameResult(first.Result, st2.Result) {
+					t.Fatalf("pristine store copy not served: code %d, %+v", code, st2)
+				}
+				m := scrape(t, ts.URL)
+				if m[`rapidsd_submissions_total{outcome="store_hit"}`] != 1 || m[`rapidsd_submissions_total{outcome="accepted"}`] != 1 {
+					t.Fatalf("want 1 accepted + 1 store_hit, got %v accepted, %v store_hit",
+						m[`rapidsd_submissions_total{outcome="accepted"}`], m[`rapidsd_submissions_total{outcome="store_hit"}`])
+				}
+			}
 
-	// The re-run's entry is intact: third time is a hit.
-	st3, code := submit(t, ts.URL, req)
-	if code != http.StatusOK || !st3.Cached {
-		t.Fatalf("healthy entry missed: code %d, %+v", code, st3)
+			// The healthy entry now sits in the local tier: next time is
+			// a hit.
+			st3, code := submit(t, ts.URL, req)
+			if code != http.StatusOK || !st3.Cached {
+				t.Fatalf("healthy entry missed: code %d, %+v", code, st3)
+			}
+			if m := scrape(t, ts.URL); m[`rapidsd_submissions_total{outcome="cache_hit"}`] != 1 {
+				t.Fatalf("cache_hit = %v, want 1", m[`rapidsd_submissions_total{outcome="cache_hit"}`])
+			}
+		})
 	}
 }
 
@@ -677,12 +709,14 @@ func TestChaosSweepLosesNothing(t *testing.T) {
 	}
 }
 
-// TestCacheConcurrentAccess hammers the LRU with concurrent inserts,
-// reads, and removals across overlapping keys — the eviction path must
-// be race-clean (run under -race) and never exceed its cap.
+// TestCacheConcurrentAccess hammers the local tier's bounded Mem with
+// concurrent inserts, reads, and corrupt overwrites (dropped on the next
+// read) across overlapping keys — the eviction path must be race-clean
+// (run under -race), never exceed its cap, and never serve a corrupt
+// entry.
 func TestCacheConcurrentAccess(t *testing.T) {
-	c := newResultCache(8, metrics.NewRegistry().Counter("evictions_total", "test"))
-	res := &rapids.Result{FinalDelayNS: 1}
+	m := newServerMetrics()
+	c, _ := newTiers(Config{CacheCap: 8}, m)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -692,22 +726,27 @@ func TestCacheConcurrentAccess(t *testing.T) {
 				key := fmt.Sprintf("k%d", (g*7+i)%16)
 				switch i % 3 {
 				case 0:
-					c.put(key, newCacheEntry(key, i, res))
+					c.Put(store.NewEntry(key, key, i, json.RawMessage(`{"FinalDelayNS":1}`)))
 				case 1:
-					if e, ok := c.get(key); ok && !e.intact() {
+					if e, ok, _ := c.Get(key); ok && !e.Intact() {
 						t.Errorf("entry %s corrupted", key)
 					}
 				default:
 					if i%30 == 2 {
-						c.remove(key)
+						bad := store.NewEntry(key, key, i, json.RawMessage(`{"FinalDelayNS":1}`))
+						bad.Result = json.RawMessage(`{"FinalDelayNS":2}`)
+						c.Put(bad)
 					}
-					c.len()
+					c.Len()
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if n := c.len(); n > 8 {
+	if n := c.Len(); n > 8 {
 		t.Fatalf("cache over cap: %d", n)
+	}
+	if m.cacheEvictions.Value() == 0 {
+		t.Fatal("16 keys through a cap of 8 evicted nothing")
 	}
 }

@@ -24,9 +24,10 @@ type FaultHooks struct {
 	// and the server turns unready).
 	JournalAppend func(e journal.Entry) error
 	// CorruptResult, when it returns true for a cache key, makes the
-	// server cache a silently corrupted copy of the job's result. The
-	// cache's integrity checksum must catch it on the next lookup and
-	// fall back to a re-run.
+	// server write silently corrupted sealed bytes into its local
+	// result tier (the shared store still gets the pristine entry).
+	// The tier's integrity checksum must catch it on the next lookup,
+	// which falls through to the shared store or a re-run.
 	CorruptResult func(key string) bool
 }
 

@@ -136,7 +136,7 @@ func TestFleetDeterminismAcrossReplicas(t *testing.T) {
 		{"routed", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			urls, _, _ := startFleet(t, 3, tc.routed, store.NewMem(), nil)
+			urls, _, _ := startFleet(t, 3, tc.routed, store.NewMem(64), nil)
 			for _, bench := range benches {
 				req := quickRequest(bench)
 				oracle := directRun(t, req)
@@ -219,7 +219,7 @@ func TestFleetDeterminismAcrossReplicas(t *testing.T) {
 // under rapidsd_routed_total with the expected disposition split — per
 // spec, one replica serves (local or received) and the others forward.
 func TestFleetRoutingAccounting(t *testing.T) {
-	urls, _, _ := startFleet(t, 3, true, store.NewMem(), nil)
+	urls, _, _ := startFleet(t, 3, true, store.NewMem(64), nil)
 	req := quickRequest("alu2")
 	for k, url := range urls {
 		st, code := submit(t, url, req)
@@ -246,7 +246,7 @@ func TestFleetRoutingAccounting(t *testing.T) {
 // non-owner keeps using that replica for the rest of the job's life —
 // status polls, the SSE stream, and cancel all relay to the owner.
 func TestFleetForwardedJobLifecycle(t *testing.T) {
-	urls, _, _ := startFleet(t, 2, true, store.NewMem(), nil)
+	urls, _, _ := startFleet(t, 2, true, store.NewMem(64), nil)
 	ring, err := router.New(urls, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +307,7 @@ func TestFleetForwardedJobLifecycle(t *testing.T) {
 // the restart must relearn the owner with a one-hop scatter probe
 // instead of answering 404.
 func TestFleetScatterRelearn(t *testing.T) {
-	urls, servers, _ := startFleet(t, 2, true, store.NewMem(), nil)
+	urls, servers, _ := startFleet(t, 2, true, store.NewMem(64), nil)
 	ring, err := router.New(urls, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -352,7 +352,7 @@ func TestFleetScatterRelearn(t *testing.T) {
 // does not own is refused with the typed 421 — peer lists disagree,
 // and bouncing the job onward would loop.
 func TestFleetNotOwner(t *testing.T) {
-	urls, _, _ := startFleet(t, 2, true, store.NewMem(), nil)
+	urls, _, _ := startFleet(t, 2, true, store.NewMem(64), nil)
 	ring, err := router.New(urls, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -387,7 +387,7 @@ func TestFleetNotOwner(t *testing.T) {
 // the typed 502, not a bare transport error — clients branch on the
 // code and ride it out like a restart.
 func TestFleetPeerUnreachable(t *testing.T) {
-	urls, _, tss := startFleet(t, 2, true, store.NewMem(), nil)
+	urls, _, tss := startFleet(t, 2, true, store.NewMem(64), nil)
 	ring, err := router.New(urls, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -429,7 +429,7 @@ func TestFleetRetryAfterPassthrough(t *testing.T) {
 		case <-ctx.Done():
 		}
 	}}
-	urls, _, _ := startFleet(t, 2, true, store.NewMem(), func(i int, cfg *Config) {
+	urls, _, _ := startFleet(t, 2, true, store.NewMem(64), func(i int, cfg *Config) {
 		cfg.Workers = 1
 		cfg.QueueCap = 1
 		cfg.Hooks = hooks
@@ -489,7 +489,7 @@ func TestFleetStoreDegraded(t *testing.T) {
 		}
 		return nil
 	}
-	st := store.WithFaults(store.NewMem(), &store.Hooks{Get: outage, Put: outage})
+	st := store.WithFaults(store.NewMem(64), &store.Hooks{Get: outage, Put: outage})
 	urls, _, _ := startFleet(t, 1, false, st, nil)
 	url := urls[0]
 

@@ -165,10 +165,10 @@ func (s *Server) recoverJob(st *replayState) (requeued bool) {
 		state = StateDone
 		if j.result != nil {
 			j.events.append(doneEvent(j.circuit, j.result))
-			// Write-through like a fresh run: rebirth re-seeds the LRU
-			// *and* the shared store, so a fleet peer can hit on a
+			// Write-through like a fresh run: rebirth re-seeds the local
+			// tier *and* the shared store, so a fleet peer can hit on a
 			// result this replica recovered from its journal.
-			s.publishResult(j.key, newCacheEntry(j.circuit, j.gates, j.result), j.result)
+			s.publishResult(j.key, j.circuit, j.gates, j.result)
 		}
 	case journal.OpCanceled:
 		state = StateCanceled

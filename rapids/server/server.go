@@ -66,18 +66,19 @@ type Config struct {
 	// binds submissions only: journal recovery and automatic retries
 	// re-enqueue past it rather than lose an accepted job.
 	QueueCap int
-	// CacheCap bounds the result-cache entries (default 64); negative
-	// disables caching.
+	// CacheCap bounds the local result tier, an LRU store.Mem of that
+	// many entries (default 64); negative means no local tier.
 	CacheCap int
 	// Journal, when non-nil, records every job transition and is
 	// replayed by New: accepted jobs survive a crash. The server does
 	// not own the journal — the caller opens and closes it.
 	Journal journal.Journal
-	// Store, when non-nil, is the fleet-shared result store consulted
-	// behind the local LRU (read-through) and written on every finished
-	// run (write-through), so N replicas dedupe each other's work. The
-	// server does not own the store — the caller opens and closes it.
-	// Store failures degrade to LRU-only operation (counted in
+	// Store, when non-nil, is the fleet-shared result tier behind the
+	// local one: lookups read the tiers in order (a hit here is
+	// promoted into the local tier) and every finished run is written
+	// to both, so N replicas dedupe each other's work. The server does
+	// not own the store — the caller opens and closes it. Store
+	// failures degrade to local-tier-only operation (counted in
 	// rapidsd_store_degraded_total, reported by /healthz); they never
 	// fail jobs or flip /readyz.
 	Store store.Store
@@ -171,7 +172,8 @@ type Server struct {
 	mux     *http.ServeMux
 	metrics *serverMetrics
 	queue   *jobQueue
-	cache   *resultCache
+	local   *store.Mem     // the local result tier; nil when CacheCap < 0
+	tiers   []tier         // result tiers in lookup order (cache.go)
 	wg      sync.WaitGroup // workers
 	retryWG sync.WaitGroup // pending retry timers
 	drainc  chan struct{}  // closed when Shutdown begins
@@ -229,7 +231,6 @@ func newServer(cfg Config) (*Server, error) {
 		mux:       http.NewServeMux(),
 		metrics:   m,
 		queue:     newJobQueue(m.queueDepth, m.queueHighWater),
-		cache:     newResultCache(cfg.CacheCap, m.cacheEvictions),
 		drainc:    make(chan struct{}),
 		forwarded: make(map[string]string),
 		jobKind: kind{
@@ -242,6 +243,7 @@ func newServer(cfg Config) (*Server, error) {
 		},
 	}
 	s.jobs.mu, s.sessions.mu = &s.mu, &s.mu
+	s.local, s.tiers = newTiers(cfg, m)
 	if len(cfg.Peers) > 0 {
 		peers := make([]string, len(cfg.Peers))
 		for i, p := range cfg.Peers {
@@ -440,15 +442,7 @@ func (s *Server) run(j *job) {
 	var pe *WorkerPanicError
 	switch {
 	case err == nil:
-		e := newCacheEntry(circuit, gates, res)
-		if h := s.cfg.Hooks; h != nil && h.CorruptResult != nil && h.CorruptResult(j.key) {
-			// Simulate memory corruption after the checksum is sealed;
-			// the next lookup's intact() check must catch it.
-			clone := *res
-			clone.FinalDelayNS += 1
-			e.result = &clone
-		}
-		s.publishResult(j.key, e, res)
+		s.publishResult(j.key, circuit, gates, res)
 		s.finishJob(j, StateDone, res, "")
 		s.logf("job %s: done, delay %.3f -> %.3f ns", j.id, res.InitialDelayNS, res.FinalDelayNS)
 	case errors.As(err, &pe):
@@ -653,11 +647,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// A hit — local LRU or shared store — is served as a job born in
+	// A hit — local tier or shared store — is served as a job born in
 	// state done: the id is real and GET /v1/jobs/{id} and the SSE
 	// stream work uniformly. Integrity failures inside lookupResult
 	// drop the entry and fall through to a fresh run.
-	if e, outcome := s.lookupResult(key); e != nil {
+	if e, res, outcome := s.lookupResult(key); res != nil {
 		s.mu.Lock()
 		j, rf := s.openJobLocked("", key, req)
 		if rf != nil {
@@ -666,12 +660,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		// Still invisible to other requests until s.mu is released.
-		j.cached, j.circuit, j.gates = true, e.circuit, e.gates
+		j.cached, j.circuit, j.gates = true, e.Circuit, e.Gates
 		s.mu.Unlock()
 		s.metrics.submissions.With(outcome).Inc()
-		j.events.append(doneEvent(e.circuit, e.result))
-		s.finishJob(j, StateDone, e.result, "")
-		s.logf("job %s: %s (%s)", j.id, outcome, e.circuit)
+		j.events.append(doneEvent(e.Circuit, res))
+		s.finishJob(j, StateDone, res, "")
+		s.logf("job %s: %s (%s)", j.id, outcome, e.Circuit)
 		s.writeJob(w, http.StatusOK, j)
 		return
 	}
@@ -823,6 +817,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			ststatus = "degraded: " + err.Error()
 		}
 	}
+	cacheLen := 0
+	if s.local != nil {
+		cacheLen = s.local.Len()
+	}
 	body := map[string]any{
 		"status":       status,
 		"workers":      s.cfg.Workers,
@@ -830,7 +828,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"queue_len":    s.queue.len(),
 		"jobs":         counts,
 		"sessions":     sessCounts,
-		"cache_len":    s.cache.len(),
+		"cache_len":    cacheLen,
 		"journal":      jstatus,
 		"store":        ststatus,
 		"retries":      s.retries.Load(),

@@ -20,8 +20,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/rapids"
+	"repro/rapids/server/store"
 )
 
 // quickSpec is a small, fast option set used by most tests.
@@ -303,7 +303,8 @@ func TestSSEStreamDeliversTypedEvents(t *testing.T) {
 // from the cache — born done, marked cached, same Result pointer-free
 // equality — and a request differing in any result-affecting option
 // misses; one differing only in Workers hits (results are bit-identical
-// at every worker count).
+// at every worker count), and so does one differing only in a regions
+// value above 1.
 func TestCacheHitDeterminism(t *testing.T) {
 	_, ts := startServer(t, Config{})
 	req := quickRequest("c432")
@@ -346,6 +347,29 @@ func TestCacheHitDeterminism(t *testing.T) {
 	stW, codeW := submit(t, ts.URL, reqW)
 	if codeW != http.StatusOK || !stW.Cached {
 		t.Fatalf("workers-only change must still hit the cache: code %d, %+v", codeW, stW)
+	}
+
+	// So is a deadline: it never changes a completed Result.
+	reqT := req
+	reqT.Options.TimeoutMS = 600000
+	stT, codeT := submit(t, ts.URL, reqT)
+	if codeT != http.StatusOK || !stT.Cached {
+		t.Fatalf("timeout-only change must still hit the cache: code %d, %+v", codeT, stT)
+	}
+
+	// Every regions value above 1 runs the same rounds, so it shares
+	// one key: a regions 8 resubmission of a regions 2 job hits.
+	reqR := req
+	reqR.Options.Regions = 2
+	stR, codeR := submit(t, ts.URL, reqR)
+	if codeR != http.StatusAccepted || stR.Cached {
+		t.Fatalf("first regions run must miss the cache: code %d, %+v", codeR, stR)
+	}
+	waitTerminal(t, ts.URL, stR.ID)
+	reqR.Options.Regions = 8
+	stR8, codeR8 := submit(t, ts.URL, reqR)
+	if codeR8 != http.StatusOK || !stR8.Cached {
+		t.Fatalf("regions 8 must hit the regions 2 entry: code %d, %+v", codeR8, stR8)
 	}
 
 	// Any result-affecting option is part of the key.
@@ -698,34 +722,44 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// TestCacheEviction exercises the LRU bound directly.
+// TestCacheEviction exercises the local tier's LRU bound directly: the
+// bounded store.Mem newTiers builds, its eviction counter, and a
+// disabled local tier that stays inert.
 func TestCacheEviction(t *testing.T) {
-	evictions := metrics.NewRegistry().Counter("evictions_total", "test")
-	c := newResultCache(2, evictions)
-	mk := func(name string) *cacheEntry { return &cacheEntry{circuit: name} }
-	c.put("a", mk("a"))
-	c.put("b", mk("b"))
-	if _, ok := c.get("a"); !ok { // refresh a
+	m := newServerMetrics()
+	c, tiers := newTiers(Config{CacheCap: 2}, m)
+	if len(tiers) != 1 || tiers[0].Store != c {
+		t.Fatalf("tiers %+v, want the local Mem alone", tiers)
+	}
+	mk := func(key string) store.Entry { return store.NewEntry(key, key, 1, json.RawMessage(`{}`)) }
+	c.Put(mk("a"))
+	c.Put(mk("b"))
+	if _, ok, _ := c.Get("a"); !ok { // refresh a
 		t.Fatal("a missing")
 	}
-	c.put("c", mk("c")) // evicts b (least recently used)
-	if _, ok := c.get("b"); ok {
+	c.Put(mk("c")) // evicts b (least recently used)
+	if _, ok, _ := c.Get("b"); ok {
 		t.Fatal("b should have been evicted")
 	}
 	for _, k := range []string{"a", "c"} {
-		if _, ok := c.get(k); !ok {
+		if _, ok, _ := c.Get(k); !ok {
 			t.Fatalf("%s should survive", k)
 		}
 	}
-	if got := c.len(); got != 2 {
+	if got := c.Len(); got != 2 {
 		t.Fatalf("len %d", got)
 	}
-	if got := evictions.Value(); got != 1 {
+	if got := m.cacheEvictions.Value(); got != 1 {
 		t.Fatalf("evictions counter = %d, want 1", got)
 	}
-	var disabled *resultCache
-	disabled.put("x", mk("x"))
-	if _, ok := disabled.get("x"); ok || disabled.len() != 0 {
+
+	s, err := newServer(Config{CacheCap: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := strings.Repeat("ab", 32)
+	s.publishResult(key, "c432", 1, &rapids.Result{FinalDelayNS: 1})
+	if _, res, _ := s.lookupResult(key); res != nil || s.local != nil || len(s.tiers) != 0 {
 		t.Fatal("disabled cache must be inert")
 	}
 }

@@ -1,26 +1,27 @@
-// Package store is the fleet-shared result store of rapidsd: a
-// pluggable key→result backend slotted *behind* each replica's
-// in-process LRU (rapids/server's resultCache). The LRU stays the fast
-// path; the store is the read-through/write-through layer that lets N
-// replicas dedupe each other's work — a spec optimized on one replica
-// is a store hit on every other, because the cache key is a canonical
-// content hash and results are deterministic per seed (DESIGN.md §5).
+// Package store holds rapidsd's result tiers: a pluggable key→result
+// backend that rapids/server reads and writes through one tiered path.
+// Each replica's local tier is a bounded Mem (the LRU); the optional
+// fleet-shared tier behind it lets N replicas dedupe each other's work
+// — a spec optimized on one replica is a store hit on every other,
+// because the cache key is a canonical content hash and results are
+// deterministic per seed (DESIGN.md §5).
 //
-// Entries carry a sha256 checksum sealed at Put time and re-verified on
-// Get — the same corruption discipline the in-process cache adopted in
-// PR 7. A corrupt entry is dropped and reported as ErrCorrupt, never
-// served; the caller falls back to a fresh (deterministic) run.
+// Entries carry a sha256 checksum sealed by NewEntry and re-verified on
+// every Get, in every tier. A corrupt entry is dropped and reported as
+// ErrCorrupt, never served; the caller falls back to the next tier or
+// to a fresh (deterministic) run.
 //
-// Two implementations ship: Mem, a process-local map several in-process
-// test replicas can share, and Dir, a directory of one JSON file per
-// key written via temp-file + rename so two *processes* on one
-// filesystem can share it without ever observing a torn entry. WithFaults
-// wraps any Store with a failure-injection seam for the chaos tests
-// (the server's degraded mode: a failing store must not take down the
-// fleet — see DESIGN.md §5c).
+// Two implementations ship: Mem, a bounded in-process LRU (the local
+// tier, and the fleet store in-process test replicas share), and Dir, a
+// directory of one JSON file per key written via temp-file + rename so
+// two *processes* on one filesystem can share it without ever observing
+// a torn entry. WithFaults wraps any Store with a failure-injection
+// seam for the chaos tests (the server's degraded mode: a failing
+// shared store must not take down the fleet — see DESIGN.md §5c).
 package store
 
 import (
+	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -62,7 +63,7 @@ func sum(b []byte) string {
 	return hex.EncodeToString(s[:])
 }
 
-// Store is the shared-result seam of rapids/server. Implementations
+// Store is the result-tier seam of rapids/server. Implementations
 // must be safe for concurrent use by multiple goroutines — and, for
 // Dir, by multiple processes. Get returns ok=false for a missing key;
 // a corrupt entry is dropped and reported as ErrCorrupt (ok=false).
@@ -74,36 +75,70 @@ type Store interface {
 	Close() error
 }
 
-// Mem is the in-memory implementation: a map several in-process
-// replicas (tests, mostly) share by pointer.
+// Mem is the bounded in-memory implementation: an LRU of at most cap
+// entries. It is each replica's local result tier (rapids/server's
+// Config.CacheCap sizes it), and several in-process test replicas can
+// share one by pointer as their fleet store.
 type Mem struct {
-	mu sync.Mutex
-	m  map[string]Entry
+	mu  sync.Mutex
+	cap int
+	m   map[string]*list.Element
+	l   *list.List // front = most recently used; values are Entry
+
+	// OnEvict, when set, runs once per entry the bound evicts, after
+	// the Put that evicted it releases the store's lock. Set it before
+	// the first Put.
+	OnEvict func()
 }
 
-// NewMem returns an empty in-memory store.
-func NewMem() *Mem { return &Mem{m: make(map[string]Entry)} }
+// NewMem returns an empty in-memory store holding at most capacity
+// entries; capacity must be positive.
+func NewMem(capacity int) *Mem {
+	if capacity <= 0 {
+		panic(fmt.Sprintf("store: NewMem capacity %d, want > 0", capacity))
+	}
+	return &Mem{cap: capacity, m: make(map[string]*list.Element), l: list.New()}
+}
 
-// Get implements Store.
+// Get implements Store; a hit becomes the most recently used entry.
 func (s *Mem) Get(key string) (Entry, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.m[key]
+	el, ok := s.m[key]
 	if !ok {
 		return Entry{}, false, nil
 	}
+	e := el.Value.(Entry)
 	if !e.Intact() {
+		s.l.Remove(el)
 		delete(s.m, key)
 		return Entry{}, false, ErrCorrupt
 	}
+	s.l.MoveToFront(el)
 	return e, true, nil
 }
 
-// Put implements Store.
+// Put implements Store, evicting least recently used entries past the
+// bound.
 func (s *Mem) Put(e Entry) error {
+	evicted := 0
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.m[e.Key] = e
+	if el, ok := s.m[e.Key]; ok {
+		el.Value = e
+		s.l.MoveToFront(el)
+	} else {
+		s.m[e.Key] = s.l.PushFront(e)
+	}
+	for s.l.Len() > s.cap {
+		oldest := s.l.Back()
+		s.l.Remove(oldest)
+		delete(s.m, oldest.Value.(Entry).Key)
+		evicted++
+	}
+	s.mu.Unlock()
+	for ; evicted > 0 && s.OnEvict != nil; evicted-- {
+		s.OnEvict()
+	}
 	return nil
 }
 
@@ -111,11 +146,11 @@ func (s *Mem) Put(e Entry) error {
 // hand it to the next server incarnation.
 func (s *Mem) Close() error { return nil }
 
-// Len reports the number of stored entries, for assertions.
+// Len reports the number of stored entries.
 func (s *Mem) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.m)
+	return s.l.Len()
 }
 
 // Dir is the file-backed implementation: one <key>.json per entry in a
@@ -238,7 +273,7 @@ type Hooks struct {
 
 // WithFaults wraps s so the hooks run before every operation — the
 // chaos tests' simulated store outage (the server must degrade to its
-// local LRU, not fall over; DESIGN.md §5c).
+// local tier, not fall over; DESIGN.md §5c).
 func WithFaults(s Store, h *Hooks) Store { return &faulty{s: s, h: h} }
 
 type faulty struct {

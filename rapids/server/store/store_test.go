@@ -59,7 +59,7 @@ func roundTrip(t *testing.T, s Store) {
 	}
 }
 
-func TestMemRoundTrip(t *testing.T) { roundTrip(t, NewMem()) }
+func TestMemRoundTrip(t *testing.T) { roundTrip(t, NewMem(64)) }
 
 func TestDirRoundTrip(t *testing.T) {
 	s, err := OpenDir(filepath.Join(t.TempDir(), "store"))
@@ -96,7 +96,7 @@ func TestDirSharedBetweenHandles(t *testing.T) {
 // TestCorruptEntryDropped: a checksum-failed entry is reported as
 // ErrCorrupt and removed, so the next lookup is a clean miss.
 func TestCorruptEntryDropped(t *testing.T) {
-	mem := NewMem()
+	mem := NewMem(64)
 	bad := entry("dead", `{"FinalDelayNS":1}`)
 	bad.Result = json.RawMessage(`{"FinalDelayNS":2}`) // sum no longer matches
 	if err := mem.Put(bad); err != nil {
@@ -175,7 +175,7 @@ func TestDirClosed(t *testing.T) {
 // TestWithFaults: the hook seam fails operations without touching the
 // wrapped store, and a nil-hooked wrapper is transparent.
 func TestWithFaults(t *testing.T) {
-	mem := NewMem()
+	mem := NewMem(64)
 	boom := errors.New("disk on fire")
 	var gets, puts int
 	f := WithFaults(mem, &Hooks{
@@ -207,7 +207,7 @@ func TestWithFaults(t *testing.T) {
 // meaningful under -race, and for Dir it also exercises concurrent
 // rename-over-rename on the same keys.
 func TestConcurrentAccess(t *testing.T) {
-	stores := map[string]Store{"mem": NewMem()}
+	stores := map[string]Store{"mem": NewMem(64)}
 	d, err := OpenDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -240,4 +240,45 @@ func TestConcurrentAccess(t *testing.T) {
 			wg.Wait()
 		})
 	}
+}
+
+// FuzzStoreEntry writes arbitrary bytes as a Dir file under a valid key:
+// Get must never panic, serves an entry only when it is labeled with
+// that key and its checksum verifies, and otherwise reports ErrCorrupt
+// with the file removed.
+func FuzzStoreEntry(f *testing.F) {
+	good, err := json.Marshal(entry("c0ffee", `{"FinalDelayNS":12.5}`))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add([]byte(`{"key":"c0ffee","result":{"FinalDelayNS":1},"sum":"not-the-sum"}`))
+	f.Add([]byte(`{"key":"WRONG","result":null,"sum":""}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		dir := t.TempDir()
+		s, err := OpenDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := filepath.Join(dir, "c0ffee.json")
+		if err := os.WriteFile(p, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		e, ok, err := s.Get("c0ffee")
+		if ok {
+			if err != nil || e.Key != "c0ffee" || !e.Intact() {
+				t.Fatalf("served ok=%v err=%v entry %+v", ok, err, e)
+			}
+			return
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("unserved file: err=%v, want ErrCorrupt", err)
+		}
+		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("corrupt file not removed: %v", err)
+		}
+	})
 }
