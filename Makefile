@@ -96,26 +96,25 @@ session-smoke:
 # journal package, worker panic isolation, retry/backoff, job
 # timeouts, journal write failures, in-process journal recovery, cache
 # corruption detection, the DELETE state table, readiness, and the
-# chaos sweep.
+# chaos sweep — and the real-binary SIGKILL + restart of an ECO
+# session.
 chaos:
 	$(GO) test -race -count=1 ./rapids/server/journal
 	$(GO) test -race -count=1 -run 'TestWorkerPanicIsolation|TestTransientPanicRetries|TestJobTimeoutRetriesThenFails|TestRequestTimeoutMS|TestJournalWriteErrorTurnsUnready|TestRecoveryRequeuesAcceptedJobs|TestRecoveryRebirthsTerminalJobs|TestCacheCorruptionDetected|TestDeleteStateTable|TestReadyz|TestChaosSweepLosesNothing|TestCacheConcurrentAccess|TestFleetStoreDegraded|TestFleetPeerUnreachable|TestSessionCrashRecovery|TestSessionJournalFailureClosesSession' -v ./rapids/server
-	$(GO) test -race -count=1 -run 'TestRunBatchRespectsRetryAfter|TestRunBatchRidesOutRestarts' ./internal/harness
 	$(GO) test -race -count=1 -run 'TestKillRestartSessionRecovery' -v ./cmd/rapidsd
 
 # Multi-replica acceptance (DESIGN.md §5c), all under the race
 # detector: the store and router unit suites, the in-process fleet
 # tests (cross-replica determinism, routing accounting, forwarded job
 # lifecycle, scatter relearn, typed peer errors, Retry-After
-# passthrough, degraded store, shared-dir store), the harness's fleet
-# invariants — and the real-binary smoke: two rapidsd processes share
-# a store directory and a consistent-hash ring, one is SIGKILLed
-# mid-batch and restarted, and every result must match the
-# single-replica oracle with the summed metrics identity intact.
+# passthrough, degraded store, shared-dir store) — and the real-binary
+# smoke: two rapidsd processes share a store directory and a
+# consistent-hash ring, one is SIGKILLed mid-batch and restarted, and
+# every result must match the single-replica oracle with the summed
+# metrics identity intact.
 fleet-smoke:
 	$(GO) test -race -count=1 ./rapids/server/store ./rapids/server/router
 	$(GO) test -race -count=1 -run 'TestFleet' ./rapids/server
-	$(GO) test -race -count=1 -run 'TestRunFleetInProcess|TestFleetIdentity' ./internal/harness
 	$(GO) test -race -count=1 -run 'TestFleetSmoke' -v ./cmd/rapidsd
 
 # Flake hunt: the real-binary smokes of the job and session life cycle
@@ -127,12 +126,11 @@ flake:
 
 # Metrics smoke (DESIGN.md §5b): the exposition-format unit tests, the
 # concurrent scrape-and-reconcile test over a live server, the
-# journaled job timings, and the harness's before/after metrics-delta
-# reconciliation — all under the race detector.
+# queue-full rejection count, and the journaled job timings — all under
+# the race detector.
 metrics-smoke:
 	$(GO) test -race -count=1 ./internal/metrics
-	$(GO) test -race -count=1 -run 'TestMetricsEndpointUnderLoad|TestMetricsDisabled|TestJobTimingsReported|TestRetryMetrics|TestRetryBackoffNoOverflow' -v ./rapids/server
-	$(GO) test -race -count=1 -run 'TestRunBatchMetricsDelta|TestParseRetryAfter|TestRunBatchHTTPDateRetryAfter|TestBatchReusesConnections' ./internal/harness
+	$(GO) test -race -count=1 -run 'TestMetricsEndpointUnderLoad|TestMetricsDisabled|TestQueueBackpressure|TestJobTimingsReported|TestRetryMetrics|TestRetryBackoffNoOverflow' -v ./rapids/server
 
 # Coverage profile + per-function summary (cover.out is the CI artifact).
 cover:

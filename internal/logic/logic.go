@@ -1,8 +1,6 @@
 // Package logic defines the primitive gate algebra used throughout the
 // RAPIDS reproduction: gate types, controlling and non-controlling values,
-// two-valued evaluation, and the four-valued D-calculus (0, 1, D, D̄) from
-// Roth's work that the paper uses in its proofs and that the atpg package
-// uses as a verification oracle.
+// and two-valued evaluation, bit at a time or 64 patterns per word.
 //
 // Following the paper (§2), NAND, NOR, and XNOR are treated as inverted
 // AND, OR, and XOR; the base types considered by the theory are

@@ -13,8 +13,8 @@ package server
 // CodePeerUnreachable (502), a forwarded key the receiver does not own
 // — peer lists disagree — answers CodeNotOwner (421 Misdirected
 // Request). Backpressure passes through untouched: the owner's 503
-// *and its Retry-After header* reach the client verbatim, so
-// harness.RunBatch's backoff works identically through a proxy hop.
+// *and its Retry-After header* reach the client verbatim, so a
+// client's backoff works identically through a proxy hop.
 
 import (
 	"bytes"

@@ -26,8 +26,8 @@
 //
 // DESIGN.md §5 documents the architecture — backpressure, cancellation,
 // drain, and the cache-key determinism guarantee. cmd/rapidsd is the
-// daemon front end; internal/harness's RunBatch is the load-test
-// client.
+// daemon front end; cmd/bench's service-mixed workload is the load
+// test.
 package server
 
 import (

@@ -482,12 +482,28 @@ func TestQueueBackpressure(t *testing.T) {
 		ids = append(ids, st.ID)
 	}
 
-	_, code := submit(t, ts.URL, quickRequest("c432"))
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("over-capacity submit: want 503, got %d", code)
+	// The over-capacity submit is refused with a Retry-After hint and
+	// counted as a queue-full rejection.
+	body, err := json.Marshal(quickRequest("c432"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("over-capacity submit: want 503, got %d", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("queue-full 503 carries no Retry-After header")
+	}
+	if got := scrape(t, ts.URL)[`rapidsd_submissions_total{outcome="rejected_queue_full"}`]; got != 1 {
+		t.Fatalf(`submissions_total{outcome="rejected_queue_full"} = %v, want 1`, got)
 	}
 	// The rejected job must not linger in the listing.
-	resp, err := http.Get(ts.URL + "/v1/jobs")
+	resp, err = http.Get(ts.URL + "/v1/jobs")
 	if err != nil {
 		t.Fatal(err)
 	}
