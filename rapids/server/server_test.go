@@ -565,9 +565,16 @@ func TestGracefulDrain(t *testing.T) {
 
 // TestDrainDeadlineCancelsRunning: when the drain context expires, the
 // running job is cancelled and lands canceled with a best-so-far
-// result instead of being abandoned.
+// result instead of being abandoned. The attempt is held in a hook
+// until its context ends, so the deadline always finds it running —
+// a real alu2 run finishes in about the 50 ms the drain allows.
 func TestDrainDeadlineCancelsRunning(t *testing.T) {
-	s, ts := startServer(t, Config{})
+	started := make(chan struct{})
+	hooks := &FaultHooks{BeforeAttempt: func(ctx context.Context, jobID string, attempt int) {
+		close(started)
+		<-ctx.Done()
+	}}
+	s, ts := startServer(t, Config{Hooks: hooks})
 	verify := 4
 	st, _ := submit(t, ts.URL, JobRequest{
 		Generate: "alu2",
@@ -575,29 +582,22 @@ func TestDrainDeadlineCancelsRunning(t *testing.T) {
 		Options:  rapids.Spec{Iters: 12, Workers: 1, VerifyRounds: &verify},
 	})
 
-	// Wait until it is actually running so there is work to cut short.
-	deadline := time.Now().Add(30 * time.Second)
-	for getStatus(t, ts.URL, st.ID).State == StateQueued {
-		if time.Now().After(deadline) {
-			t.Fatal("job never started")
-		}
-		time.Sleep(5 * time.Millisecond)
+	select {
+	case <-started:
+	case <-time.After(30 * time.Second):
+		t.Fatal("job never started")
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	if err := s.Shutdown(ctx); err != context.DeadlineExceeded {
-		// A very fast run may legitimately drain in time; accept that.
-		if err != nil {
-			t.Fatalf("shutdown: %v", err)
-		}
-		t.Skip("run drained before the deadline; nothing to assert")
+		t.Fatalf("shutdown with a running job: want %v, got %v", context.DeadlineExceeded, err)
 	}
 	final := getStatus(t, ts.URL, st.ID)
-	if final.State != StateCanceled && final.State != StateDone {
-		t.Fatalf("job abandoned in state %s", final.State)
+	if final.State != StateCanceled {
+		t.Fatalf("job running at the drain deadline ended in state %s, want %s", final.State, StateCanceled)
 	}
-	if final.State == StateCanceled && (final.Result == nil || !final.Result.Interrupted) {
+	if final.Result == nil || !final.Result.Interrupted {
 		t.Fatalf("cancelled-at-deadline job lost its best-so-far result: %+v", final)
 	}
 }
