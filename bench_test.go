@@ -736,3 +736,21 @@ func BenchmarkSnapshotAfterResize(b *testing.B) {
 		n.Snapshot()
 	}
 }
+
+// BenchmarkPlace measures the annealing placer on s38417 at the facade's
+// 30 moves per cell, seed 1. Each op re-places the same network from
+// scratch, so every op takes the same trajectory.
+func BenchmarkPlace(b *testing.B) {
+	n, err := gen.Generate("s38417")
+	if err != nil {
+		b.Fatal(err)
+	}
+	lib := library.Default035()
+	var res place.Result
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res = place.Place(n, lib, place.Options{Seed: 1, MovesPerCell: 30})
+	}
+	b.ReportMetric(float64(res.MovesTaken), "taken")
+}
