@@ -45,7 +45,7 @@ bench-smoke:
 # the golden bands in PERF_BASELINE.json (tight allocs/op, generous
 # ns/op — see the note in that file). Fails with a readable diff.
 perf-gate:
-	$(GO) test -run xxx -bench 'BenchmarkMoveGen$$|BenchmarkFullSTA$$|BenchmarkIncrementalSTA$$|BenchmarkIncrementalWideUpdate$$|BenchmarkExtractIncremental$$|BenchmarkFig2Swap$$|BenchmarkRegionRoundTrip$$|BenchmarkSessionApply$$|BenchmarkSnapshotAfterResize$$|BenchmarkVerify$$' -benchmem -benchtime 1x -count 3 . \
+	$(GO) test -run xxx -bench 'BenchmarkMoveGen$$|BenchmarkFullSTA$$|BenchmarkIncrementalSTA$$|BenchmarkIncrementalWideUpdate$$|BenchmarkExtractIncremental$$|BenchmarkFig2Swap$$|BenchmarkRegionRoundTrip$$|BenchmarkSessionApply$$|BenchmarkSnapshotAfterResize$$|BenchmarkVerify$$|BenchmarkPlace$$' -benchmem -benchtime 1x -count 3 . \
 	  | $(GO) run ./cmd/perfgate -baseline PERF_BASELINE.json
 
 table1:
@@ -53,7 +53,8 @@ table1:
 
 # Native fuzz smoke: each parser target, the resize frame against its
 # oracle, the incremental timer against full analysis on random placed
-# DAGs, and result-store files with arbitrary content, for FUZZTIME
+# DAGs, result-store files with arbitrary content, and the annealing
+# placer against its re-scanning oracle on random DAGs, for FUZZTIME
 # (default 10s); the CI fuzz-smoke job runs the same invocations.
 FUZZTIME ?= 10s
 fuzz:
@@ -63,6 +64,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzResizeFrame -fuzztime=$(FUZZTIME) ./internal/sizing
 	$(GO) test -fuzz=FuzzIncrementalTiming -fuzztime=$(FUZZTIME) ./internal/sta
 	$(GO) test -fuzz=FuzzStoreEntry -fuzztime=$(FUZZTIME) ./rapids/server/store
+	$(GO) test -fuzz=FuzzPlace -fuzztime=$(FUZZTIME) ./internal/place
 
 # Docs gate: vet the service packages and run the markdown link + flag
 # checkers over README/DESIGN/EXPERIMENTS (docs_test.go).
