@@ -135,8 +135,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// fill is the constructive placement: it snake-fills rows with the cells
-// in topological (level) order, inputs first, and writes their
+// fill is the constructive placement: it fills rows left to right with
+// the cells in topological (level) order, inputs first, and writes their
 // coordinates. It returns the slot centers, the cell in each slot, and the
 // Result up to InitialHPWL.
 func fill(n *network.Network, lib *library.Library, aspect float64) ([]wire.Point, []*network.Gate, Result) {

@@ -265,14 +265,14 @@ func fuzzPlaceNet(seed int64, size, hub uint8, uniform bool) *network.Network {
 	}
 	types := []logic.GateType{logic.Inv, logic.Buf, logic.Nand, logic.Nor, logic.Xor, logic.Xnor}
 	for i, ng := 0, 1+int(size%96); i < ng; i++ {
-		typ, k, size := logic.Nand, 2, 0
+		typ, k, sizeIdx := logic.Nand, 2, 0
 		if !uniform {
 			typ = types[r.Intn(len(types))]
 			k = 1
 			if !typ.IsUnary() {
 				k = 2 + r.Intn(library.MaxFanin-1)
 			}
-			size = r.Intn(library.NumSizes)
+			sizeIdx = r.Intn(library.NumSizes)
 		}
 		fanins := make([]*network.Gate, k)
 		for j := range fanins {
@@ -286,7 +286,7 @@ func fuzzPlaceNet(seed int64, size, hub uint8, uniform bool) *network.Network {
 			}
 		}
 		g := n.AddGate(fmt.Sprintf("g%d", i), typ, fanins...)
-		g.SizeIdx = size
+		g.SizeIdx = sizeIdx
 		all = append(all, g)
 	}
 	return n
