@@ -84,12 +84,13 @@ serve-smoke:
 
 # Interactive ECO session smoke (DESIGN.md §5d), all under the race
 # detector: the facade determinism oracle and snapshot tests, the full
-# server session endpoint suite (life-cycle, SSE deltas, cap
-# backpressure, TTL eviction, in-process crash recovery, journal-failure
-# safety, metrics reconciliation, goroutine hygiene), and the
-# real-binary smoke — boot rapidsd, open a session over HTTP, apply
-# edit batches, verify every delta over SSE, and SIGKILL + restart on
-# the same journal with bit-identical rebuilt timing.
+# server session endpoint suite (life-cycle, SSE deltas, SSE resume
+# across the 32-delta window with Last-Event-ID and the resync frame,
+# cap backpressure, TTL eviction, in-process crash recovery,
+# journal-failure safety, metrics reconciliation, goroutine hygiene),
+# and the real-binary smoke — boot rapidsd, open a session over HTTP,
+# apply edit batches, verify every delta over SSE, and SIGKILL +
+# restart on the same journal with bit-identical rebuilt timing.
 session-smoke:
 	$(GO) test -race -count=1 -run 'TestSession|TestEdit|TestParseEdits' ./rapids ./rapids/server
 	$(GO) test -race -count=1 -run 'TestSessionSmoke|TestKillRestartSessionRecovery' -v ./cmd/rapidsd

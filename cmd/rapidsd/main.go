@@ -33,6 +33,12 @@
 //	curl -sN localhost:8347/v1/sessions/<id>/events    # SSE stream of deltas
 //	curl -s -X DELETE localhost:8347/v1/sessions/<id>  # close
 //
+// A session's SSE stream keeps only its 32 latest deltas. A subscriber
+// that starts, or resumes with a Last-Event-ID header, before them
+// first gets one "resync" frame carrying the current TimingView, then
+// only newer deltas. Job streams keep every event and resume the same
+// way.
+//
 // Sessions are capped at -max-sessions (503 with Retry-After past the
 // cap) and evicted after -session-ttl idle. With -journal, each
 // session's open request and applied edit batches are journaled, and a

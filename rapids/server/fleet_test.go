@@ -15,6 +15,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -283,6 +284,10 @@ func TestFleetForwardedJobLifecycle(t *testing.T) {
 	events := readSSE(t, resp.Body, nil)
 	if len(events) == 0 || events[len(events)-1].name != "end" {
 		t.Fatalf("proxied SSE stream did not end cleanly: %d events", len(events))
+	}
+	// A resume through the proxy carries Last-Event-ID to the owner.
+	if resumed := readSSE(t, subscribe(t, proxy+"/v1/jobs/"+st.ID+"/events", "0"), nil); !reflect.DeepEqual(resumed, events[1:]) {
+		t.Fatalf("proxied resume after frame 0:\ngot  %+v\nwant %+v", resumed, events[1:])
 	}
 
 	// Cancel relays too: the job is already terminal, so the owner's

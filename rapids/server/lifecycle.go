@@ -11,7 +11,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -146,19 +148,33 @@ func (t *table[E]) all() []E {
 
 // stream is an append-only, replayable log with a wake channel: the
 // progress feed of a job (rapids.Event) or a session (*rapids.Delta).
-// It guards itself, so owners may append while holding their own lock.
+// Items keep absolute indices — the SSE frame ids — for the stream's
+// life. A stream with keep > 0 serves only its keep latest items; a
+// subscriber behind that window is resynced by serveStream. Job streams
+// keep everything (a job's events are bounded by its run). It guards
+// itself, so owners may append while holding their own lock.
 type stream[T any] struct {
 	mu     sync.Mutex
-	items  []T
+	keep   int           // window size; 0 keeps every item
+	first  int           // absolute index of items[0]
+	items  []T           // holds the window, plus at most keep-1 older items
 	closed bool          // no more items will arrive
 	wake   chan struct{} // closed on the next change; nil until someone waits
 }
 
-// append adds items and wakes every waiting subscriber.
+// append adds items and wakes every waiting subscriber. Once a windowed
+// stream holds 2*keep items, the latest keep move to a fresh array: O(1)
+// amortized, and subscribers still reading the old array (since hands
+// out sub-slices) never see a slot overwritten.
 func (st *stream[T]) append(items ...T) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.items = append(st.items, items...)
+	if st.keep > 0 && len(st.items) >= 2*st.keep {
+		drop := len(st.items) - st.keep
+		st.items = append(make([]T, 0, 2*st.keep), st.items[drop:]...)
+		st.first += drop
+	}
 	st.wakeLocked()
 }
 
@@ -177,26 +193,37 @@ func (st *stream[T]) wakeLocked() {
 	}
 }
 
-// since returns the items at index >= from, whether the stream is
-// closed, and a channel that is closed on the next change.
-func (st *stream[T]) since(from int) (items []T, closed bool, wake <-chan struct{}) {
+// since returns the served items at absolute index >= from and the
+// index of the first of them (start > from when from precedes the
+// window), whether the stream is closed, and a channel that is closed
+// on the next change.
+func (st *stream[T]) since(from int) (items []T, start int, closed bool, wake <-chan struct{}) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if from < len(st.items) {
-		items = st.items[from:len(st.items):len(st.items)]
+	end := st.first + len(st.items)
+	start = max(from, st.first)
+	if st.keep > 0 {
+		start = max(start, end-st.keep)
+	}
+	if start < end {
+		items = st.items[start-st.first : len(st.items) : len(st.items)]
 	}
 	if st.wake == nil {
 		st.wake = make(chan struct{})
 	}
-	return items, st.closed, st.wake
+	return items, start, st.closed, st.wake
 }
 
-// serveStream is the service's one Server-Sent-Events writer. It
-// replays st from its first item, then follows live appends, one frame
-// per item ("id: N", "event: " + name(item), "data: " + its JSON); once
-// st is closed a final "end" event carries end(), the entity's terminal
-// status.
-func serveStream[T any](s *Server, w http.ResponseWriter, r *http.Request, st *stream[T], name func(T) string, end func() any) {
+// serveStream is the service's one Server-Sent-Events writer. It starts
+// at index 0, or just past a well-formed Last-Event-ID header, then
+// follows live appends, one frame per item ("id: N", "event: " +
+// name(item), "data: " + its JSON); once st is closed a final "end"
+// event carries end(), the entity's terminal status. A subscriber whose
+// next index has left a windowed stream gets one "resync" frame instead
+// of the lost items: resync returns its payload and which items that
+// payload already covers, and no covered item is sent after it. Streams
+// that keep every item pass a nil resync.
+func serveStream[T any](s *Server, w http.ResponseWriter, r *http.Request, st *stream[T], name func(T) string, end func() any, resync func() (frame any, covers func(T) bool)) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		httpError(w, http.StatusInternalServerError, "response writer cannot stream")
@@ -212,9 +239,34 @@ func serveStream[T any](s *Server, w http.ResponseWriter, r *http.Request, st *s
 	defer s.metrics.sseSubscribers.Dec()
 
 	next := 0
+	if last, err := strconv.Atoi(r.Header.Get("Last-Event-ID")); err == nil && last >= 0 && last < math.MaxInt {
+		next = last + 1
+	}
+	var covers func(T) bool // set by a resync until an uncovered item arrives
 	for {
-		items, closed, wake := st.since(next)
+		items, start, closed, wake := st.since(next)
+		if start > next {
+			var frame any
+			frame, covers = resync()
+			for len(items) > 0 && covers(items[0]) {
+				items = items[1:]
+				start++
+			}
+			data, err := json.Marshal(frame)
+			if err != nil {
+				return
+			}
+			s.metrics.sseResyncs.Inc()
+			fmt.Fprintf(w, "id: %d\nevent: resync\ndata: %s\n\n", start-1, data)
+			fl.Flush()
+		}
+		next = start
 		for _, item := range items {
+			if covers != nil && covers(item) {
+				next++
+				continue
+			}
+			covers = nil
 			data, err := json.Marshal(item)
 			if err != nil {
 				return

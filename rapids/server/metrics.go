@@ -111,6 +111,7 @@ type serverMetrics struct {
 
 	// Streams and engine timing.
 	sseSubscribers *metrics.Gauge
+	sseResyncs     *metrics.Counter
 	phaseSeconds   *metrics.HistogramVec // phase: start | min-slack | sum-slack | round | verify
 }
 
@@ -187,6 +188,8 @@ func newServerMetrics() *serverMetrics {
 			[]float64{1, 4, 16, 64, 256, 1024, 4096, 16384}),
 		sseSubscribers: r.Gauge("rapidsd_sse_subscribers",
 			"Open SSE event streams (jobs and sessions)."),
+		sseResyncs: r.Counter("rapidsd_sse_resyncs_total",
+			"Resync frames sent to session SSE subscribers behind the retained delta window."),
 		phaseSeconds: r.HistogramVec("rapidsd_optimize_phase_seconds",
 			"Engine-level durations from the typed Event stream, by phase.",
 			nil, "phase"),

@@ -123,6 +123,9 @@ func (s *Server) proxyJob(w http.ResponseWriter, r *http.Request, owner string) 
 		return
 	}
 	hreq.Header.Set(forwardedHeader, s.cfg.SelfURL)
+	if id := r.Header.Get("Last-Event-ID"); id != "" {
+		hreq.Header.Set("Last-Event-ID", id) // an SSE resume resumes at the owner
+	}
 	resp, err := s.peerClient().Do(hreq)
 	if err != nil {
 		s.peerUnreachable(w, owner, err)

@@ -9,7 +9,7 @@
 //	POST   /v1/jobs             submit (202; 200 on a cache hit; 503 when the queue is full or the server drains)
 //	GET    /v1/jobs             list all jobs, submission order
 //	GET    /v1/jobs/{id}        JobStatus, including the rapids.Result once finished
-//	GET    /v1/jobs/{id}/events SSE stream of the run's typed events, replayed from the start
+//	GET    /v1/jobs/{id}/events SSE stream of the run's typed events, replayed from the start or past Last-Event-ID
 //	DELETE /v1/jobs/{id}        cancel: best-so-far result (anytime contract); 409 once terminal
 //	POST   /v1/sessions         open an interactive ECO session (see session.go for the session routes)
 //	GET    /healthz             liveness, queue depths, goroutine count
@@ -770,14 +770,15 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 // handleEvents is GET /v1/jobs/{id}/events: a Server-Sent-Events
 // stream of the run's typed rapids.Event feed. Buffered events are
-// replayed first (subscribing after completion replays the whole run),
-// then live events as the optimizer emits them; a final "end" event
-// carries the terminal JobStatus and closes the stream.
+// replayed first (subscribing after completion replays the whole run;
+// a Last-Event-ID header resumes just past that event), then live
+// events as the optimizer emits them; a final "end" event carries the
+// terminal JobStatus and closes the stream.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if j, ok := s.lookupJob(w, r); ok {
 		serveStream(s, w, r, &j.events,
 			func(ev rapids.Event) string { return ev.Kind.String() },
-			func() any { return j.status() })
+			func() any { return j.status() }, nil)
 	}
 }
 

@@ -134,6 +134,7 @@ func waitTerminal(t *testing.T, url, id string) JobStatus {
 
 // sseEvent is one parsed server-sent event.
 type sseEvent struct {
+	id   string
 	name string
 	data string
 }
@@ -151,12 +152,14 @@ func readSSE(t *testing.T, body io.Reader, onEvent func(sseEvent)) []sseEvent {
 	for sc.Scan() {
 		line := sc.Text()
 		switch {
+		case strings.HasPrefix(line, "id: "):
+			cur.id = strings.TrimPrefix(line, "id: ")
 		case strings.HasPrefix(line, "event: "):
 			cur.name = strings.TrimPrefix(line, "event: ")
 		case strings.HasPrefix(line, "data: "):
 			cur.data = strings.TrimPrefix(line, "data: ")
 		case line == "":
-			if cur.name == "" && cur.data == "" {
+			if cur.id == "" && cur.name == "" && cur.data == "" {
 				continue
 			}
 			events = append(events, cur)
@@ -296,6 +299,61 @@ func TestSSEStreamDeliversTypedEvents(t *testing.T) {
 	replay := readSSE(t, resp2.Body, nil)
 	if !reflect.DeepEqual(events, replay) {
 		t.Fatalf("replayed stream differs:\nlive   %+v\nreplay %+v", events, replay)
+	}
+}
+
+// subscribe opens an SSE stream, resuming with lastID as Last-Event-ID
+// when it is non-empty. The body is closed at cleanup.
+func subscribe(t *testing.T, url, lastID string) io.Reader {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lastID != "" {
+		req.Header.Set("Last-Event-ID", lastID)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { resp.Body.Close() })
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
+	}
+	return resp.Body
+}
+
+// TestJobSSELastEventIDResume: every job frame carries its index as its
+// id, a reconnect with Last-Event-ID N resumes at frame N+1, and a
+// malformed header replays from the start.
+func TestJobSSELastEventIDResume(t *testing.T) {
+	_, ts := startServer(t, Config{})
+	st, _ := submit(t, ts.URL, quickRequest("c432"))
+	waitTerminal(t, ts.URL, st.ID)
+	url := ts.URL + "/v1/jobs/" + st.ID + "/events"
+
+	full := readSSE(t, subscribe(t, url, ""), nil)
+	if len(full) < 4 || full[len(full)-1].name != "end" {
+		t.Fatalf("full stream: %+v", full)
+	}
+	for i, ev := range full[:len(full)-1] {
+		if ev.id != fmt.Sprint(i) {
+			t.Fatalf("frame %d has id %q", i, ev.id)
+		}
+	}
+	for _, tc := range []struct {
+		lastID string
+		want   []sseEvent
+	}{
+		{"2", full[3:]},
+		{fmt.Sprint(len(full) - 2), full[len(full)-1:]},
+		{"garbage", full},
+		{"-1", full},
+	} {
+		if got := readSSE(t, subscribe(t, url, tc.lastID), nil); !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("Last-Event-ID %q:\ngot  %+v\nwant %+v", tc.lastID, got, tc.want)
+		}
 	}
 }
 

@@ -6,8 +6,13 @@
 //	GET    /v1/sessions/{id}         SessionStatus
 //	POST   /v1/sessions/{id}/edits   apply an edit batch (+ optional reoptimize), returns the Deltas
 //	GET    /v1/sessions/{id}/timing  the session's current TimingView (lock-free read)
-//	GET    /v1/sessions/{id}/events  SSE stream of every Delta, replayed from the start
+//	GET    /v1/sessions/{id}/events  SSE stream of the latest deltas, then live ones
 //	DELETE /v1/sessions/{id}         close; 409 once closed
+//
+// A session keeps only its deltaWindow (32) latest deltas for SSE. A
+// subscriber that starts, or resumes with Last-Event-ID, behind that
+// window first gets one "resync" frame carrying the current TimingView,
+// then only deltas newer than that view.
 //
 // Crash safety rides the job journal: the open request and every
 // applied edit batch are journaled, and replay rebuilds each
@@ -101,6 +106,12 @@ type EditResponse struct {
 	Deltas []*rapids.Delta `json:"deltas"`
 }
 
+// deltaWindow is how many of its latest deltas a session keeps for SSE
+// subscribers. Anything older is summed up by a resync frame; memory
+// per session stays bounded however many edits it takes. 32 deltas of
+// an s38417 edit hold about 5 MB.
+const deltaWindow = 32
+
 // CodeSessionClosed is the ErrorBody.Code of an edit or DELETE on a
 // session that is already closed (409 Conflict).
 const CodeSessionClosed = "session_closed"
@@ -124,7 +135,7 @@ type liveSession struct {
 	edits     int    // edits applied over the session's life
 	recovered bool
 	lastUsed  time.Time
-	deltas    stream[*rapids.Delta] // closed with the session
+	deltas    stream[*rapids.Delta] // the deltaWindow latest; closed with the session
 }
 
 // newLiveSession loads and places req's circuit and opens the facade
@@ -143,6 +154,7 @@ func newLiveSession(req SessionRequest) (*liveSession, error) {
 	return &liveSession{
 		req: req, sess: sess, circuit: c.Name(), gates: c.Gates(),
 		state: SessionOpen, lastUsed: time.Now(),
+		deltas: stream[*rapids.Delta]{keep: deltaWindow},
 	}, nil
 }
 
@@ -371,14 +383,20 @@ func (s *Server) handleSessionTiming(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSessionEvents is GET /v1/sessions/{id}/events: a
-// Server-Sent-Events stream of the session's deltas, replayed from the
-// start, then live as edits arrive; a final "end" event carries the
-// closed SessionStatus.
+// Server-Sent-Events stream of the session's retained deltas, from
+// index 0 or past Last-Event-ID, then live as edits arrive; a final
+// "end" event carries the closed SessionStatus. A subscriber behind the
+// window gets a "resync" frame with the current TimingView (a lock-free
+// read) and then only deltas with a higher Seq.
 func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 	if ls, ok := s.lookupSession(w, r); ok {
 		serveStream(s, w, r, &ls.deltas,
 			func(*rapids.Delta) string { return "delta" },
-			func() any { return ls.status() })
+			func() any { return ls.status() },
+			func() (any, func(*rapids.Delta) bool) {
+				v := ls.sess.View()
+				return v, func(d *rapids.Delta) bool { return d.Seq <= v.Seq }
+			})
 	}
 }
 

@@ -14,8 +14,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -300,6 +303,192 @@ func TestSessionSSE(t *testing.T) {
 	}
 	if end.State != SessionClosed || end.CloseReason != closeClient || end.Seq != 2 {
 		t.Fatalf("end status: %+v", end)
+	}
+}
+
+// pinEdit is an edit payload that re-pins pi0's arrival, distinct per i
+// modulo 100.
+func pinEdit(i int) string {
+	return fmt.Sprintf(`{"edits":[{"kind":"pin_arrival","gate":"pi0","time_ns":%g}]}`, float64(i%100)/100)
+}
+
+// sessionFrame is one session SSE frame: resync (TimingView), delta,
+// and end (SessionStatus) payloads all carry seq.
+type sessionFrame struct {
+	name, id string
+	seq      int
+}
+
+func sessionFrames(t *testing.T, events []sseEvent) []sessionFrame {
+	t.Helper()
+	out := make([]sessionFrame, len(events))
+	for i, ev := range events {
+		var p struct {
+			Seq int `json:"seq"`
+		}
+		if err := json.Unmarshal([]byte(ev.data), &p); err != nil {
+			t.Fatalf("bad %s frame %q: %v", ev.name, ev.data, err)
+		}
+		out[i] = sessionFrame{ev.name, ev.id, p.Seq}
+	}
+	return out
+}
+
+// TestSessionSSEResumeAcrossWindow: a session keeps only its
+// deltaWindow latest deltas. A subscriber behind the window gets one
+// resync frame carrying the current view and then only newer deltas, a
+// Last-Event-ID inside the window resumes with exactly the missing
+// deltas, and rapidsd_sse_resyncs_total counts every resync frame.
+func TestSessionSSEResumeAcrossWindow(t *testing.T) {
+	const k = deltaWindow
+	s, ts := startServer(t, Config{})
+	st := openSession(t, ts.URL, quickSessionRequest("alu2"))
+	url := ts.URL + "/v1/sessions/" + st.ID + "/events"
+	for i := 1; i <= k+5; i++ {
+		applyEdits(t, ts.URL, st.ID, pinEdit(i))
+	}
+
+	// From index 0, five deltas behind the window: a resync at the
+	// current view (covering every retained delta), the live delta,
+	// then end.
+	body := subscribe(t, url, "")
+	first := make(chan struct{})
+	done := make(chan []sseEvent, 1)
+	go func() {
+		var once sync.Once
+		done <- readSSE(t, body, func(sseEvent) { once.Do(func() { close(first) }) })
+	}()
+	select {
+	case <-first:
+	case <-time.After(30 * time.Second):
+		t.Fatal("no frame from a subscriber behind the window")
+	}
+	applyEdits(t, ts.URL, st.ID, pinEdit(k+6))
+	if code, _ := sessionDo(t, http.MethodDelete, ts.URL+"/v1/sessions/"+st.ID, ""); code != http.StatusOK {
+		t.Fatalf("close: %d", code)
+	}
+	var events []sseEvent
+	select {
+	case events = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("SSE stream did not terminate after close")
+	}
+	want := []sessionFrame{
+		{"resync", fmt.Sprint(k + 4), k + 5},
+		{"delta", fmt.Sprint(k + 5), k + 6},
+		{"end", "", k + 6},
+	}
+	if got := sessionFrames(t, events); !reflect.DeepEqual(got, want) {
+		t.Fatalf("subscriber from 0:\ngot  %v\nwant %v", got, want)
+	}
+
+	// The k+6 deltas have indices 0..k+5, so the window is 6..k+5.
+	// Resuming after index 5 or later gets exactly the missing deltas;
+	// after index 4, or with a malformed header (index 0), a resync.
+	var inWindow []sessionFrame
+	for i := 6; i <= k+5; i++ {
+		inWindow = append(inWindow, sessionFrame{"delta", fmt.Sprint(i), i + 1})
+	}
+	end := sessionFrame{"end", "", k + 6}
+	behind := []sessionFrame{{"resync", fmt.Sprint(k + 5), k + 6}, end}
+	for _, tc := range []struct {
+		lastID string
+		want   []sessionFrame
+	}{
+		{"5", append(inWindow, end)},
+		{fmt.Sprint(k + 2), append(inWindow[k-3:], end)},
+		{"4", behind},
+		{"garbage", behind},
+	} {
+		if got := sessionFrames(t, readSSE(t, subscribe(t, url, tc.lastID), nil)); !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("Last-Event-ID %q:\ngot  %v\nwant %v", tc.lastID, got, tc.want)
+		}
+	}
+	resyncs := 3
+
+	// Subscribers racing 4k edits: one follows from the start, three
+	// join behind the window mid-stream (so their first frame must be a
+	// resync). Each sees strictly increasing ids and seqs, each delta
+	// exactly one past the frame before it, and ends at the final seq.
+	st = openSession(t, ts.URL, quickSessionRequest("alu2"))
+	url = ts.URL + "/v1/sessions/" + st.ID + "/events"
+	streams := make(chan []sseEvent, 4)
+	follow := func(lastID string) {
+		body := subscribe(t, url, lastID)
+		go func() { streams <- readSSE(t, body, nil) }()
+	}
+	follow("")
+	for i := 1; i <= 4*k; i++ {
+		applyEdits(t, ts.URL, st.ID, pinEdit(i))
+		if i == k+2 || i == 2*k || i == 3*k {
+			follow("0")
+		}
+	}
+	if code, _ := sessionDo(t, http.MethodDelete, ts.URL+"/v1/sessions/"+st.ID, ""); code != http.StatusOK {
+		t.Fatalf("close: %d", code)
+	}
+	for range 4 {
+		var events []sseEvent
+		select {
+		case events = <-streams:
+		case <-time.After(60 * time.Second):
+			t.Fatal("SSE stream did not terminate after close")
+		}
+		fs := sessionFrames(t, events)
+		last := len(fs) - 1
+		if last < 1 || fs[last] != (sessionFrame{"end", "", 4 * k}) || fs[last-1].seq != 4*k {
+			t.Fatalf("stream does not end at seq %d: %v", 4*k, fs)
+		}
+		prevID, prevSeq := -1, 0
+		for _, f := range fs[:last] {
+			id, err := strconv.Atoi(f.id)
+			if err != nil || id <= prevID || f.seq <= prevSeq || (f.name == "delta" && f.seq != prevSeq+1) {
+				t.Fatalf("frame %v out of order: %v", f, fs)
+			}
+			if f.name == "resync" {
+				resyncs++
+			}
+			prevID, prevSeq = id, f.seq
+		}
+	}
+	if got := s.metrics.sseResyncs.Value(); got != uint64(resyncs) {
+		t.Fatalf("sse_resyncs_total = %d, want the %d resync frames sent", got, resyncs)
+	}
+}
+
+// TestSessionStreamWindow: a windowed stream serves only its keep
+// latest items under stable absolute indices, and compacting never
+// writes to an array a subscriber was handed.
+func TestSessionStreamWindow(t *testing.T) {
+	const keep = 4
+	st := stream[int]{keep: keep}
+	type window struct {
+		start int
+		items []int
+	}
+	var handed []window // every since(0) result, checked after all appends
+	for n := 1; n <= 5*keep; n++ {
+		if n%3 == 0 {
+			st.append(n-1, n) // a two-item append, like an edit plus a reoptimize
+			n++
+		} else {
+			st.append(n - 1)
+		}
+		items, start, _, _ := st.since(0)
+		if wantStart := max(0, n-keep); start != wantStart || len(items) != n-start || items[0] != start {
+			t.Fatalf("after %d items: since(0) = %v from %d", n, items, start)
+		}
+		handed = append(handed, window{start, items})
+	}
+	for _, w := range handed {
+		for i, v := range w.items {
+			if v != w.start+i {
+				t.Fatalf("the window handed out from %d was overwritten: %v", w.start, w.items)
+			}
+		}
+	}
+	if items, start, _, _ := st.since(100); items != nil || start != 100 {
+		t.Fatalf("since past the end = %v from %d", items, start)
 	}
 }
 

@@ -390,7 +390,9 @@ func (s *Session) retime(prev float64, start time.Time) *Delta {
 			s.prevSlack = grown
 		}
 		s.prevSlack = s.prevSlack[:bound]
-		for _, g := range s.inc.LastTouched() {
+		touched := s.inc.LastTouched()
+		d.ChangedSlacks = make([]SlackChange, 0, len(touched)) // at most one per touched gate
+		for _, g := range touched {
 			if !s.c.net.Live(g) {
 				continue // removed during the mutation
 			}
