@@ -120,7 +120,7 @@ func fig2Network() (*network.Network, *network.Gate) {
 func BenchmarkFig2Swap(b *testing.B) {
 	n, f := fig2Network()
 	ext := supergate.Extract(n)
-	sg := ext.ByGate[f]
+	sg := ext.Of(f)
 	var hi, ki int
 	for i, l := range sg.Leaves {
 		switch l.Driver.Name() {
@@ -151,7 +151,7 @@ func BenchmarkFig3CrossSwap(b *testing.B) {
 	f := n.AddGate("f", logic.Xor, s1, s2)
 	n.MarkOutput(f)
 	ext := supergate.Extract(n)
-	sg1, sg2 := ext.ByGate[s1], ext.ByGate[s2]
+	sg1, sg2 := ext.Of(s1), ext.Of(s2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Each CrossSwap dualizes and exchanges; two in a row restore the

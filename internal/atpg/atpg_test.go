@@ -215,7 +215,7 @@ func TestVerifyRedundancyOnInjectedPatterns(t *testing.T) {
 	if len(e.Redundancies) != 1 {
 		t.Fatalf("want 1 redundancy, got %v", e.Redundancies)
 	}
-	sg := e.ByGate[f]
+	sg := e.Of(f)
 	if err := VerifyRedundancy(n, e.Redundancies[0], sg); err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestVerifyRedundancyOnInjectedPatterns(t *testing.T) {
 	if len(e2.Redundancies) != 1 || !e2.Redundancies[0].Conflict {
 		t.Fatalf("want 1 conflict redundancy, got %v", e2.Redundancies)
 	}
-	if err := VerifyRedundancy(n2, e2.Redundancies[0], e2.ByGate[f2]); err != nil {
+	if err := VerifyRedundancy(n2, e2.Redundancies[0], e2.Of(f2)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -254,7 +254,7 @@ func TestCase2RedundanciesOnBenchmark(t *testing.T) {
 		if len(n.SupportOf(r.Root)) > 14 {
 			continue
 		}
-		sg := e.ByGate[r.Root]
+		sg := e.Of(r.Root)
 		if err := VerifyRedundancy(n, r, sg); err != nil {
 			t.Fatal(err)
 		}

@@ -456,8 +456,6 @@ func EvalSwapScratch(tm *sta.Timing, s rewire.Swap, obj sizing.Objective, sc *st
 	}
 	arrA := arrOf(ka, netA.Load)
 	arrB := arrOf(kb, netB.Load)
-	sc.SetArrival(ka, arrA)
-	sc.SetArrival(kb, arrB)
 
 	// Neighborhood: the two drivers plus every sink either of them
 	// touches before or after the exchange (the same set).

@@ -472,7 +472,7 @@ func sizableFilter(strat Strategy, ext *supergate.Extraction) func(*network.Gate
 	// gsg+GS: only gates covered by trivial supergates are sized; gates
 	// inside non-trivial supergates belong to the rewiring engine.
 	return func(g *network.Gate) bool {
-		sg := ext.ByGate[g]
+		sg := ext.Of(g)
 		return sg == nil || sg.Trivial()
 	}
 }

@@ -72,7 +72,7 @@ func TestEvalSwapAgreesWithSTAOnToyCase(t *testing.T) {
 	tm := sta.Analyze(n, l, 0)
 	e := supergate.Extract(n)
 	f := n.FindGate("f")
-	sg := e.ByGate[f]
+	sg := e.Of(f)
 	if sg.Trivial() {
 		t.Fatal("expected non-trivial supergate")
 	}
@@ -240,7 +240,7 @@ func TestCriticalityPredicates(t *testing.T) {
 	s := n.AddGate("s", logic.Inv, g)
 	n.MarkOutput(s)
 	e := supergate.Extract(n)
-	sg := e.ByGate[s]
+	sg := e.Of(s)
 
 	onlyS := func(x *network.Gate) bool { return x == s }
 	if !supergateCritical(sg, onlyS) {
@@ -272,7 +272,7 @@ func TestEvalSwapSameDriverIsZero(t *testing.T) {
 	l := lib()
 	tm := sta.Analyze(n, l, 0)
 	e := supergate.Extract(n)
-	sg := e.ByGate[f]
+	sg := e.Of(f)
 	if got := EvalSwap(tm, rewireSwap(sg, 0, 1, false), sizing.MinSlack); got != 0 {
 		t.Fatalf("same-driver swap scored %v", got)
 	}

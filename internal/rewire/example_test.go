@@ -22,7 +22,7 @@ func ExampleApply() {
 	before, _ := n.Clone()
 
 	ext := supergate.Extract(n)
-	sg := ext.ByGate[f]
+	sg := ext.Of(f)
 	swaps := rewire.Enumerate(sg)
 	fmt.Printf("%d swappable pairs\n", len(swaps))
 

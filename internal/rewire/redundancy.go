@@ -108,7 +108,7 @@ func RemoveAllRedundancies(n *network.Network) int {
 			if r.Conflict {
 				continue
 			}
-			sg := ext.ByGate[r.Root]
+			sg := ext.Of(r.Root)
 			if sg == nil {
 				continue
 			}

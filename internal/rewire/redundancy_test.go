@@ -28,7 +28,7 @@ func TestRemoveRedundancyDeepPattern(t *testing.T) {
 		t.Fatalf("redundancies: %v", e.Redundancies)
 	}
 	r := e.Redundancies[0]
-	if err := RemoveRedundancy(n, e.ByGate[r.Root], r); err != nil {
+	if err := RemoveRedundancy(n, e.Of(r.Root), r); err != nil {
 		t.Fatal(err)
 	}
 	if err := n.Validate(); err != nil {
@@ -60,7 +60,7 @@ func TestRemoveRedundancyDuplicatePin(t *testing.T) {
 		t.Fatalf("redundancies: %v", e.Redundancies)
 	}
 	r := e.Redundancies[0]
-	if err := RemoveRedundancy(n, e.ByGate[r.Root], r); err != nil {
+	if err := RemoveRedundancy(n, e.Of(r.Root), r); err != nil {
 		t.Fatal(err)
 	}
 	if f.NumFanins() != 2 {
@@ -82,7 +82,7 @@ func TestRemoveRedundancyShrinksToInverter(t *testing.T) {
 
 	e := supergate.Extract(n)
 	r := e.Redundancies[0]
-	if err := RemoveRedundancy(n, e.ByGate[r.Root], r); err != nil {
+	if err := RemoveRedundancy(n, e.Of(r.Root), r); err != nil {
 		t.Fatal(err)
 	}
 	if f.Type != logic.Inv || f.NumFanins() != 1 {
@@ -107,7 +107,7 @@ func TestRemoveRedundancyRejectsConflict(t *testing.T) {
 	if !r.Conflict {
 		t.Fatal("expected conflict case")
 	}
-	if err := RemoveRedundancy(n, e.ByGate[r.Root], r); err == nil {
+	if err := RemoveRedundancy(n, e.Of(r.Root), r); err == nil {
 		t.Fatal("case-1 removal must be rejected")
 	}
 }
@@ -151,7 +151,7 @@ func TestRemoveAllRedundanciesOnBenchmark(t *testing.T) {
 			// A removable one survived — acceptable only if its supergate
 			// could not be rebuilt; RemoveAll loops until no progress, so
 			// anything left must be non-removable.
-			sg := e.ByGate[r.Root]
+			sg := e.Of(r.Root)
 			if err := RemoveRedundancy(n, sg, r); err == nil {
 				t.Fatalf("RemoveAllRedundancies left a removable redundancy at %s", r.Stem.Name())
 			}

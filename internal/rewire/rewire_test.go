@@ -44,7 +44,7 @@ func TestOptionsLemma7(t *testing.T) {
 	f := n.AddGate("f", logic.Nand, i, b)
 	n.MarkOutput(f)
 	e := extract1(t, n)
-	sg := e.ByGate[f]
+	sg := e.Of(f)
 	nonInv, inv := Options(sg, 0, 1)
 	if nonInv || !inv {
 		t.Fatalf("mixed-imp leaves: nonInv=%v inv=%v, want false/true", nonInv, inv)
@@ -60,7 +60,7 @@ func TestOptionsLemma8Xor(t *testing.T) {
 	f := n.AddGate("f", logic.Xor, a, b)
 	n.MarkOutput(f)
 	e := extract1(t, n)
-	nonInv, inv := Options(e.ByGate[f], 0, 1)
+	nonInv, inv := Options(e.Of(f), 0, 1)
 	if !nonInv || !inv {
 		t.Fatal("xor leaves must be both inverting and non-inverting swappable")
 	}
@@ -70,7 +70,7 @@ func TestFig2NonInvertingSwap(t *testing.T) {
 	n, f := fig2()
 	orig, _ := n.Clone()
 	e := extract1(t, n)
-	sg := e.ByGate[f]
+	sg := e.Of(f)
 	if sg.Trivial() || len(sg.Leaves) != 3 {
 		t.Fatalf("fig2 supergate wrong: %v", sg)
 	}
@@ -112,7 +112,7 @@ func TestInvertingSwapPreservesFunction(t *testing.T) {
 	n.MarkOutput(f)
 	orig, _ := n.Clone()
 	e := extract1(t, n)
-	sg := e.ByGate[f]
+	sg := e.Of(f)
 	// Pick a mixed-imp pair.
 	var ia, ib = -1, -1
 	for idx, l := range sg.Leaves {
@@ -145,7 +145,7 @@ func TestInvertingSwapCollapsesInverters(t *testing.T) {
 	n.MarkOutput(f)
 	before := n.NumGates()
 	e := extract1(t, n)
-	sg := e.ByGate[f]
+	sg := e.Of(f)
 	Apply(n, Swap{SG: sg, I: 0, J: 1, Inverting: true})
 	if err := n.Validate(); err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func TestEnumerate(t *testing.T) {
 	f := n.AddGate("f", logic.Nand, a, b, c)
 	n.MarkOutput(f)
 	e := extract1(t, n)
-	swaps := Enumerate(e.ByGate[f])
+	swaps := Enumerate(e.Of(f))
 	if len(swaps) != 3 {
 		t.Fatalf("%d swaps, want 3", len(swaps))
 	}
@@ -184,7 +184,7 @@ func TestEnumerate(t *testing.T) {
 	f2 := n2.AddGate("f2", logic.Inv, i1)
 	n2.MarkOutput(f2)
 	e2 := extract1(t, n2)
-	if got := Enumerate(e2.ByGate[f2]); len(got) != 0 {
+	if got := Enumerate(e2.Of(f2)); len(got) != 0 {
 		t.Fatalf("chain swaps: %v", got)
 	}
 }
@@ -247,7 +247,7 @@ func TestDeMorganPreservesFunction(t *testing.T) {
 	n.MarkOutput(f)
 	orig, _ := n.Clone()
 	e := extract1(t, n)
-	out, err := DeMorgan(n, e.ByGate[f])
+	out, err := DeMorgan(n, e.Of(f))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestDeMorganRejectsXor(t *testing.T) {
 	f := n.AddGate("f", logic.Xor, a, b)
 	n.MarkOutput(f)
 	e := extract1(t, n)
-	if _, err := DeMorgan(n, e.ByGate[f]); err == nil {
+	if _, err := DeMorgan(n, e.Of(f)); err == nil {
 		t.Fatal("DeMorgan of an xor supergate must fail")
 	}
 }
@@ -293,8 +293,8 @@ func TestCrossSwapFig3(t *testing.T) {
 	n.MarkOutput(f)
 	orig, _ := n.Clone()
 	e := extract1(t, n)
-	sg1, sg2 := e.ByGate[s1], e.ByGate[s2]
-	if sg1 == sg2 || sg1 == e.ByGate[f] {
+	sg1, sg2 := e.Of(s1), e.Of(s2)
+	if sg1 == sg2 || sg1 == e.Of(f) {
 		t.Fatal("expected three separate supergates")
 	}
 	if err := CrossSwap(n, sg1, sg2); err != nil {
@@ -341,7 +341,7 @@ func TestCrossSwapDualPair(t *testing.T) {
 	n.MarkOutput(f)
 	orig, _ := n.Clone()
 	e := extract1(t, n)
-	sg1, sg2 := e.ByGate[s1], e.ByGate[s2]
+	sg1, sg2 := e.Of(s1), e.Of(s2)
 	dualize, err := CrossSwapCompatible(sg1, sg2)
 	if err != nil {
 		t.Fatal(err)
@@ -386,7 +386,7 @@ func TestCrossSwapDualPairUnderNandParent(t *testing.T) {
 	n.MarkOutput(f)
 	orig, _ := n.Clone()
 	e := extract1(t, n)
-	sg1, sg2 := e.ByGate[s1], e.ByGate[s2]
+	sg1, sg2 := e.Of(s1), e.Of(s2)
 	// s1: NAND -> RNC 0, imps (1,1). s2: INV(NOR) -> RNC 0, imps (0,0):
 	// equal RNC but flipped imps — NOT compatible (neither equal nor
 	// opposite), so the swap must be rejected.
@@ -407,7 +407,7 @@ func TestCrossSwapRejectsCountMismatch(t *testing.T) {
 	n.MarkOutput(s1)
 	n.MarkOutput(s2)
 	ex := extract1(t, n)
-	if err := CrossSwap(n, ex.ByGate[s1], ex.ByGate[s2]); err == nil {
+	if err := CrossSwap(n, ex.Of(s1), ex.Of(s2)); err == nil {
 		t.Fatal("fanin count mismatch must be rejected")
 	}
 }
@@ -421,7 +421,7 @@ func TestDescCanonical(t *testing.T) {
 	f := n.AddGate("f", logic.Inv, g)
 	n.MarkOutput(f)
 	e := extract1(t, n)
-	d, err := Desc(e.ByGate[f])
+	d, err := Desc(e.Of(f))
 	if err != nil {
 		t.Fatal(err)
 	}

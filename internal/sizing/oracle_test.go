@@ -12,6 +12,13 @@ import (
 	"repro/internal/sta"
 )
 
+// oracleDrivers is one evaluation's bookkeeping: the rebuilt net and the
+// hypothetical out-pin arrival of every fanin driver of the resized gate.
+type oracleDrivers struct {
+	net map[*network.Gate]*sta.NetModel
+	arr map[*network.Gate]sta.Edge
+}
+
 // localSlacks computes the per-gate slacks of the neighborhood under the
 // scratch's effective gate sizes (committed SizeIdx plus any override),
 // with upstream arrivals and required times frozen from tm. The caller
@@ -20,19 +27,21 @@ import (
 // read of tm and the network, so concurrent workers with private
 // scratches can evaluate disjoint candidates in parallel.
 func localSlacks(tm *sta.Timing, g *network.Gate, sc *sta.Scratch) []float64 {
+	dr := oracleDrivers{net: map[*network.Gate]*sta.NetModel{}, arr: map[*network.Gate]sta.Edge{}}
 	// Recompute the nets of g's fanin drivers (their loads and sink wire
 	// delays change with g's pin capacitance).
 	for _, d := range g.Fanins() {
-		if sc.NetOf(d) != nil {
+		if dr.net[d] != nil {
 			continue
 		}
 		// Scratch.Net already folds in the PO pad load.
 		m := sc.Net(tm, d, d.Fanouts())
+		dr.net[d] = m
 		if d.IsInput() {
-			sc.SetArrival(d, sta.Edge{})
+			dr.arr[d] = sta.Edge{}
 			continue
 		}
-		sc.SetArrival(d, tm.GateOutputSc(sc, d, pinArrivals(tm, d, sc), m.Load))
+		dr.arr[d] = tm.GateOutputSc(sc, d, pinArrivals(tm, d, sc, dr), m.Load)
 	}
 	// Then every sink of those drivers, g included.
 	sc.Slacks = sc.Slacks[:0]
@@ -44,13 +53,13 @@ func localSlacks(tm *sta.Timing, g *network.Gate, sc *sta.Scratch) []float64 {
 		if x.IsInput() {
 			continue
 		}
-		if arr, isDriver := sc.HypArrival(x); isDriver {
+		if arr, isDriver := dr.arr[x]; isDriver {
 			appendSlack(x, arr)
 			continue
 		}
 		// A sink's load is unchanged (same sinks; for g itself the cell
 		// changed but not the net), so tm.Load is still valid.
-		arr := tm.GateOutputSc(sc, x, pinArrivals(tm, x, sc), tm.Load(x))
+		arr := tm.GateOutputSc(sc, x, pinArrivals(tm, x, sc, dr), tm.Load(x))
 		appendSlack(x, arr)
 	}
 	return sc.Slacks
@@ -59,15 +68,15 @@ func localSlacks(tm *sta.Timing, g *network.Gate, sc *sta.Scratch) []float64 {
 // pinArrivals assembles the in-pin arrival edges of gate x into the
 // scratch's Pins buffer, preferring hypothetical driver arrivals and net
 // models where the evaluation recorded them.
-func pinArrivals(tm *sta.Timing, x *network.Gate, sc *sta.Scratch) []sta.Edge {
+func pinArrivals(tm *sta.Timing, x *network.Gate, sc *sta.Scratch, dr oracleDrivers) []sta.Edge {
 	sc.Pins = sc.Pins[:0]
 	for _, d := range x.Fanins() {
-		arr, ok := sc.HypArrival(d)
+		arr, ok := dr.arr[d]
 		if !ok {
 			arr = tm.Arrival(d)
 		}
 		var w float64
-		if m := sc.NetOf(d); m != nil {
+		if m := dr.net[d]; m != nil {
 			w = m.SinkDelay(x)
 		} else {
 			w = tm.WireDelay(d, x)

@@ -144,6 +144,12 @@ func (s *gateSet) add(g *network.Gate) {
 	s.list = append(s.list, g)
 }
 
+// dropGates empties the set and clears its list up to capacity.
+func (s *gateSet) dropGates() {
+	s.list = clearGates(s.list)
+	s.reset()
+}
+
 func (s *gateSet) has(g *network.Gate) bool {
 	id := g.ID()
 	return id < len(s.stamp) && s.stamp[id] == s.epoch
@@ -344,13 +350,29 @@ func (it *Incremental) Close() { it.n.Unobserve(it) }
 // goes back to the pool for the next NewIncremental. Neither the timer nor
 // any Timing pointer it handed out may be used afterwards. The optimizers
 // release their private timers; hold Close for timers whose view outlives
-// them.
+// them. A released timer keeps its arrays but no gate pointer (see
+// dropGates), so the pool never keeps a finished network reachable.
 func (it *Incremental) Release() {
 	it.n.Unobserve(it)
-	it.n, it.lib, it.bounds = nil, nil, nil
-	it.posList = it.posList[:0]
-	it.touched.reset()
+	it.dropGates()
 	incPool.Put(it)
+}
+
+// dropGates clears every reference the timer keeps into the network it
+// timed: the network itself, its Timing's (see Timing.dropGates), and
+// every gate-pointer backing array up to its capacity. Truncating with
+// [:0] would keep the slots past the length pointing at gates. It costs
+// O(capacity), once per run.
+func (it *Incremental) dropGates() {
+	it.n, it.lib, it.bounds = nil, nil, nil
+	it.t.dropGates()
+	it.posList = nil
+	it.dirty.dropGates()
+	it.backSeeds.dropGates()
+	it.forced.dropGates()
+	it.touched.dropGates()
+	it.fwdQ.dropGates()
+	it.bwdQ.dropGates()
 }
 
 // Timing returns the current timing view, valid as of the last Update (or
@@ -681,6 +703,17 @@ func (q *levelQueue) reset() {
 		q.n = 0
 	}
 	q.qset.reset()
+}
+
+// dropGates empties the queue and clears every bucket and the dedup
+// set up to capacity.
+func (q *levelQueue) dropGates() {
+	for i := range q.buckets {
+		q.buckets[i] = levelBucket{gates: clearGates(q.buckets[i].gates)}
+	}
+	clear(q.full)
+	q.n = 0
+	q.qset.dropGates()
 }
 
 func (q *levelQueue) Len() int { return q.n }

@@ -30,8 +30,13 @@ var scratchPool = sync.Pool{New: func() interface{} { return NewScratch() }}
 // GetScratch borrows an arena from the shared pool.
 func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 
-// PutScratch returns an arena borrowed with GetScratch.
-func PutScratch(sc *Scratch) { scratchPool.Put(sc) }
+// PutScratch returns an arena borrowed with GetScratch. A returned arena
+// keeps its buffers but no gate pointer (see dropGates), so the pool
+// never keeps a finished network reachable.
+func PutScratch(sc *Scratch) {
+	sc.dropGates()
+	scratchPool.Put(sc)
+}
 
 // NetModel is the arena form of NetInfo: one (possibly hypothetical) net
 // with the driver's total load and per-sink wire delays, stored in
@@ -123,11 +128,7 @@ type Scratch struct {
 	ovrGate *network.Gate
 	ovrSize int
 
-	arrStamp  []uint32
-	arrVal    []Edge
-	seenStamp []uint32
-	netStamp  []uint32
-	netIdx    []int32
+	seenStamp []uint32 // MarkSeen's visited set, by gate ID
 
 	// nets is a pool of pointers (not values): a NetModel handed out by
 	// Net stays valid even after later Net calls grow the pool.
@@ -148,26 +149,18 @@ type Scratch struct {
 func NewScratch() *Scratch { return &Scratch{} }
 
 // Begin opens a new evaluation against tm: previous per-gate entries die
-// (epoch bump) and the stamp arrays are grown to cover every gate ID of
+// (epoch bump) and the stamp array is grown to cover every gate ID of
 // tm's network, including gates created since the last call.
 func (sc *Scratch) Begin(tm *Timing) {
 	bound := tm.n.IDBound()
 	if bound > sc.bound {
-		sc.arrStamp = append(sc.arrStamp, make([]uint32, bound-sc.bound)...)
 		sc.seenStamp = append(sc.seenStamp, make([]uint32, bound-sc.bound)...)
-		sc.netStamp = append(sc.netStamp, make([]uint32, bound-sc.bound)...)
-		sc.arrVal = append(sc.arrVal, make([]Edge, bound-sc.bound)...)
-		sc.netIdx = append(sc.netIdx, make([]int32, bound-sc.bound)...)
 		sc.bound = bound
 	}
 	if sc.epoch == math.MaxUint32 {
 		// Epoch wraparound: stale stamps could alias the new epoch, so
 		// clear them once every 2^32 evaluations.
-		for i := range sc.arrStamp {
-			sc.arrStamp[i] = 0
-			sc.seenStamp[i] = 0
-			sc.netStamp[i] = 0
-		}
+		clear(sc.seenStamp)
 		sc.epoch = 0
 	}
 	sc.epoch++
@@ -198,24 +191,6 @@ func (t *Timing) GateOutputSc(sc *Scratch, g *network.Gate, pinArr []Edge, load 
 	return t.gateOutputCell(cell, g, pinArr, load)
 }
 
-// SetArrival records a hypothetical out-pin arrival for g in the current
-// evaluation.
-func (sc *Scratch) SetArrival(g *network.Gate, e Edge) {
-	id := g.ID()
-	sc.arrStamp[id] = sc.epoch
-	sc.arrVal[id] = e
-}
-
-// HypArrival returns g's hypothetical arrival, if one was recorded this
-// evaluation.
-func (sc *Scratch) HypArrival(g *network.Gate) (Edge, bool) {
-	id := g.ID()
-	if sc.arrStamp[id] != sc.epoch {
-		return Edge{}, false
-	}
-	return sc.arrVal[id], true
-}
-
 // MarkSeen adds g to the evaluation's visited set, reporting whether it
 // was newly added.
 func (sc *Scratch) MarkSeen(g *network.Gate) bool {
@@ -228,31 +203,30 @@ func (sc *Scratch) MarkSeen(g *network.Gate) bool {
 }
 
 // Net computes the star model of driver d over the given hypothetical
-// sink list into a pooled NetModel and registers it for NetOf lookup.
-// Unlike ComputeNet, the returned load already includes the PO pad
-// capacitance when d is a primary output — every scoring caller wants
-// it, and folding it in here keeps the adjustment on the registered
-// model rather than a caller-held alias.
+// sink list into a pooled NetModel, valid until the next Begin. Unlike
+// ComputeNet, the returned load already includes the PO pad capacitance
+// when d is a primary output — every scoring caller wants it.
 func (sc *Scratch) Net(tm *Timing, d *network.Gate, sinks []*network.Gate) *NetModel {
 	if sc.netsUsed == len(sc.nets) {
 		sc.nets = append(sc.nets, &NetModel{})
 	}
 	m := sc.nets[sc.netsUsed]
-	id := d.ID()
-	sc.netStamp[id] = sc.epoch
-	sc.netIdx[id] = int32(sc.netsUsed)
 	sc.netsUsed++
 	tm.computeNetInto(sc, m, d, sinks)
 	m.Load += tm.padLoad(d)
 	return m
 }
 
-// NetOf returns the hypothetical net model registered for driver d this
-// evaluation, or nil.
-func (sc *Scratch) NetOf(d *network.Gate) *NetModel {
-	id := d.ID()
-	if sc.netStamp[id] != sc.epoch {
-		return nil
+// dropGates clears every gate pointer the arena keeps for reuse: the
+// size override, the caller buffers Hood, SinksA and SinksB, and every
+// pooled NetModel's sinks, each up to its capacity. It costs
+// O(capacity), once per run.
+func (sc *Scratch) dropGates() {
+	sc.ovrGate = nil
+	sc.Hood = clearGates(sc.Hood)
+	sc.SinksA = clearGates(sc.SinksA)
+	sc.SinksB = clearGates(sc.SinksB)
+	for _, m := range sc.nets {
+		m.sinks = clearGates(m.sinks)
 	}
-	return sc.nets[sc.netIdx[id]]
 }

@@ -294,12 +294,30 @@ func AnalyzeReleased(n *network.Network, lib *library.Library, clock float64, b 
 	return t
 }
 
-// ReleaseTiming returns an analysis obtained from AnalyzeReleased (or an
-// Incremental released with Release) to the pool. The Timing must not be
-// read afterwards.
+// ReleaseTiming returns an analysis obtained from AnalyzeReleased to the
+// pool. The Timing must not be read afterwards. A released Timing keeps
+// its arrays but no gate pointer (see dropGates), so the pool never keeps
+// a finished network reachable.
 func ReleaseTiming(t *Timing) {
-	t.n, t.lib, t.bounds = nil, nil, nil
+	t.dropGates()
 	timingPool.Put(t)
+}
+
+// dropGates clears every reference the Timing keeps into the network it
+// analyzed: the network, its library and bounds, and the net arena's
+// sinks up to the arena's capacity. The next analysis re-lays the arena
+// from empty. It costs O(capacity), once per run.
+func (t *Timing) dropGates() {
+	t.n, t.lib, t.bounds = nil, nil, nil
+	t.netSinks = clearGates(t.netSinks)
+	t.nsc.sinks = nil
+}
+
+// clearGates clears s up to its capacity and returns it empty, so a
+// recycled buffer keeps its array but none of the gates it held.
+func clearGates(s []*network.Gate) []*network.Gate {
+	clear(s[:cap(s)])
+	return s[:0]
 }
 
 // analyzeInto runs the three-pass analysis in place, reusing the per-gate
@@ -334,9 +352,6 @@ func (t *Timing) analyzeInto(clock float64, order []*network.Gate) {
 		pins += g.NumFanins()
 	}
 	pins += pins / 16
-	// Clear the whole arena first: slots past the new layout would keep
-	// the gates of an earlier network — a recycled Timing's — reachable.
-	clear(t.netSinks[:cap(t.netSinks)])
 	t.netSinks = slices.Grow(t.netSinks[:0], pins)
 	t.netDelays = slices.Grow(t.netDelays[:0], pins)
 	t.pinGen = slices.Grow(t.pinGen[:0], pins)

@@ -39,6 +39,7 @@
 package supergate
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/network"
@@ -82,9 +83,11 @@ type Cache struct {
 	// FullFraction overrides the fallback threshold; settable any time.
 	FullFraction float64
 
-	// leafConsumers maps a gate to the supergates that stop at it as a
-	// leaf driver — the reverse index absorbability invalidation needs.
-	leafConsumers map[*network.Gate]map[*Supergate]struct{}
+	// leafConsumers holds, by gate ID, the supergates that stop at the
+	// gate as a leaf driver — the reverse index absorbability
+	// invalidation needs. A list holds each supergate once, in no
+	// meaningful order: invalidations commute.
+	leafConsumers [][]*Supergate
 
 	dirty map[*network.Gate]struct{} // touched live gates, pending flush
 	pool  map[*network.Gate]struct{} // uncovered live gates, pending re-extraction
@@ -143,14 +146,11 @@ func (c *Cache) GateResized(g *network.Gate) {}
 // supergate (and any supergate it fed as a leaf driver) is invalidated;
 // its fanins were already reported as touched by the removal.
 func (c *Cache) GateRemoved(g *network.Gate) {
-	if sg := c.ext.ByGate[g]; sg != nil {
+	if sg := c.ext.Of(g); sg != nil {
 		c.invalidate(sg)
 	}
-	for sgc := range c.leafConsumers[g] {
-		c.invalidate(sgc)
-	}
-	delete(c.leafConsumers, g)
-	delete(c.ext.ByGate, g)
+	c.invalidateConsumers(g)
+	c.ext.uncover(g)
 	delete(c.dirty, g)
 	delete(c.pool, g)
 }
@@ -175,16 +175,31 @@ func (c *Cache) invalidate(sg *Supergate) {
 	c.stale = true
 	c.stats.Invalidated++
 	for _, l := range sg.Leaves {
-		if set := c.leafConsumers[l.Driver]; set != nil {
-			delete(set, sg)
-		}
+		c.unhookConsumer(l.Driver, sg)
 	}
 	for _, g := range sg.Gates {
-		if c.ext.ByGate[g] == sg {
-			delete(c.ext.ByGate, g)
+		if c.ext.Of(g) == sg {
+			c.ext.uncover(g)
 			c.pool[g] = struct{}{}
 		}
 	}
+}
+
+// invalidateConsumers invalidates every supergate that stops at g as a
+// leaf driver. Each invalidation unhooks itself from its drivers' lists,
+// so g's list is detached while they run and handed back empty.
+func (c *Cache) invalidateConsumers(g *network.Gate) {
+	id := g.ID()
+	if id >= len(c.leafConsumers) {
+		return
+	}
+	cons := c.leafConsumers[id]
+	c.leafConsumers[id] = nil
+	for _, sg := range cons {
+		c.invalidate(sg)
+	}
+	clear(cons)
+	c.leafConsumers[id] = cons[:0]
 }
 
 // flush applies pending invalidations and re-extracts the uncovered
@@ -195,16 +210,14 @@ func (c *Cache) flush() {
 		return
 	}
 	for g := range c.dirty {
-		if sg := c.ext.ByGate[g]; sg != nil {
+		if sg := c.ext.Of(g); sg != nil {
 			c.invalidate(sg)
 		} else if !g.IsInput() {
 			// A gate with no covering supergate is either freshly created
 			// or already pooled; both re-extract below.
 			c.pool[g] = struct{}{}
 		}
-		for sgc := range c.leafConsumers[g] {
-			c.invalidate(sgc)
-		}
+		c.invalidateConsumers(g)
 	}
 	clear(c.dirty)
 
@@ -263,12 +276,12 @@ func (c *Cache) extractFrom(root *network.Gate) {
 	sg := c.ext.extractOne(root)
 	c.stats.Reextracted++
 	for _, g := range sg.Gates {
-		if old := c.ext.ByGate[g]; old != nil && old != sg {
+		if old := c.ext.Of(g); old != nil && old != sg {
 			// The new traversal implied through a boundary the old
 			// decomposition stopped at; the overlapped supergate is stale.
 			c.invalidate(old)
 		}
-		c.ext.ByGate[g] = sg
+		c.ext.cover(g, sg)
 		delete(c.pool, g)
 	}
 	for _, l := range sg.Leaves {
@@ -278,13 +291,34 @@ func (c *Cache) extractFrom(root *network.Gate) {
 	c.stale = true
 }
 
+// addLeafConsumer records sg as a consumer of leaf driver d. Callers add
+// all of one supergate's leaves in a row, so a driver feeding several of
+// its leaves finds sg already last in its list.
 func (c *Cache) addLeafConsumer(d *network.Gate, sg *Supergate) {
-	set := c.leafConsumers[d]
-	if set == nil {
-		set = make(map[*Supergate]struct{}, 1)
-		c.leafConsumers[d] = set
+	id := d.ID()
+	if id >= len(c.leafConsumers) {
+		c.leafConsumers = append(c.leafConsumers, make([][]*Supergate, id+1-len(c.leafConsumers))...)
 	}
-	set[sg] = struct{}{}
+	cons := c.leafConsumers[id]
+	if k := len(cons); k > 0 && cons[k-1] == sg {
+		return
+	}
+	c.leafConsumers[id] = append(cons, sg)
+}
+
+// unhookConsumer removes sg from leaf driver d's consumer list.
+func (c *Cache) unhookConsumer(d *network.Gate, sg *Supergate) {
+	id := d.ID()
+	if id >= len(c.leafConsumers) {
+		return
+	}
+	cons := c.leafConsumers[id]
+	if i := slices.Index(cons, sg); i >= 0 {
+		last := len(cons) - 1
+		cons[i] = cons[last]
+		cons[last] = nil
+		c.leafConsumers[id] = cons[:last]
+	}
 }
 
 // rebuildViews compacts the Supergates slice (dropping invalidated
@@ -313,7 +347,7 @@ func (c *Cache) rebuild() {
 	} else {
 		*c.ext = *Extract(c.n)
 	}
-	c.leafConsumers = make(map[*network.Gate]map[*Supergate]struct{}, len(c.ext.Supergates))
+	c.leafConsumers = make([][]*Supergate, c.n.IDBound())
 	for _, sg := range c.ext.Supergates {
 		for _, l := range sg.Leaves {
 			c.addLeafConsumer(l.Driver, sg)

@@ -63,17 +63,24 @@ func checkMirror(t *testing.T, n *network.Network, c *supergate.Cache, when stri
 	if gs, ws := signature(got), signature(want); gs != ws {
 		t.Fatalf("%s: cached extraction diverged from fresh Extract\n--- cached ---\n%s\n--- fresh ---\n%s", when, gs, ws)
 	}
-	// ByGate must cover exactly the live non-input gates and agree with
-	// the supergate membership.
+	// Of must cover exactly the live non-input gates and agree with the
+	// supergate membership; Coverage counts every index entry, so a
+	// stale entry for a removed gate would move it.
 	n.Gates(func(g *network.Gate) {
 		if g.IsInput() {
 			return
 		}
-		gsg, wsg := got.ByGate[g], want.ByGate[g]
+		gsg, wsg := got.Of(g), want.Of(g)
 		if gsg == nil || wsg == nil || gsg.Root.ID() != wsg.Root.ID() {
-			t.Fatalf("%s: ByGate mismatch at %v: cached %v fresh %v", when, g, gsg, wsg)
+			t.Fatalf("%s: Of mismatch at %v: cached %v fresh %v", when, g, gsg, wsg)
 		}
 	})
+	if gc, wc := got.Coverage(), want.Coverage(); gc != wc {
+		t.Fatalf("%s: cached coverage %v, fresh %v", when, gc, wc)
+	}
+	if err := supergate.CheckLeafConsumers(c); err != nil {
+		t.Fatalf("%s: %v", when, err)
+	}
 }
 
 func testProfile(seed int64) gen.Profile {
@@ -114,7 +121,7 @@ func TestCacheMatchesFreshExtractUnderRandomMutations(t *testing.T) {
 						continue
 					}
 					undos = append(undos, rewire.Apply(n, swaps[rng.Intn(len(swaps))]))
-				case op < 5: // undo an earlier swap of this batch
+				case op < 5: // undo the latest swap, possibly of an earlier batch
 					if len(undos) > 0 {
 						undos[len(undos)-1]()
 						undos = undos[:len(undos)-1]
@@ -134,7 +141,7 @@ func TestCacheMatchesFreshExtractUnderRandomMutations(t *testing.T) {
 						if r.Conflict {
 							continue
 						}
-						sg := ext.ByGate[r.Root]
+						sg := ext.Of(r.Root)
 						if sg == nil {
 							continue
 						}
@@ -158,7 +165,6 @@ func TestCacheMatchesFreshExtractUnderRandomMutations(t *testing.T) {
 					undos = undos[:0]
 				}
 			}
-			undos = undos[:0]
 			if err := n.Validate(); err != nil {
 				t.Fatalf("mutation broke the network: %v", err)
 			}

@@ -126,25 +126,54 @@ type Extraction struct {
 	// Supergates lists all supergates in extraction (reverse topological
 	// root) order.
 	Supergates []*Supergate
-	// ByGate maps every covered logic gate to its covering supergate.
-	ByGate map[*network.Gate]*Supergate
 	// Redundancies are the stems found per Fig. 1 during extraction.
 	Redundancies []Redundancy
+
+	// byGate holds every covered logic gate's covering supergate,
+	// indexed by gate ID (dense and never reused, see network.IDBound);
+	// read it through Of.
+	byGate []*Supergate
+}
+
+// Of returns the supergate covering gate g, or nil when g is a primary
+// input or not covered.
+func (e *Extraction) Of(g *network.Gate) *Supergate {
+	if id := g.ID(); id < len(e.byGate) {
+		return e.byGate[id]
+	}
+	return nil
+}
+
+// cover records sg as the supergate covering g, growing the index for a
+// gate created since the last extraction.
+func (e *Extraction) cover(g *network.Gate, sg *Supergate) {
+	id := g.ID()
+	if id >= len(e.byGate) {
+		e.byGate = append(e.byGate, make([]*Supergate, id+1-len(e.byGate))...)
+	}
+	e.byGate[id] = sg
+}
+
+// uncover drops g's entry from the index.
+func (e *Extraction) uncover(g *network.Gate) {
+	if id := g.ID(); id < len(e.byGate) {
+		e.byGate[id] = nil
+	}
 }
 
 // Extract decomposes n into generalized implication supergates. Every
 // non-input gate is covered by exactly one supergate. The run time is
 // linear in the number of pins of the network.
 func Extract(n *network.Network) *Extraction {
-	e := &Extraction{ByGate: make(map[*network.Gate]*Supergate, n.NumGates())}
+	e := &Extraction{byGate: make([]*Supergate, n.IDBound())}
 	for _, g := range n.ReverseTopoOrder() {
-		if g.IsInput() || e.ByGate[g] != nil {
+		if g.IsInput() || e.Of(g) != nil {
 			continue
 		}
 		sg := e.extractOne(g)
 		e.Supergates = append(e.Supergates, sg)
 		for _, covered := range sg.Gates {
-			e.ByGate[covered] = sg
+			e.cover(covered, sg)
 		}
 	}
 	for _, sg := range e.Supergates {
@@ -329,8 +358,10 @@ func (e *Extraction) recordRedundancies(sg *Supergate, seen map[*network.Gate][]
 // supergates — Table 1's "gsg cov (%)" column.
 func (e *Extraction) Coverage() float64 {
 	covered, total := 0, 0
-	for g, sg := range e.ByGate {
-		_ = g
+	for _, sg := range e.byGate {
+		if sg == nil {
+			continue
+		}
 		total++
 		if !sg.Trivial() {
 			covered++

@@ -15,7 +15,7 @@ func findSG(t *testing.T, e *Extraction, root string, n *network.Network) *Super
 	if g == nil {
 		t.Fatalf("no gate %s", root)
 	}
-	sg := e.ByGate[g]
+	sg := e.Of(g)
 	if sg == nil {
 		t.Fatalf("gate %s not covered", root)
 	}
@@ -326,8 +326,8 @@ func TestPartitionInvariants(t *testing.T) {
 			if counts[g] != 1 {
 				t.Errorf("%s: gate %s covered %d times", name, g, counts[g])
 			}
-			if e.ByGate[g] == nil {
-				t.Errorf("%s: gate %s missing from ByGate", name, g)
+			if e.Of(g) == nil {
+				t.Errorf("%s: gate %s missing from the Of index", name, g)
 			}
 		})
 		if total == 0 {
