@@ -572,38 +572,6 @@ func BenchmarkOptimizeRegioned(b *testing.B) {
 	}
 }
 
-// BenchmarkLargeRegioned runs gsg beyond the Table 1 scale: a stitched
-// multi-block circuit (~50k gates, unplaced — pin-cap loads only)
-// optimized as one Optimize call and in rounds. Not part of bench-smoke.
-func BenchmarkLargeRegioned(b *testing.B) {
-	l := library.Default035()
-	base := gen.Large(50000, 1)
-	sizing.SeedForLoad(base, l, 0)
-	for _, rounds := range []bool{false, true} {
-		name := "optimize"
-		if rounds {
-			name = "rounds"
-		}
-		b.Run(name, func(b *testing.B) {
-			var res opt.Result
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				n, _ := base.Clone()
-				b.StartTimer()
-				o := opt.Options{MaxIters: 2, Workers: 1}
-				if rounds {
-					res = opt.OptimizeRounds(context.Background(), n, l, opt.Gsg, o)
-				} else {
-					res = opt.Optimize(context.Background(), n, l, opt.Gsg, o)
-				}
-			}
-			b.ReportMetric(res.Evals.PerPhase(), "evals/phase")
-			b.ReportMetric(res.ImprovementPct(), "improve%")
-			b.ReportMetric(float64(res.Swaps), "swaps")
-		})
-	}
-}
-
 // BenchmarkRegionRoundTrip times internal/region's partition → extract →
 // stitch round trip on s38417 with the optimizer taken out: partition
 // the network, extract every region under pinned bounds, stitch the

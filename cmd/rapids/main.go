@@ -27,7 +27,6 @@ func main() {
 	var (
 		benchName = flag.String("bench", "", "generated benchmark name (see -list)")
 		netlist   = flag.String("netlist", "", "netlist to optimize (.blif or ISCAS .bench, by extension; '-' reads BLIF from stdin)")
-		blifPath  = flag.String("blif", "", "alias of -netlist (kept for compatibility)")
 		strategy  = flag.String("strategy", "gsg+GS", "optimizer: gsg, GS, or gsg+GS")
 		iters     = flag.Int("iters", 8, "optimizer iterations")
 		clock     = flag.Float64("clock", 0, "required time at outputs in ns (0 = critical delay)")
@@ -73,7 +72,7 @@ func main() {
 		fail("%v", err)
 	}
 
-	c, err := load(*benchName, *netlist, *blifPath)
+	c, err := load(*benchName, *netlist)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -175,12 +174,7 @@ func printCriticalPath(c *rapids.Circuit, clock float64) {
 	}
 }
 
-func load(benchName, netlist, blifPath string) (*rapids.Circuit, error) {
-	if netlist == "" {
-		netlist = blifPath
-	} else if blifPath != "" {
-		return nil, fmt.Errorf("use -netlist or -blif, not both")
-	}
+func load(benchName, netlist string) (*rapids.Circuit, error) {
 	switch {
 	case benchName != "" && netlist != "":
 		return nil, fmt.Errorf("use -bench or -netlist, not both")

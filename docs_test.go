@@ -78,6 +78,8 @@ var toolFlags = map[string]bool{
 	"count": true, "fuzz": true,
 	"fuzztime": true, "race": true, "short": true, "coverprofile": true,
 	"func": true, "o": true, "all": true,
+	// go tool pprof
+	"top": true,
 	// curl as quoted in the service docs
 	"s": true, "sN": true, "N": true, "X": true, "d": true, "H": true,
 }

@@ -81,10 +81,10 @@ func SupergateTruthTable(sg *supergate.Supergate) ([]bool, error) {
 	return tt, nil
 }
 
-// NES reports non-equivalence symmetry of variables i and j in the k-input
-// truth table tt: f with (xi,xj)=(1,0) equals f with (xi,xj)=(0,1) for all
+// NES reports non-equivalence symmetry of variables i and j in the truth
+// table tt: f with (xi,xj)=(1,0) equals f with (xi,xj)=(0,1) for all
 // assignments of the remaining variables (§2).
-func NES(tt []bool, i, j, k int) bool {
+func NES(tt []bool, i, j int) bool {
 	for idx := range tt {
 		bi, bj := idx>>i&1, idx>>j&1
 		if bi == 1 && bj == 0 {
@@ -94,14 +94,13 @@ func NES(tt []bool, i, j, k int) bool {
 			}
 		}
 	}
-	_ = k
 	return true
 }
 
 // ES reports equivalence symmetry of variables i and j in tt: f with
 // (xi,xj)=(1,1) equals f with (xi,xj)=(0,0) for all assignments of the
 // remaining variables (§2).
-func ES(tt []bool, i, j, k int) bool {
+func ES(tt []bool, i, j int) bool {
 	for idx := range tt {
 		bi, bj := idx>>i&1, idx>>j&1
 		if bi == 1 && bj == 1 {
@@ -111,7 +110,6 @@ func ES(tt []bool, i, j, k int) bool {
 			}
 		}
 	}
-	_ = k
 	return true
 }
 
@@ -136,20 +134,20 @@ func VerifySupergateSymmetries(sg *supergate.Supergate) error {
 		for j := i + 1; j < k; j++ {
 			switch sg.Kind {
 			case supergate.Xor:
-				if !NES(tt, i, j, k) {
+				if !NES(tt, i, j) {
 					return fmt.Errorf("atpg: xor leaves %d,%d of %v not NES", i, j, sg)
 				}
-				if !ES(tt, i, j, k) {
+				if !ES(tt, i, j) {
 					return fmt.Errorf("atpg: xor leaves %d,%d of %v not ES", i, j, sg)
 				}
 			case supergate.AndOr:
 				li, lj := sg.Leaves[i], sg.Leaves[j]
 				if li.Imp == lj.Imp {
-					if !NES(tt, i, j, k) {
+					if !NES(tt, i, j) {
 						return fmt.Errorf("atpg: and-or leaves %d,%d of %v (equal imp) not NES", i, j, sg)
 					}
 				} else {
-					if !ES(tt, i, j, k) {
+					if !ES(tt, i, j) {
 						return fmt.Errorf("atpg: and-or leaves %d,%d of %v (differing imp) not ES", i, j, sg)
 					}
 				}

@@ -13,23 +13,23 @@ import (
 func TestNESAndESOnKnownFunctions(t *testing.T) {
 	// f = x0 & x1 over 2 vars: NES but not ES.
 	and := []bool{false, false, false, true}
-	if !NES(and, 0, 1, 2) {
+	if !NES(and, 0, 1) {
 		t.Error("AND inputs should be NES")
 	}
-	if ES(and, 0, 1, 2) {
+	if ES(and, 0, 1) {
 		t.Error("AND inputs should not be ES")
 	}
 	// f = x0 & !x1: ES but not NES.
 	andNot := []bool{false, true, false, false}
-	if NES(andNot, 0, 1, 2) {
+	if NES(andNot, 0, 1) {
 		t.Error("x0&!x1 should not be NES")
 	}
-	if !ES(andNot, 0, 1, 2) {
+	if !ES(andNot, 0, 1) {
 		t.Error("x0&!x1 should be ES")
 	}
 	// f = x0 ^ x1: both.
 	xor := []bool{false, true, true, false}
-	if !NES(xor, 0, 1, 2) || !ES(xor, 0, 1, 2) {
+	if !NES(xor, 0, 1) || !ES(xor, 0, 1) {
 		t.Error("XOR inputs should be NES and ES")
 	}
 	// f = x0 & !x1 | !x0 & x1 & x2 — asymmetric pair (0,1)? f(1,0,0)=1,
@@ -40,7 +40,7 @@ func TestNESAndESOnKnownFunctions(t *testing.T) {
 		x0, x1, x2 := idx&1 == 1, idx>>1&1 == 1, idx>>2&1 == 1
 		g[idx] = (x0 && !x1) || (!x0 && x1 && x2)
 	}
-	if NES(g, 0, 2, 3) {
+	if NES(g, 0, 2) {
 		t.Error("pair (0,2) should not be NES")
 	}
 }

@@ -14,12 +14,23 @@ import (
 // Pomeranz & Reddy that §2 of the paper contrasts with. It enumerates the
 // cone's truth table, so the support must not exceed MaxOracleInputs.
 func InputSymmetries(n *network.Network, root *network.Gate) (nes, es int, err error) {
-	support := n.SupportOf(root)
-	k := len(support)
-	if k > MaxOracleInputs {
-		return 0, 0, fmt.Errorf("atpg: support %d exceeds oracle limit %d", k, MaxOracleInputs)
+	tt, k, err := coneTruthTable(n, root)
+	if err != nil {
+		return 0, 0, err
 	}
-	tt := make([]bool, 1<<k)
+	nes, es, _ = symmetricPairs(tt, k)
+	return nes, es, nil
+}
+
+// coneTruthTable enumerates root's function over its k primary-input
+// support variables: bit i of the index is the i-th support input.
+func coneTruthTable(n *network.Network, root *network.Gate) (tt []bool, k int, err error) {
+	support := n.SupportOf(root)
+	k = len(support)
+	if k > MaxOracleInputs {
+		return nil, 0, fmt.Errorf("atpg: support %d exceeds oracle limit %d", k, MaxOracleInputs)
+	}
+	tt = make([]bool, 1<<k)
 	assignment := make(map[*network.Gate]logic.Bit, k)
 	for idx := range tt {
 		for i, pi := range support {
@@ -27,17 +38,27 @@ func InputSymmetries(n *network.Network, root *network.Gate) (nes, es int, err e
 		}
 		tt[idx] = evalWithFault(root, assignment, network.Pin{}, nil, 0) == 1
 	}
+	return tt, k, nil
+}
+
+// symmetricPairs counts the variable pairs of the k-input truth table tt
+// that are NES, that are ES, and that are both.
+func symmetricPairs(tt []bool, k int) (nes, es, both int) {
 	for i := 0; i < k; i++ {
 		for j := i + 1; j < k; j++ {
-			if NES(tt, i, j, k) {
+			isNES, isES := NES(tt, i, j), ES(tt, i, j)
+			if isNES {
 				nes++
 			}
-			if ES(tt, i, j, k) {
+			if isES {
 				es++
+			}
+			if isNES && isES {
+				both++
 			}
 		}
 	}
-	return nes, es, nil
+	return nes, es, both
 }
 
 // SymmetryComparison quantifies §2's motivation: "the number of detected
@@ -60,42 +81,19 @@ type SymmetryComparison struct {
 func CompareSymmetries(n *network.Network) SymmetryComparison {
 	var c SymmetryComparison
 	for _, po := range n.Outputs() {
-		nes, es, err := InputSymmetries(n, po)
+		tt, k, err := coneTruthTable(n, po)
 		if err != nil {
 			c.ConesSkipped++
 			continue
 		}
 		c.ConesChecked++
 		// Count pairs symmetric in either sense, without double counting.
-		// NES and ES overlap exactly on pairs that are both; recompute.
-		c.InputPairs += nes + es - bothSymmetric(n, po)
+		nes, es, both := symmetricPairs(tt, k)
+		c.InputPairs += nes + es - both
 	}
 	ext := supergate.Extract(n)
 	for _, sg := range ext.Supergates {
 		c.PinPairs += len(rewire.Enumerate(sg))
 	}
 	return c
-}
-
-// bothSymmetric counts PI pairs that are both NES and ES for the cone.
-func bothSymmetric(n *network.Network, root *network.Gate) int {
-	support := n.SupportOf(root)
-	k := len(support)
-	tt := make([]bool, 1<<k)
-	assignment := make(map[*network.Gate]logic.Bit, k)
-	for idx := range tt {
-		for i, pi := range support {
-			assignment[pi] = logic.Bit(idx >> i & 1)
-		}
-		tt[idx] = evalWithFault(root, assignment, network.Pin{}, nil, 0) == 1
-	}
-	both := 0
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			if NES(tt, i, j, k) && ES(tt, i, j, k) {
-				both++
-			}
-		}
-	}
-	return both
 }

@@ -57,9 +57,6 @@ type builder struct {
 	p     Profile
 	pool  []*network.Gate
 	gates int
-	// prefix namespaces the builder's gate names, letting several blocks
-	// share one network (see Stitched).
-	prefix string
 	// shield suppresses pool registration of newly created gates, keeping
 	// the interior of a structured block fanout-free so it survives as
 	// one large supergate (the PLA plane behind k2's L = 43 column).
@@ -78,7 +75,7 @@ func (b *builder) pick() *network.Gate {
 }
 
 func (b *builder) add(t logic.GateType, fanins ...*network.Gate) *network.Gate {
-	g := b.n.AddGate(fmt.Sprintf("%sn%d", b.prefix, b.gates), t, fanins...)
+	g := b.n.AddGate(fmt.Sprintf("n%d", b.gates), t, fanins...)
 	b.gates++
 	if !b.shield {
 		b.pool = append(b.pool, g)
@@ -307,10 +304,18 @@ func (b *builder) glue() {
 	}
 }
 
-// synthesize runs the profile's structured blocks, redundancy injection,
-// and random glue against the builder's current signal pool.
-func (b *builder) synthesize() {
-	p := b.p
+// FromProfile generates the circuit described by p. The result is a valid
+// mapped network: every gate is a 1–4-input library function, the DAG is
+// acyclic, and every gate without fanout is a primary output.
+func FromProfile(p Profile) *network.Network {
+	b := &builder{
+		n:   network.New(p.Name),
+		rng: rand.New(rand.NewSource(p.Seed)),
+		p:   p,
+	}
+	for i := 0; i < p.NumPI; i++ {
+		b.pool = append(b.pool, b.n.AddInput(fmt.Sprintf("pi%d", i)))
+	}
 	for _, w := range p.ParityWidth {
 		ins := make([]*network.Gate, w)
 		for i := range ins {
@@ -340,35 +345,16 @@ func (b *builder) synthesize() {
 	for b.gates < p.TargetGates {
 		b.glue()
 	}
-}
-
-// finalize marks every dangling signal as a primary output (so nothing is
-// dead) and assigns fanout-proportional initial drive strengths, as a
-// timing-driven mapper would deliver (§6).
-func finalize(n *network.Network) *network.Network {
-	n.Gates(func(g *network.Gate) {
+	// Mark every dangling signal as a primary output (so nothing is dead)
+	// and assign fanout-proportional initial drive strengths, as a
+	// timing-driven mapper would deliver (§6).
+	b.n.Gates(func(g *network.Gate) {
 		if g.NumFanouts() == 0 && !g.IsInput() {
-			n.MarkOutput(g)
+			b.n.MarkOutput(g)
 		}
 	})
-	techmap.SeedSizes(n)
-	return n
-}
-
-// FromProfile generates the circuit described by p. The result is a valid
-// mapped network: every gate is a 1–4-input library function, the DAG is
-// acyclic, and every gate without fanout is a primary output.
-func FromProfile(p Profile) *network.Network {
-	b := &builder{
-		n:   network.New(p.Name),
-		rng: rand.New(rand.NewSource(p.Seed)),
-		p:   p,
-	}
-	for i := 0; i < p.NumPI; i++ {
-		b.pool = append(b.pool, b.n.AddInput(fmt.Sprintf("pi%d", i)))
-	}
-	b.synthesize()
-	return finalize(b.n)
+	techmap.SeedSizes(b.n)
+	return b.n
 }
 
 // Benchmarks returns the Table 1 circuit names in table order.

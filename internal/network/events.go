@@ -19,7 +19,8 @@
 // through SetSize, SetGateType, and MarkOutput when observers must see the
 // change. The one sanctioned direct-write pattern is a hypothetical
 // evaluation that flips a field and restores it before the next observer
-// synchronization point (see sizing.EvalResize). snapshot.go states what
+// synchronization point (sizing.Frame avoids even that, scoring a resize
+// through a size override in its scratch). snapshot.go states what
 // a direct write owes the snapshot capture.
 package network
 

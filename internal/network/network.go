@@ -795,27 +795,3 @@ func (n *Network) SupportOf(g *Gate) []*Gate {
 	sort.Slice(support, func(i, j int) bool { return support[i].id < support[j].id })
 	return support
 }
-
-// ConeOf returns all gates in the transitive fanin cone of g, including g
-// and the primary inputs, in topological order.
-func (n *Network) ConeOf(g *Gate) []*Gate {
-	inCone := make(map[*Gate]bool)
-	var mark func(*Gate)
-	mark = func(x *Gate) {
-		if inCone[x] {
-			return
-		}
-		inCone[x] = true
-		for _, f := range x.fanins {
-			mark(f)
-		}
-	}
-	mark(g)
-	var cone []*Gate
-	for _, x := range n.TopoOrder() {
-		if inCone[x] {
-			cone = append(cone, x)
-		}
-	}
-	return cone
-}

@@ -19,9 +19,6 @@ type queueEntry struct {
 // Len returns the number of queued gates.
 func (q *GateQueue) Len() int { return len(q.e) }
 
-// Reset empties the queue, keeping its backing array.
-func (q *GateQueue) Reset() { q.e = q.e[:0] }
-
 // Push queues g under key.
 func (q *GateQueue) Push(key uint64, g *Gate) {
 	q.e = append(q.e, queueEntry{})

@@ -409,25 +409,16 @@ func bestSwap(tm *sta.Timing, sg *supergate.Supergate, obj sizing.Objective, ws 
 	return best, bestGain
 }
 
-// EvalSwap locally evaluates the objective gain of a swap against tm: the
-// two affected drivers' nets are rebuilt with the exchanged sink, their
-// arrivals recomputed, and the slacks of every gate they feed rescored
-// with required times frozen. Inverting swaps add the inverter's cell
-// delay at the receiving pin (the committed batch is still guarded by a
-// full analysis). It is a convenience wrapper over EvalSwapScratch with a
-// pooled arena.
-func EvalSwap(tm *sta.Timing, s rewire.Swap, obj sizing.Objective) float64 {
-	sc := sta.GetScratch()
-	gain := EvalSwapScratch(tm, s, obj, sc)
-	sta.PutScratch(sc)
-	return gain
-}
-
-// EvalSwapScratch is EvalSwap evaluating through an explicit arena: a
-// pure read of tm with zero steady-state allocations. The before/after
-// neighborhoods are collected once into a deterministic slice (drivers
-// first, then sinks in post-exchange net order), so the score — float
-// summation order included — never depends on map iteration.
+// EvalSwapScratch locally evaluates the objective gain of a swap against
+// tm: the two affected drivers' nets are rebuilt with the exchanged sink,
+// their arrivals recomputed, and the slacks of every gate they feed
+// rescored with required times frozen. Inverting swaps add the inverter's
+// cell delay at the receiving pin (the committed batch is still guarded by
+// a full analysis). It is a pure read of tm through the arena sc, with
+// zero steady-state allocations. The before/after neighborhoods are
+// collected once into a deterministic slice (drivers first, then sinks in
+// post-exchange net order), so the score — float summation order
+// included — never depends on map iteration.
 func EvalSwapScratch(tm *sta.Timing, s rewire.Swap, obj sizing.Objective, sc *sta.Scratch) float64 {
 	pa := s.SG.Leaves[s.I].Pin
 	pb := s.SG.Leaves[s.J].Pin

@@ -273,7 +273,7 @@ func TestEvalSwapSameDriverIsZero(t *testing.T) {
 	tm := sta.Analyze(n, l, 0)
 	e := supergate.Extract(n)
 	sg := e.Of(f)
-	if got := EvalSwap(tm, rewireSwap(sg, 0, 1, false), sizing.MinSlack); got != 0 {
+	if got := EvalSwapScratch(tm, rewireSwap(sg, 0, 1, false), sizing.MinSlack, sta.NewScratch()); got != 0 {
 		t.Fatalf("same-driver swap scored %v", got)
 	}
 }
@@ -285,12 +285,13 @@ func TestEvalSwapInvertingPenalty(t *testing.T) {
 	l := lib()
 	tm := sta.Analyze(n, l, 0)
 	e := supergate.Extract(n)
+	sc := sta.NewScratch()
 	checked := 0
 	for _, sg := range e.NonTrivial() {
 		for i := 0; i < len(sg.Leaves) && checked < 50; i++ {
 			for j := i + 1; j < len(sg.Leaves) && checked < 50; j++ {
-				plain := EvalSwap(tm, rewireSwap(sg, i, j, false), sizing.MinSlack)
-				inv := EvalSwap(tm, rewireSwap(sg, i, j, true), sizing.MinSlack)
+				plain := EvalSwapScratch(tm, rewireSwap(sg, i, j, false), sizing.MinSlack, sc)
+				inv := EvalSwapScratch(tm, rewireSwap(sg, i, j, true), sizing.MinSlack, sc)
 				if inv > plain+1e-9 {
 					t.Fatalf("inverting swap scored better: %v > %v", inv, plain)
 				}

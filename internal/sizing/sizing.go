@@ -296,22 +296,6 @@ func (f *Frame) BestResize(tm *sta.Timing, g *network.Gate, obj Objective) (int,
 	return bestSize, bestGain
 }
 
-// EvalResize is Frame.EvalResize through a pooled arena.
-func EvalResize(tm *sta.Timing, g *network.Gate, newSize int, obj Objective) float64 {
-	sc := sta.GetScratch()
-	gain := NewFrame(sc).EvalResize(tm, g, newSize, obj)
-	sta.PutScratch(sc)
-	return gain
-}
-
-// BestResize is Frame.BestResize through a pooled arena.
-func BestResize(tm *sta.Timing, g *network.Gate, obj Objective) (int, float64) {
-	sc := sta.GetScratch()
-	size, gain := NewFrame(sc).BestResize(tm, g, obj)
-	sta.PutScratch(sc)
-	return size, gain
-}
-
 // DefaultStageTargetNS is the load-delay budget per stage used by
 // SeedForLoad when none is given.
 const DefaultStageTargetNS = 0.3

@@ -30,7 +30,7 @@ func TestEvalResizeFindsObviousWin(t *testing.T) {
 	l := lib()
 	tm := sta.Analyze(n, l, 0)
 	d := n.FindGate("d")
-	gain := EvalResize(tm, d, library.NumSizes-1, MinSlack)
+	gain := NewFrame(sta.NewScratch()).EvalResize(tm, d, library.NumSizes-1, MinSlack)
 	if gain <= 0 {
 		t.Fatalf("upsizing an overloaded driver should gain, got %v", gain)
 	}
@@ -47,7 +47,7 @@ func TestEvalResizeTracksFullSTA(t *testing.T) {
 	l := lib()
 	tm := sta.Analyze(n, l, 0)
 	d := n.FindGate("d")
-	gain := EvalResize(tm, d, library.NumSizes-1, MinSlack)
+	gain := NewFrame(sta.NewScratch()).EvalResize(tm, d, library.NumSizes-1, MinSlack)
 	before := tm.CriticalDelay
 	d.SizeIdx = library.NumSizes - 1
 	after := sta.Analyze(n, l, tm.Clock).CriticalDelay
@@ -62,7 +62,7 @@ func TestBestResize(t *testing.T) {
 	l := lib()
 	tm := sta.Analyze(n, l, 0)
 	d := n.FindGate("d")
-	size, gain := BestResize(tm, d, MinSlack)
+	size, gain := NewFrame(sta.NewScratch()).BestResize(tm, d, MinSlack)
 	if size == 0 || gain <= 0 {
 		t.Fatalf("BestResize missed the win: size=%d gain=%v", size, gain)
 	}

@@ -29,9 +29,9 @@
 //
 // Writes that bypass the event layer invalidate the timer silently. The
 // two sanctioned patterns are: hypothetical evaluations that flip a field
-// and restore it before the next Update (sizing.EvalResize), and placing a
-// gate that is already dirty in the same batch (opt places the inverters a
-// swap creates right after rewire.Apply reports them).
+// and restore it before the next Update, and placing a gate that is
+// already dirty in the same batch (opt places the inverters a swap
+// creates right after rewire.Apply reports them).
 //
 // When a batch dirties more than FullFraction of the network, Update falls
 // back to a seeded full Analyze — at that size the from-scratch three-pass

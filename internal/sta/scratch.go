@@ -1,5 +1,6 @@
 // Scoring arenas: reusable, epoch-stamped scratch state for the
-// optimizers' hypothetical evaluations (opt.EvalSwap, sizing.BestResize).
+// optimizers' hypothetical evaluations (opt.EvalSwapScratch,
+// sizing.Frame).
 // Those evaluations only *read* the committed Timing; their working state
 // — hypothetical net models, driver arrivals, neighborhood sets, pin and
 // slack buffers — used to be freshly allocated maps and slices on every
@@ -22,9 +23,9 @@ import (
 	"repro/internal/wire"
 )
 
-// scratchPool backs GetScratch/PutScratch — the one shared pool behind
-// every convenience scoring entry point (opt.EvalSwap, sizing.EvalResize,
-// sizing.BestResize). Hot paths hold per-worker Scratches instead.
+// scratchPool backs GetScratch/PutScratch — the one shared pool the
+// scoring engine's workers borrow their arenas from (opt.NewEngine), so
+// runs reuse grown arrays instead of paying the warm-up again.
 var scratchPool = sync.Pool{New: func() interface{} { return NewScratch() }}
 
 // GetScratch borrows an arena from the shared pool.

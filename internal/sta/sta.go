@@ -632,21 +632,6 @@ func (t *Timing) WorstSlack() float64 {
 	return worst
 }
 
-// SlackSum returns the sum of gate slacks, with each slack clipped to the
-// clock period to keep far-off-critical gates from dominating. This is the
-// relaxation objective of the optimizer's second phase.
-func (t *Timing) SlackSum() float64 {
-	sum := 0.0
-	t.n.Gates(func(g *network.Gate) {
-		s := t.Slack(g)
-		if s > t.Clock {
-			s = t.Clock
-		}
-		sum += s
-	})
-	return sum
-}
-
 // CriticalPath returns the gates of one critical path, from a primary
 // input to the worst primary output.
 func (t *Timing) CriticalPath() []*network.Gate {

@@ -217,19 +217,6 @@ func TestComputeNetHypothetical(t *testing.T) {
 	}
 }
 
-func TestSlackSumFinite(t *testing.T) {
-	n, err := gen.Generate("c432")
-	if err != nil {
-		t.Fatal(err)
-	}
-	place.Place(n, lib(), place.Options{Seed: 3, MovesPerCell: 5})
-	tm := Analyze(n, lib(), 0)
-	s := tm.SlackSum()
-	if math.IsInf(s, 0) || math.IsNaN(s) {
-		t.Fatalf("slack sum = %v", s)
-	}
-}
-
 func TestComputeNetMixedPlacement(t *testing.T) {
 	// If any terminal of a hypothetical net is unplaced, the model falls
 	// back to pin capacitances only (no wire parasitics).
