@@ -2,7 +2,7 @@ package opt
 
 // Pins what the optimizer produces, not how much work it took: a hash of
 // the final network (structure, sizes, placement) and of the Result with
-// the work counters (Evals, Extractor) zeroed, per circuit and
+// the work counters (Evals, Extractor, Timer) zeroed, per circuit and
 // configuration. A scoring or apply-loop change that claims "same
 // networks, less work" must leave every row unchanged.
 
@@ -19,6 +19,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/place"
 	"repro/internal/sizing"
+	"repro/internal/sta"
 	"repro/internal/supergate"
 )
 
@@ -43,6 +44,7 @@ func resultJSON(t *testing.T, r Result) string {
 	t.Helper()
 	r.Evals = EvalStats{}
 	r.Extractor = supergate.CacheStats{}
+	r.Timer = sta.IncStats{}
 	b, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
@@ -71,25 +73,31 @@ var goldenConfigs = []struct {
 // goldenRows maps circuit/config to the final-network hash and the
 // counter-free Result JSON hash.
 var goldenRows = map[string][2]string{
-	"alu2/default":          {"16e169933141107b", "b7c90a04d5d9adb9"},
-	"alu2/regions4-w0.005":  {"e15bf1a7106e0d85", "a6e4b6516accd1e5"},
-	"alu2/GS":               {"fb16aec40999a18f", "186ffb788b91f3f2"},
-	"c432/default":          {"b822b9f02ed3c542", "9c9c3681507a0c7a"},
-	"c432/regions4-w0.005":  {"b8296adb8ec0fac0", "f91df6da2356504a"},
-	"c432/GS":               {"3a1a95acc76608ad", "8676d03f25dd83ab"},
-	"c1908/default":         {"2b9ec0433cdc572d", "20985322fadeb270"},
-	"c1908/regions4-w0.005": {"ab324094f50eab8b", "af7248055832ef8e"},
-	"c1908/GS":              {"66abf88afc0b3c48", "4f647838bee52754"},
-	"s5378/default":         {"8033a32d04b9c9a2", "7705f534a3ba0a0e"},
-	"s5378/regions4-w0.005": {"27f25c94f7604845", "bac38c150433aa35"},
-	"s5378/GS":              {"4ad4cc3365405f78", "80a1841a237630bb"},
+	"alu2/default":           {"16e169933141107b", "c38591d4dc32f666"},
+	"alu2/regions4-w0.005":   {"e15bf1a7106e0d85", "c292656b9a16de24"},
+	"alu2/GS":                {"fb16aec40999a18f", "12b3894af7b6e27c"},
+	"c432/default":           {"b822b9f02ed3c542", "8b9a1fc424bbe23e"},
+	"c432/regions4-w0.005":   {"b8296adb8ec0fac0", "593c48ce57969633"},
+	"c432/GS":                {"3a1a95acc76608ad", "4f45f718f95b6e54"},
+	"c1908/default":          {"2b9ec0433cdc572d", "1c62c79a635318e0"},
+	"c1908/regions4-w0.005":  {"ab324094f50eab8b", "5e785633ee56fe68"},
+	"c1908/GS":               {"66abf88afc0b3c48", "38425461e814e2c3"},
+	"s5378/default":          {"8033a32d04b9c9a2", "84f60fd361255798"},
+	"s5378/regions4-w0.005":  {"27f25c94f7604845", "b4ac16d4b19ed9e8"},
+	"s5378/GS":               {"4ad4cc3365405f78", "7541f65bd01e4b16"},
+	"c6288/default":          {"ac8c75a325587003", "96be8f2c04923781"},
+	"c6288/regions4-w0.005":  {"87e99d93dc6d4543", "82df0454d9a39017"},
+	"c6288/GS":               {"91f4b02322d15000", "49a6653e089a3524"},
+	"s38417/default":         {"718884c274072998", "6d325684fee2a47b"},
+	"s38417/regions4-w0.005": {"c54cb45002165fd7", "a96f738497c3d628"},
+	"s38417/GS":              {"b4bc012473b515b7", "e8eb33dbc7beccf1"},
 }
 
 func TestOptimizeNetworkGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full optimizer runs")
 	}
-	for _, name := range []string{"alu2", "c432", "c1908", "s5378"} {
+	for _, name := range []string{"alu2", "c432", "c1908", "s5378", "c6288", "s38417"} {
 		base, err := gen.Generate(name)
 		if err != nil {
 			t.Fatal(err)
