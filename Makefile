@@ -45,7 +45,7 @@ bench-smoke:
 # the golden bands in PERF_BASELINE.json (tight allocs/op, generous
 # ns/op — see the note in that file). Fails with a readable diff.
 perf-gate:
-	$(GO) test -run xxx -bench 'BenchmarkMoveGen$$|BenchmarkFullSTA$$|BenchmarkIncrementalSTA$$|BenchmarkIncrementalWideUpdate$$|BenchmarkExtractIncremental$$|BenchmarkFig2Swap$$|BenchmarkRegionRoundTrip$$|BenchmarkSessionApply$$|BenchmarkSnapshotAfterResize$$|BenchmarkVerify$$|BenchmarkPlace$$' -benchmem -benchtime 1x -count 3 . \
+	$(GO) test -run xxx -bench 'BenchmarkMoveGen$$|BenchmarkFullSTA$$|BenchmarkIncrementalSTA$$|BenchmarkIncrementalWideUpdate$$|BenchmarkRollback$$|BenchmarkExtractIncremental$$|BenchmarkFig2Swap$$|BenchmarkRegionRoundTrip$$|BenchmarkSessionApply$$|BenchmarkSnapshotAfterResize$$|BenchmarkVerify$$|BenchmarkPlace$$' -benchmem -benchtime 1x -count 3 . \
 	  | $(GO) run ./cmd/perfgate -baseline PERF_BASELINE.json
 
 table1:

@@ -379,6 +379,56 @@ func BenchmarkIncrementalWideUpdate(b *testing.B) {
 	b.ReportMetric(float64(st.ArrivalRecomputes+st.RequiredRecomputes-before.ArrivalRecomputes-before.RequiredRecomputes)/float64(b.N), "recomputes/op")
 }
 
+// BenchmarkRollback measures one rejected sum-slack batch on s38417, the
+// way the optimizer undoes it: checkpoint the timer, apply every move of
+// the phase's ranking, Update, undo the moves in reverse order, and roll
+// the timer and the extraction cache back. Nothing is re-timed or
+// re-extracted after the undo, so the op costs the batch's own Update —
+// a full analysis, since the unrevalidated batch dirties most of the
+// network, as the optimizer's rejected sum-slack batches on s38417 do —
+// plus two copies of the timing arrays.
+func BenchmarkRollback(b *testing.B) {
+	n, lib, _ := staSwapSetup(b)
+	inc := sta.NewIncremental(n, lib, 0)
+	defer inc.Release()
+	cache := supergate.NewCache(n)
+	defer cache.Close()
+	eng := opt.NewEngine(1)
+	moves := eng.Moves(inc.Timing(), opt.GsgGS, sizing.SumSlack, opt.Options{MaxSwapLeaves: 48}, cache.Extraction())
+	eng.Release()
+	undos := make([]func(), 0, len(moves))
+	reject := func() {
+		inc.Checkpoint()
+		n.BeginBatch()
+		for _, m := range moves {
+			if m.IsSwap {
+				undos = append(undos, rewire.Apply(n, m.Swap))
+				continue
+			}
+			g, old := m.Gate, m.Gate.SizeIdx
+			n.SetSize(g, m.Size)
+			undos = append(undos, func() { n.SetSize(g, old) })
+		}
+		n.EndBatch()
+		inc.Update()
+		n.BeginBatch()
+		for i := len(undos) - 1; i >= 0; i-- {
+			undos[i]()
+		}
+		n.EndBatch()
+		undos = undos[:0]
+		cache.Rollback()
+		inc.Rollback()
+	}
+	reject() // warm the checkpoint and the propagation scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reject()
+	}
+	b.ReportMetric(float64(len(moves)), "moves")
+}
+
 // --- PR 2: the move-evaluation engine ---
 
 // BenchmarkMoveGen measures one phase of candidate generation + scoring

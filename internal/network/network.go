@@ -308,24 +308,63 @@ func (n *Network) FreshName(prefix string) string {
 // ReplaceFanin redirects in-pin (g, idx) from its current driver to nd,
 // keeping fanout lists consistent.
 func (n *Network) ReplaceFanin(g *Gate, idx int, nd *Gate) {
+	n.ReplaceFaninAt(g, idx, nd)
+}
+
+// ReplaceFaninAt is ReplaceFanin returning the position g's entry held in
+// the old driver's fanout list, or -1 when nd already drove the pin. The
+// old driver's list is compacted by moving its last entry into that
+// position; UndoReplaceFanin takes the position to reverse exactly that.
+func (n *Network) ReplaceFaninAt(g *Gate, idx int, nd *Gate) int {
 	old := g.fanins[idx]
 	if old == nd {
-		return
+		return -1
 	}
-	removeOneFanout(old, g)
+	pos := removeOneFanout(old, g)
 	g.fanins[idx] = nd
 	nd.fanouts = append(nd.fanouts, g)
 	n.restructured()
 	n.touch(old, nd, g)
+	return pos
 }
 
-func removeOneFanout(from, sink *Gate) {
+// UndoReplaceFanin reconnects in-pin (g, idx) to old, reversing the
+// ReplaceFaninAt that returned pos. Undone in LIFO order, it is an exact
+// inverse: both drivers' fanout lists get back their former order, not
+// just their former multisets, so star-model sums over them round the
+// same way again. If the pin's current driver no longer ends its fanout
+// list with g (the pin moved again and stayed moved), it falls back to a
+// plain ReplaceFanin.
+func (n *Network) UndoReplaceFanin(g *Gate, idx int, old *Gate, pos int) {
+	nd := g.fanins[idx]
+	last := len(nd.fanouts) - 1
+	if pos < 0 || nd == old || last < 0 || nd.fanouts[last] != g || pos > len(old.fanouts) {
+		n.ReplaceFanin(g, idx, old)
+		return
+	}
+	nd.fanouts[last] = nil
+	nd.fanouts = nd.fanouts[:last]
+	g.fanins[idx] = old
+	if pos == len(old.fanouts) {
+		old.fanouts = append(old.fanouts, g)
+	} else {
+		old.fanouts = append(old.fanouts, old.fanouts[pos])
+		old.fanouts[pos] = g
+	}
+	n.restructured()
+	n.touch(nd, old, g)
+}
+
+// removeOneFanout deletes one occurrence of sink from from's fanout list
+// by moving the last entry into its slot, and returns the slot.
+func removeOneFanout(from, sink *Gate) int {
 	for i, s := range from.fanouts {
 		if s == sink {
 			last := len(from.fanouts) - 1
 			from.fanouts[i] = from.fanouts[last]
+			from.fanouts[last] = nil
 			from.fanouts = from.fanouts[:last]
-			return
+			return i
 		}
 	}
 	panic(fmt.Sprintf("network: %s is not a fanout of %s", sink, from))

@@ -9,9 +9,18 @@
 // candidate sites into deterministic slices, fans the scoring out over
 // GOMAXPROCS workers each owning a private sta.Scratch arena (zero
 // steady-state allocations), and writes each result into the slot of its
-// site index. The merged move list is compacted in site order and sorted
-// by (gain, dense gate ID), a total order — so the result is bit-identical
+// site. The merged move list is compacted in site order and sorted by
+// (gain, dense gate ID), a total order — so the result is bit-identical
 // whether it was produced by 1 worker or 64.
+//
+// A site is scored once per network state. Its candidates' slack vectors
+// do not depend on the phase asking, so each is reduced under both
+// objectives and the site's best move under each is kept in a buffer
+// keyed by the site's gate ID and the timing view's version
+// (sta.Timing.Version). A phase on an unchanged state — after a rejected
+// batch has been rolled back, the optimizer's timer reports the version
+// the scores were taken at — takes its moves from the buffer and scores
+// only the sites it lacks; any accepted batch moves the version on.
 package opt
 
 import (
@@ -66,6 +75,22 @@ func sortMoves(moves []Move) {
 	})
 }
 
+// siteScore is one site's best move under each objective, indexed by
+// sizing.Objective, scored against the timing view of version version.
+type siteScore struct {
+	version uint64
+	best    [2]siteMove
+}
+
+// siteMove is a site's best move under one objective: the swap of leaves
+// a and b (inverting when inv), or the resize to size a. A gain of at
+// most eps means the site offers no move.
+type siteMove struct {
+	gain float64
+	a, b int32
+	inv  bool
+}
+
 // workerState is one worker's private evaluation state: a scoring arena,
 // the resize frame that evaluates through it, a reusable swap-enumeration
 // buffer, and local work counters merged into the engine's stats after
@@ -89,7 +114,8 @@ type EvalStats struct {
 	Phases int
 	// SwapSites and ResizeSites count candidate sites scored: supergates
 	// whose swap enumerations were evaluated, gates whose alternative
-	// sizes were evaluated.
+	// sizes were evaluated. A site whose scores a phase took from the
+	// engine's buffer is not scored again and not counted again.
 	SwapSites   int
 	ResizeSites int
 	// SwapEvals and ResizeEvals count individual candidates scored — the
@@ -137,6 +163,17 @@ type Engine struct {
 	workers int
 	state   []*workerState
 	stats   EvalStats
+
+	// Per-phase buffers, reused across phases. crit holds the phase's
+	// criticality predicate by gate ID; swapScores and resizeScores the
+	// site scores by the swap site's root ID and the resized gate's ID.
+	crit         []bool
+	swapScores   []siteScore
+	resizeScores []siteScore
+	swapSites    []*supergate.Supergate
+	resizeSites  []*network.Gate
+	todo         []int
+	ranked       []rankedSite
 }
 
 // NewEngine builds an engine with the given parallelism; workers <= 0
@@ -184,6 +221,9 @@ func (e *Engine) TakeStats() EvalStats {
 // against the frozen timing view, returning them sorted by (gain, site
 // ID). ext supplies the supergate decomposition and may be nil for the
 // GS strategy. o needs MaxSwapLeaves set (Optimize's defaulting applies).
+// Sites scored at the view's version by an earlier call are not scored
+// again (see the package comment); the ranking is bit-identical to a
+// fresh engine's.
 func (e *Engine) Moves(tm *sta.Timing, strat Strategy, obj sizing.Objective, o Options, ext *supergate.Extraction) []Move {
 	n := tm.Network()
 
@@ -208,30 +248,36 @@ func (e *Engine) Moves(tm *sta.Timing, strat Strategy, obj sizing.Objective, o O
 		}
 	}
 	threshold := tm.WorstSlack() + margin
-	critical := func(g *network.Gate) bool { return tm.Slack(g) <= threshold }
+	bound := n.IDBound()
+	e.crit = slices.Grow(e.crit[:0], bound)[:bound]
+	n.Gates(func(g *network.Gate) { e.crit[g.ID()] = tm.Slack(g) <= threshold })
 
-	var swapSites []*supergate.Supergate
+	swapSites := e.swapSites[:0]
 	if strat != GS && ext != nil {
-		for _, sg := range ext.NonTrivial() {
+		nt := ext.NonTrivial()
+		swapSites = slices.Grow(swapSites, len(nt))
+		for _, sg := range nt {
 			if len(sg.Leaves) > o.MaxSwapLeaves {
 				continue
 			}
-			if !supergateCritical(sg, critical) {
+			if !supergateCritical(sg, e.crit) {
 				continue
 			}
 			swapSites = append(swapSites, sg)
 		}
 	}
-	var resizeSites []*network.Gate
+	resizeSites := e.resizeSites[:0]
 	if strat != Gsg {
+		resizeSites = slices.Grow(resizeSites, n.NumGates())
 		sizable := sizableFilter(strat, ext)
 		n.Gates(func(g *network.Gate) {
-			if g.IsInput() || !sizable(g) || !neighborhoodCritical(g, critical) {
+			if g.IsInput() || !sizable(g) || !neighborhoodCritical(g, e.crit) {
 				return
 			}
 			resizeSites = append(resizeSites, g)
 		})
 	}
+	e.swapSites, e.resizeSites = swapSites, resizeSites
 
 	// Windowed mode additionally bounds the per-phase site count: sites
 	// are ranked by their own criticality (worst slack over the gates a
@@ -246,37 +292,69 @@ func (e *Engine) Moves(tm *sta.Timing, strat Strategy, obj sizing.Objective, o O
 			windowSiteBudget(o.Window, n.NumLogicGates()))
 	}
 
-	// Every site scores into its own slot; a zero Gain marks "no move".
+	// Score the sites the buffers lack at this version, each into its own
+	// entry (sites are distinct, so workers never share one).
 	e.stats.Phases++
-	e.stats.SwapSites += len(swapSites)
-	e.stats.ResizeSites += len(resizeSites)
-	results := make([]Move, len(swapSites)+len(resizeSites))
-	e.scoreAll(len(results), func(i int, ws *workerState) {
+	ver := tm.Version()
+	e.swapScores = growScores(e.swapScores, bound)
+	e.resizeScores = growScores(e.resizeScores, bound)
+	todo := slices.Grow(e.todo[:0], len(swapSites)+len(resizeSites))
+	for i, sg := range swapSites {
+		if ver == 0 || e.swapScores[sg.Root.ID()].version != ver {
+			todo = append(todo, i)
+			e.stats.SwapSites++
+		}
+	}
+	for i, g := range resizeSites {
+		if ver == 0 || e.resizeScores[g.ID()].version != ver {
+			todo = append(todo, len(swapSites)+i)
+			e.stats.ResizeSites++
+		}
+	}
+	e.todo = todo
+	e.scoreAll(len(todo), func(k int, ws *workerState) {
+		i := todo[k]
 		if i < len(swapSites) {
 			sg := swapSites[i]
-			if s, gain := bestSwap(tm, sg, obj, ws); gain > eps {
-				results[i] = Move{Gain: gain, IsSwap: true, Swap: s}
-			}
+			e.swapScores[sg.Root.ID()] = siteScore{version: ver, best: bestSwaps(tm, sg, ws)}
 			return
 		}
 		g := resizeSites[i-len(swapSites)]
 		ws.resizeEvals += library.NumSizes - 1
-		if size, gain := ws.rs.BestResize(tm, g, obj); gain > eps {
-			results[i] = Move{Gain: gain, Gate: g, Size: size}
+		sc := siteScore{version: ver}
+		for obj, r := range ws.rs.BestResizes(tm, g) {
+			sc.best[obj] = siteMove{gain: r.Gain, a: int32(r.Size)}
 		}
+		e.resizeScores[g.ID()] = sc
 	})
 	for _, ws := range e.state {
 		e.stats.add(ws)
 	}
-	moves := results[:0]
-	for _, m := range results {
-		if m.Gain > eps {
-			moves = append(moves, m)
+
+	moves := make([]Move, 0, len(swapSites)+len(resizeSites))
+	for _, sg := range swapSites {
+		if m := e.swapScores[sg.Root.ID()].best[obj]; m.gain > eps {
+			moves = append(moves, Move{Gain: m.gain, IsSwap: true,
+				Swap: rewire.Swap{SG: sg, I: int(m.a), J: int(m.b), Inverting: m.inv}})
+		}
+	}
+	for _, g := range resizeSites {
+		if m := e.resizeScores[g.ID()].best[obj]; m.gain > eps {
+			moves = append(moves, Move{Gain: m.gain, Gate: g, Size: int(m.a)})
 		}
 	}
 	sortMoves(moves)
 	e.stats.Moves += len(moves)
 	return moves
+}
+
+// growScores extends a score buffer to cover gate IDs below bound; new
+// entries have version 0, which no timing view matches.
+func growScores(s []siteScore, bound int) []siteScore {
+	if bound > len(s) {
+		s = append(s, make([]siteScore, bound-len(s))...)
+	}
+	return s
 }
 
 // windowSiteFloor is the minimum per-phase site budget in windowed mode;
@@ -293,21 +371,42 @@ func windowSiteBudget(window float64, n int) int {
 	return b
 }
 
+// rankedSite is a windowed phase's site ranked by the worst slack a move
+// there can touch.
+type rankedSite struct {
+	slack float64
+	id    int
+	swap  int // index+1 into the phase's swap sites, 0 for resize sites
+	gate  *network.Gate
+}
+
+// cmpRanked orders sites by slack, then dense site ID, then swap before
+// resize. It is a total order: swap is unique per swap site and 0 for
+// resizes, so the budget selected never depends on the algorithm.
+func cmpRanked(a, b rankedSite) int {
+	switch {
+	case a.slack != b.slack:
+		if a.slack < b.slack {
+			return -1
+		}
+		return 1
+	case a.id != b.id:
+		return a.id - b.id
+	default:
+		return b.swap - a.swap
+	}
+}
+
 // budgetSites keeps the budget most-critical sites across both site
 // kinds, ranking by the worst slack a move at the site can touch with the
-// dense site ID as the deterministic tie-break.
+// dense site ID as the deterministic tie-break. It selects the budget
+// first and sorts only what it keeps.
 func (e *Engine) budgetSites(tm *sta.Timing, swapSites []*supergate.Supergate, resizeSites []*network.Gate, budget int) ([]*supergate.Supergate, []*network.Gate) {
 	total := len(swapSites) + len(resizeSites)
 	if total <= budget {
 		return swapSites, resizeSites
 	}
-	type rankedSite struct {
-		slack float64
-		id    int
-		swap  int // index+1 into swapSites, 0 for resize sites
-		gate  *network.Gate
-	}
-	ranked := make([]rankedSite, 0, total)
+	ranked := e.ranked[:0]
 	for i, sg := range swapSites {
 		s := math.MaxFloat64
 		for _, g := range sg.Gates {
@@ -331,21 +430,8 @@ func (e *Engine) budgetSites(tm *sta.Timing, swapSites []*supergate.Supergate, r
 		}
 		ranked = append(ranked, rankedSite{slack: s, id: g.ID(), gate: g})
 	}
-	// A total order: swap is unique per swap site and 0 for resizes, so
-	// the budget selected never depends on the sort algorithm.
-	slices.SortFunc(ranked, func(a, b rankedSite) int {
-		switch {
-		case a.slack != b.slack:
-			if a.slack < b.slack {
-				return -1
-			}
-			return 1
-		case a.id != b.id:
-			return a.id - b.id
-		default:
-			return b.swap - a.swap
-		}
-	})
+	selectSmallest(ranked, budget, cmpRanked)
+	slices.SortFunc(ranked[:budget], cmpRanked)
 	var outSwaps []*supergate.Supergate
 	var outResizes []*network.Gate
 	for _, r := range ranked[:budget] {
@@ -355,7 +441,46 @@ func (e *Engine) budgetSites(tm *sta.Timing, swapSites []*supergate.Supergate, r
 			outResizes = append(outResizes, r.gate)
 		}
 	}
+	clear(ranked) // drop the gate pointers; the engine outlives the phase
+	e.ranked = ranked[:0]
 	return outSwaps, outResizes
+}
+
+// selectSmallest reorders s so that s[:k] holds its k smallest elements
+// under cmp, a total order, in no particular order (quickselect with a
+// median-of-three pivot, expected O(len(s))).
+func selectSmallest[T any](s []T, k int, cmp func(a, b T) int) {
+	lo, hi := 0, len(s)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if cmp(s[mid], s[lo]) < 0 {
+			s[mid], s[lo] = s[lo], s[mid]
+		}
+		if cmp(s[hi], s[lo]) < 0 {
+			s[hi], s[lo] = s[lo], s[hi]
+		}
+		if cmp(s[mid], s[hi]) < 0 {
+			s[mid], s[hi] = s[hi], s[mid]
+		}
+		// s[hi] is now the median of the three; partition around it.
+		p := s[hi]
+		i := lo
+		for j := lo; j < hi; j++ {
+			if cmp(s[j], p) < 0 {
+				s[i], s[j] = s[j], s[i]
+				i++
+			}
+		}
+		s[i], s[hi] = s[hi], s[i]
+		switch {
+		case i == k:
+			return
+		case i < k:
+			lo = i + 1
+		default:
+			hi = i - 1
+		}
+	}
 }
 
 // scoreAll runs fn over task indices [0, nTasks), sequentially on one
@@ -392,21 +517,22 @@ func (e *Engine) scoreAll(nTasks int, fn func(i int, ws *workerState)) {
 	wg.Wait()
 }
 
-// bestSwap returns the best-gaining swap of a supergate (§5: "for each
-// supergate, we find the best swap which maximizes the minimum slack in
-// its neighborhood").
-func bestSwap(tm *sta.Timing, sg *supergate.Supergate, obj sizing.Objective, ws *workerState) (rewire.Swap, float64) {
-	var best rewire.Swap
-	bestGain := 0.0
+// bestSwaps returns a supergate's best-gaining swap under each objective,
+// indexed by sizing.Objective (§5: "for each supergate, we find the best
+// swap which maximizes the minimum slack in its neighborhood").
+func bestSwaps(tm *sta.Timing, sg *supergate.Supergate, ws *workerState) [2]siteMove {
+	var best [2]siteMove
 	ws.swaps = rewire.EnumerateInto(ws.swaps[:0], sg)
 	ws.swapEvals += len(ws.swaps)
 	for _, s := range ws.swaps {
-		if gain := EvalSwapScratch(tm, s, obj, ws.sc); gain > bestGain+eps {
-			bestGain = gain
-			best = s
+		gains := evalSwap(tm, s, ws.sc)
+		for obj, gain := range gains {
+			if gain > best[obj].gain+eps {
+				best[obj] = siteMove{gain: gain, a: int32(s.I), b: int32(s.J), inv: s.Inverting}
+			}
 		}
 	}
-	return best, bestGain
+	return best
 }
 
 // EvalSwapScratch locally evaluates the objective gain of a swap against
@@ -420,11 +546,17 @@ func bestSwap(tm *sta.Timing, sg *supergate.Supergate, obj sizing.Objective, ws 
 // post-exchange net order), so the score — float summation order
 // included — never depends on map iteration.
 func EvalSwapScratch(tm *sta.Timing, s rewire.Swap, obj sizing.Objective, sc *sta.Scratch) float64 {
+	return evalSwap(tm, s, sc)[obj]
+}
+
+// evalSwap is EvalSwapScratch under both objectives at once, indexed by
+// sizing.Objective: the two gains reduce the same slack vectors.
+func evalSwap(tm *sta.Timing, s rewire.Swap, sc *sta.Scratch) [2]float64 {
 	pa := s.SG.Leaves[s.I].Pin
 	pb := s.SG.Leaves[s.J].Pin
 	ka, kb := pa.Driver(), pb.Driver()
 	if ka == kb {
-		return 0
+		return [2]float64{}
 	}
 	sc.Begin(tm)
 	// Hypothetical sink multisets after the exchange.
@@ -524,7 +656,8 @@ func EvalSwapScratch(tm *sta.Timing, s rewire.Swap, obj sizing.Objective, sc *st
 	for _, t := range sc.Hood {
 		sc.Before = append(sc.Before, tm.Slack(t))
 	}
-	return sizing.Score(obj, sc.Slacks, tm.Clock) - sizing.Score(obj, sc.Before, tm.Clock)
+	after, before := sizing.Scores(sc.Slacks, tm.Clock), sizing.Scores(sc.Before, tm.Clock)
+	return [2]float64{after[0] - before[0], after[1] - before[1]}
 }
 
 // swapOneSink appends fanouts to out with a single occurrence of from

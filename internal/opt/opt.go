@@ -232,7 +232,6 @@ func Optimize(ctx context.Context, n *network.Network, lib *library.Library, str
 		o.MaxSwapLeaves = 48
 	}
 	inc := sta.NewIncrementalBounded(n, lib, o.Clock, o.Bounds)
-	defer inc.Release()
 	tm := inc.Timing()
 	clock := tm.Clock
 
@@ -298,11 +297,27 @@ func Optimize(ctx context.Context, n *network.Network, lib *library.Library, str
 			// Snapshot the move counters: a rolled-back batch must not
 			// count toward the Result's committed work.
 			swaps0, resizes0 := res.Swaps, res.Resizes
-			var ext *supergate.Extraction
-			if strat != GS {
-				ext = cache.Extraction()
+			// Flush the cache for every strategy, so that a rollback
+			// below drops only this phase's touches.
+			ext := cache.Extraction()
+			if strat == GS {
+				ext = nil
 			}
 			ranked := eng.Moves(tm, strat, obj, o, ext)
+			inc.Checkpoint()
+			// rollback returns the network, the timer and the cache to
+			// the checkpoint: the undos run in reverse order, so every
+			// fanout list gets its order back (rewire.Apply), and the
+			// timer and the cache then describe the restored network as
+			// they did before the batch, with nothing to re-time or
+			// re-extract. The engine's scores, taken at the checkpoint's
+			// timing version, are valid again too.
+			rollback := func(undos []Undo) *sta.Timing {
+				undoAll(n, undos)
+				cache.Rollback()
+				res.Swaps, res.Resizes = swaps0, resizes0
+				return inc.Rollback()
+			}
 			applied, undos := applyMoves(n, tm, ranked, obj, &res, 0, eng)
 			if applied == 0 {
 				report(iter, obj, 0, false, tm)
@@ -317,12 +332,8 @@ func Optimize(ctx context.Context, n *network.Network, lib *library.Library, str
 				// best move, which is almost always sound. The rollback
 				// restores the scored network, so the retry walks the
 				// phase's own ranking, revalidating each move against
-				// the restored timing, instead of scoring it again; the
-				// extraction cache sees the batch and its undo at the
-				// next phase's flush.
-				undoAll(n, undos)
-				res.Swaps, res.Resizes = swaps0, resizes0
-				tm = inc.Update()
+				// the restored timing, instead of scoring it again.
+				tm = rollback(undos)
 				applied, undos = applyMoves(n, tm, ranked, obj, &res, 1, eng)
 				if applied == 0 {
 					report(iter, obj, 0, true, tm)
@@ -331,9 +342,7 @@ func Optimize(ctx context.Context, n *network.Network, lib *library.Library, str
 				tm = inc.Update()
 				after = tm.Lateness
 				if after > before+eps {
-					undoAll(n, undos)
-					res.Swaps, res.Resizes = swaps0, resizes0
-					tm = inc.Update()
+					tm = rollback(undos)
 					report(iter, obj, 0, true, tm)
 					continue
 				}
@@ -366,12 +375,16 @@ func Optimize(ctx context.Context, n *network.Network, lib *library.Library, str
 	// stacking (see rewire.Apply), so nothing accretes.
 	if o.skipFinal {
 		res.FinalDelay = inc.Update().CriticalDelay
-	} else {
+	}
+	res.Timer = inc.Stats()
+	// Releasing the timer hands its checkpoint's Timing back to the pool
+	// the final analysis draws from.
+	inc.Release()
+	if !o.skipFinal {
 		final := sta.AnalyzeReleased(n, lib, clock, o.Bounds)
 		res.FinalDelay = final.CriticalDelay
 		sta.ReleaseTiming(final)
 	}
-	res.Timer = inc.Stats()
 	res.Extractor = cache.Stats()
 	res.Evals = eng.TakeStats()
 	res.FinalArea = techmap.Area(n, lib)
@@ -430,15 +443,15 @@ func undoAll(n *network.Network, undos []Undo) {
 type Undo func()
 
 // supergateCritical reports whether any covered gate or leaf driver of sg
-// satisfies the criticality predicate.
-func supergateCritical(sg *supergate.Supergate, critical func(*network.Gate) bool) bool {
+// is critical (crit is the phase's predicate by gate ID).
+func supergateCritical(sg *supergate.Supergate, crit []bool) bool {
 	for _, g := range sg.Gates {
-		if critical(g) {
+		if crit[g.ID()] {
 			return true
 		}
 	}
 	for _, l := range sg.Leaves {
-		if critical(l.Driver) {
+		if crit[l.Driver.ID()] {
 			return true
 		}
 	}
@@ -447,16 +460,16 @@ func supergateCritical(sg *supergate.Supergate, critical func(*network.Gate) boo
 
 // neighborhoodCritical reports whether a resize of g can touch the
 // critical region: g itself, its fanin drivers, or any of their sinks.
-func neighborhoodCritical(g *network.Gate, critical func(*network.Gate) bool) bool {
-	if critical(g) {
+func neighborhoodCritical(g *network.Gate, crit []bool) bool {
+	if crit[g.ID()] {
 		return true
 	}
 	for _, d := range g.Fanins() {
-		if critical(d) {
+		if crit[d.ID()] {
 			return true
 		}
 		for _, s := range d.Fanouts() {
-			if critical(s) {
+			if crit[s.ID()] {
 				return true
 			}
 		}

@@ -76,12 +76,12 @@ func TestEvalSwapAgreesWithSTAOnToyCase(t *testing.T) {
 	if sg.Trivial() {
 		t.Fatal("expected non-trivial supergate")
 	}
-	s, gain := bestSwap(tm, sg, sizing.MinSlack, &workerState{sc: sta.NewScratch()})
-	if gain <= 0 {
+	best := bestSwaps(tm, sg, &workerState{sc: sta.NewScratch()})[sizing.MinSlack]
+	if best.gain <= 0 {
 		t.Skip("no locally profitable swap in this placement; toy layout")
 	}
 	before := tm.CriticalDelay
-	applySwap(n, s)
+	applySwap(n, rewire.Swap{SG: sg, I: int(best.a), J: int(best.b), Inverting: best.inv})
 	after := sta.Analyze(n, l, tm.Clock).CriticalDelay
 	if after > before+1e-9 {
 		t.Fatalf("best swap worsened delay: %v -> %v", before, after)
@@ -242,21 +242,25 @@ func TestCriticalityPredicates(t *testing.T) {
 	e := supergate.Extract(n)
 	sg := e.Of(s)
 
-	onlyS := func(x *network.Gate) bool { return x == s }
-	if !supergateCritical(sg, onlyS) {
+	only := func(x *network.Gate) []bool {
+		crit := make([]bool, n.IDBound())
+		if x != nil {
+			crit[x.ID()] = true
+		}
+		return crit
+	}
+	if !supergateCritical(sg, only(s)) {
 		t.Fatal("supergate containing s should be critical")
 	}
-	never := func(*network.Gate) bool { return false }
-	if supergateCritical(sg, never) {
+	if supergateCritical(sg, only(nil)) {
 		t.Fatal("nothing critical yet supergate flagged")
 	}
 	// A resize of s touches g (fanin driver): criticality through the
 	// neighborhood.
-	onlyG := func(x *network.Gate) bool { return x == g }
-	if !neighborhoodCritical(s, onlyG) {
+	if !neighborhoodCritical(s, only(g)) {
 		t.Fatal("s's neighborhood includes its driver g")
 	}
-	if neighborhoodCritical(a, onlyG) {
+	if neighborhoodCritical(a, only(g)) {
 		t.Fatal("a PI with no fanins should only be critical via itself")
 	}
 }

@@ -42,20 +42,22 @@ func OptimizeRounds(ctx context.Context, n *network.Network, lib *library.Librar
 		o.MaxSwapLeaves = 48
 	}
 
-	// Global analyses cycle through the sta timing pool: each round
-	// replaces tm, so the network-sized arrays are recycled instead of
-	// reallocated per analysis.
+	// Global analyses cycle through the sta timing pool, and each is
+	// released as soon as its lateness and delay are read: a round's
+	// Optimize then seeds its timer and borrows its checkpoint from the
+	// pool instead of growing it, and the next analysis reuses them.
 	tm := sta.AnalyzeReleased(n, lib, o.Clock, o.Bounds)
-	clock := tm.Clock
+	clock, lateness, delay := tm.Clock, tm.Lateness, tm.CriticalDelay
+	sta.ReleaseTiming(tm)
 	res := Result{
 		Strategy:     strat,
-		InitialDelay: tm.CriticalDelay,
-		FinalDelay:   tm.CriticalDelay,
+		InitialDelay: delay,
+		FinalDelay:   delay,
 	}
 	res.Timer.FullAnalyses++
 	if o.Progress != nil {
 		o.Progress(PhaseReport{
-			Phase: "start", Delay: tm.CriticalDelay, Lateness: tm.Lateness,
+			Phase: "start", Delay: delay, Lateness: lateness,
 		})
 	}
 
@@ -87,7 +89,7 @@ func OptimizeRounds(ctx context.Context, n *network.Network, lib *library.Librar
 			res.Interrupted = true
 			break
 		}
-		before := tm.Lateness
+		before := lateness
 		r := Optimize(ctx, n, lib, strat, so)
 		if round == 0 {
 			res.InitialArea, res.Coverage = r.InitialArea, r.Coverage
@@ -103,31 +105,31 @@ func OptimizeRounds(ctx context.Context, n *network.Network, lib *library.Librar
 		if applied > 0 {
 			res.Swaps += r.Swaps
 			res.Resizes += r.Resizes
-			// Optimize left tm stale; sweep the orphans first so one
-			// fresh analysis serves as both the next round's baseline
-			// and this round's ground truth (Optimize's own guard has
-			// already enforced the lateness).
+			// Sweep the orphans first so one fresh analysis serves as
+			// both the next round's baseline and this round's ground
+			// truth (Optimize's own guard has already enforced the
+			// lateness).
 			n.Sweep()
-			sta.ReleaseTiming(tm)
 			tm = sta.AnalyzeReleased(n, lib, clock, o.Bounds)
+			lateness, delay = tm.Lateness, tm.CriticalDelay
+			sta.ReleaseTiming(tm)
 			res.Timer.FullAnalyses++
 		}
 		if o.Progress != nil {
 			o.Progress(PhaseReport{
 				Iteration: round + 1, Phase: "round", Applied: applied,
-				Delay: tm.CriticalDelay, Lateness: tm.Lateness,
+				Delay: delay, Lateness: lateness,
 				Swaps: res.Swaps, Resizes: res.Resizes,
 			})
 		}
-		if tm.Lateness >= before-eps {
+		if lateness >= before-eps {
 			break
 		}
 	}
 	if cancelled(ctx) {
 		res.Interrupted = true
 	}
-	res.FinalDelay = tm.CriticalDelay
-	sta.ReleaseTiming(tm)
+	res.FinalDelay = delay
 	res.FinalArea = techmap.Area(n, lib)
 	return res
 }

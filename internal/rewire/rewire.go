@@ -94,8 +94,9 @@ func EnumerateInto(swaps []Swap, sg *supergate.Supergate) []Swap {
 	return swaps
 }
 
-// Undo reverts an applied swap. Calling it after further structural
-// changes to the affected pins is invalid.
+// Undo reverts an applied swap. Undos of a batch must run in reverse
+// order of their applies, with nothing else moving the affected pins in
+// between; then each is the exact inverse of its Apply.
 type Undo func()
 
 // Apply performs the swap on n and returns an Undo. The supergate's Leaf
@@ -105,43 +106,55 @@ type Undo func()
 // For inverting swaps, an existing inverter driver is collapsed instead of
 // stacking a second inverter (INV(INV(x)) = x), so repeated rewiring does
 // not accrete inverter chains.
+//
+// The Undo reverses the steps in LIFO order: each pin is reconnected at
+// its recorded fanout position (network.UndoReplaceFanin), and each
+// inverter the apply created is removed right after the pin it fed lets
+// go of it. Every gate's fanin and fanout lists, order included, are
+// then what they were before the apply.
 func Apply(n *network.Network, s Swap) Undo {
 	pi := s.SG.Leaves[s.I].Pin
 	pj := s.SG.Leaves[s.J].Pin
 	di, dj := pi.Driver(), pj.Driver()
-	if !s.Inverting {
-		n.SwapPins(pi, pj)
-		return func() { n.SwapPins(pi, pj) }
+	ni, nj := dj, di
+	var invI, invJ *network.Gate
+	if s.Inverting {
+		ni, invI = invertedDriver(n, dj)
 	}
-	var created []*network.Gate
-	n.ReplaceFanin(pi.Gate, pi.Index, invertedDriver(n, dj, &created))
-	n.ReplaceFanin(pj.Gate, pj.Index, invertedDriver(n, di, &created))
+	posI := n.ReplaceFaninAt(pi.Gate, pi.Index, ni)
+	if s.Inverting {
+		nj, invJ = invertedDriver(n, di)
+	}
+	posJ := n.ReplaceFaninAt(pj.Gate, pj.Index, nj)
 	return func() {
-		n.ReplaceFanin(pi.Gate, pi.Index, di)
-		n.ReplaceFanin(pj.Gate, pj.Index, dj)
-		// Remove only the inverters this apply created; a global sweep
-		// here would collect gates that *other* pending swaps detached
-		// and whose undos will reattach them.
-		for _, inv := range created {
-			if inv.NumFanouts() == 0 && !inv.PO {
-				n.RemoveGate(inv)
-			}
-		}
+		n.UndoReplaceFanin(pj.Gate, pj.Index, dj, posJ)
+		removeCreated(n, invJ)
+		n.UndoReplaceFanin(pi.Gate, pi.Index, di, posI)
+		removeCreated(n, invI)
+	}
+}
+
+// removeCreated deletes an inverter an apply created once nothing uses
+// it. Only an apply's own inverters go: a global sweep here would collect
+// gates that *other* pending swaps detached and whose undos will
+// reattach them.
+func removeCreated(n *network.Network, inv *network.Gate) {
+	if inv != nil && inv.NumFanouts() == 0 && !inv.PO {
+		n.RemoveGate(inv)
 	}
 }
 
 // invertedDriver returns a signal equal to INV(d): d's input when d is
-// itself an inverter (INV(INV(x)) = x), otherwise a fresh inverter
-// appended to created. It never reuses an inverter d happens to drive —
-// such a gate can be the interior of the very supergate being rewired,
-// and aliasing it would corrupt the structure.
-func invertedDriver(n *network.Network, d *network.Gate, created *[]*network.Gate) *network.Gate {
+// itself an inverter (INV(INV(x)) = x), otherwise a fresh inverter, which
+// it also returns as created. It never reuses an inverter d happens to
+// drive — such a gate can be the interior of the very supergate being
+// rewired, and aliasing it would corrupt the structure.
+func invertedDriver(n *network.Network, d *network.Gate) (sig, created *network.Gate) {
 	if d.Type == logic.Inv {
-		return d.Fanin(0)
+		return d.Fanin(0), nil
 	}
 	inv := n.AddGate(n.FreshName(d.Name()+"_n"), logic.Inv, d)
-	*created = append(*created, inv)
-	return inv
+	return inv, inv
 }
 
 // dualType flips the base AND/OR function of an and-or gate type, keeping

@@ -1,6 +1,8 @@
 package rewire
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/gen"
@@ -427,5 +429,70 @@ func TestDescCanonical(t *testing.T) {
 	}
 	if d.RNC != 1 || len(d.Imps) != 2 || d.Imps[0] != 1 || d.Imps[1] != 1 {
 		t.Fatalf("AND descriptor wrong: %+v", d)
+	}
+}
+
+// structure renders every live gate's fanin and fanout lists, order
+// included, by gate ID.
+func structure(n *network.Network) string {
+	var b []byte
+	n.Gates(func(g *network.Gate) {
+		b = append(b, fmt.Sprintf("%d<%v>", g.ID(), g.Type)...)
+		for _, f := range g.Fanins() {
+			b = append(b, fmt.Sprintf(" i%d", f.ID())...)
+		}
+		for _, s := range g.Fanouts() {
+			b = append(b, fmt.Sprintf(" o%d", s.ID())...)
+		}
+		b = append(b, '\n')
+	})
+	return string(b)
+}
+
+// Property: a random batch of inverting and non-inverting swaps, undone
+// in reverse order, restores every gate's fanin and fanout lists exactly,
+// order included — not just as multisets. The optimizer's rollback relies
+// on it: the restored network must be the one its timing and scores
+// describe, down to the order star-model sums visit the sinks.
+func TestUndoRestoresExactStructure(t *testing.T) {
+	lib := library.Default035()
+	for _, name := range []string{"c1908", "s5378"} {
+		n, err := gen.Generate(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		place.Place(n, lib, place.Options{Seed: 1, MovesPerCell: 5})
+		rng := rand.New(rand.NewSource(int64(len(name))))
+		inverting := 0
+		for batch := 0; batch < 20; batch++ {
+			nt := supergate.Extract(n).NonTrivial()
+			want := structure(n)
+			var undos []Undo
+			for k := 1 + rng.Intn(40); k > 0; k-- {
+				sg := nt[rng.Intn(len(nt))]
+				if len(sg.Leaves) < 2 {
+					continue
+				}
+				i, j := rng.Intn(len(sg.Leaves)), rng.Intn(len(sg.Leaves))
+				nonInv, inv := Options(sg, i, j)
+				if !nonInv && !inv {
+					continue
+				}
+				s := Swap{SG: sg, I: i, J: j, Inverting: inv && (!nonInv || rng.Intn(2) == 0)}
+				if s.Inverting {
+					inverting++
+				}
+				undos = append(undos, Apply(n, s))
+			}
+			for i := len(undos) - 1; i >= 0; i-- {
+				undos[i]()
+			}
+			if got := structure(n); got != want {
+				t.Fatalf("%s batch %d: %d undone swaps left a different structure", name, batch, len(undos))
+			}
+		}
+		if inverting == 0 {
+			t.Fatalf("%s: no inverting swap exercised", name)
+		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 )
 
 // checkFrame compares the frame against the oracle for every logic gate
-// of tm's network under both objectives: BestResize's (size, gain) and
+// of tm's network under both objectives: BestResizes' (size, gain) and
 // EvalResize at every size must match bit for bit.
 func checkFrame(t testing.TB, tm *sta.Timing) {
 	t.Helper()
@@ -25,11 +25,12 @@ func checkFrame(t testing.TB, tm *sta.Timing) {
 		if g.IsInput() {
 			return
 		}
+		best := f.BestResizes(tm, g)
 		for _, obj := range []Objective{MinSlack, SumSlack} {
-			size, gain := f.BestResize(tm, g, obj)
+			size, gain := best[obj].Size, best[obj].Gain
 			wantSize, wantGain := oracleBestResize(tm, g, obj, osc)
 			if size != wantSize || !same(gain, wantGain) {
-				t.Fatalf("%s obj %d: BestResize = (%d, %v), oracle (%d, %v)", g.Name(), obj, size, gain, wantSize, wantGain)
+				t.Fatalf("%s obj %d: BestResizes = (%d, %v), oracle (%d, %v)", g.Name(), obj, size, gain, wantSize, wantGain)
 			}
 			for s := 0; s < library.NumSizes; s++ {
 				got, want := f.EvalResize(tm, g, s, obj), oracleEvalResize(tm, g, s, obj, osc)
@@ -157,7 +158,7 @@ func TestFrameSteadyStateAllocs(t *testing.T) {
 	})
 	run := func() {
 		for _, g := range sites {
-			f.BestResize(tm, g, SumSlack)
+			f.BestResizes(tm, g)
 			f.EvalResize(tm, g, library.NumSizes-1, MinSlack)
 		}
 	}

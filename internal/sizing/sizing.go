@@ -59,25 +59,24 @@ func neighborhood(g *network.Gate, sc *sta.Scratch) []*network.Gate {
 // Score reduces a set of neighborhood slacks to the objective value:
 // the minimum for MinSlack, the clock-clipped sum for SumSlack.
 func Score(obj Objective, slacks []float64, clock float64) float64 {
-	switch obj {
-	case MinSlack:
-		min := math.MaxFloat64
-		for _, s := range slacks {
-			if s < min {
-				min = s
-			}
+	return Scores(slacks, clock)[obj]
+}
+
+// Scores reduces one set of neighborhood slacks under both objectives
+// in one pass, indexed by Objective. A candidate's slack vector does not
+// depend on the phase that asks for it, so scoring it once serves both.
+func Scores(slacks []float64, clock float64) [2]float64 {
+	min, sum := math.MaxFloat64, 0.0
+	for _, s := range slacks {
+		if s < min {
+			min = s
 		}
-		return min
-	default:
-		sum := 0.0
-		for _, s := range slacks {
-			if s > clock {
-				s = clock
-			}
-			sum += s
+		if s > clock {
+			s = clock
 		}
-		return sum
+		sum += s
 	}
+	return [2]float64{MinSlack: min, SumSlack: sum}
 }
 
 // Frame is one worker's resize-evaluation arena: the frame of a single
@@ -225,11 +224,11 @@ func (f *Frame) pinEdges(x *network.Gate, lo, hi int32) []sta.Edge {
 	return sc.Pins
 }
 
-// score evaluates the built frame's objective with g at the given size:
-// the drivers' nets and arrivals are rebuilt under the size's pin
-// capacitance, then every neighborhood gate's slack is scored with
+// scores evaluates the built frame under both objectives with g at the
+// given size: the drivers' nets and arrivals are rebuilt under the size's
+// pin capacitance, then every neighborhood gate's slack is scored with
 // required times frozen.
-func (f *Frame) score(tm *sta.Timing, size int, obj Objective) float64 {
+func (f *Frame) scores(tm *sta.Timing, size int) [2]float64 {
 	sc := f.sc
 	sc.Begin(tm)
 	sc.OverrideSize(f.g, size)
@@ -254,7 +253,7 @@ func (f *Frame) score(tm *sta.Timing, size int, obj Objective) float64 {
 		}
 		sc.Slacks = append(sc.Slacks, math.Min(h.req.Rise-arr.Rise, h.req.Fall-arr.Fall))
 	}
-	return Score(obj, sc.Slacks, tm.Clock)
+	return Scores(sc.Slacks, tm.Clock)
 }
 
 // EvalResize returns the objective gain of switching g to newSize, locally
@@ -269,31 +268,40 @@ func (f *Frame) EvalResize(tm *sta.Timing, g *network.Gate, newSize int, obj Obj
 		return 0
 	}
 	f.build(tm, g)
-	before := f.score(tm, g.SizeIdx, obj)
-	return f.score(tm, newSize, obj) - before
+	before := f.scores(tm, g.SizeIdx)[obj]
+	return f.scores(tm, newSize)[obj] - before
 }
 
-// BestResize returns the best alternative size for g and its gain from
-// one frame: the baseline is scored once and each alternative size
-// against it. A non-positive gain means the current size is locally
-// optimal. It is the scoring engine's per-worker entry point.
-func (f *Frame) BestResize(tm *sta.Timing, g *network.Gate, obj Objective) (int, float64) {
-	bestSize, bestGain := g.SizeIdx, 0.0
+// Resize is a site's best alternative size and its gain. A non-positive
+// gain means the current size is locally optimal.
+type Resize struct {
+	Size int
+	Gain float64
+}
+
+// BestResizes returns g's best alternative size under each objective,
+// indexed by Objective, from one frame: the baseline and each
+// alternative size are scored once and reduced under both objectives.
+// It is the scoring engine's per-worker entry point.
+func (f *Frame) BestResizes(tm *sta.Timing, g *network.Gate) [2]Resize {
+	best := [2]Resize{{Size: g.SizeIdx}, {Size: g.SizeIdx}}
 	if g.IsInput() {
-		return bestSize, bestGain
+		return best
 	}
 	f.build(tm, g)
-	before := f.score(tm, g.SizeIdx, obj)
+	before := f.scores(tm, g.SizeIdx)
 	for s := 0; s < library.NumSizes; s++ {
 		if s == g.SizeIdx {
 			continue
 		}
-		if gain := f.score(tm, s, obj) - before; gain > bestGain+eps {
-			bestGain = gain
-			bestSize = s
+		after := f.scores(tm, s)
+		for obj := range best {
+			if gain := after[obj] - before[obj]; gain > best[obj].Gain+eps {
+				best[obj] = Resize{Size: s, Gain: gain}
+			}
 		}
 	}
-	return bestSize, bestGain
+	return best
 }
 
 // DefaultStageTargetNS is the load-delay budget per stage used by

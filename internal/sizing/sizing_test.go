@@ -62,9 +62,9 @@ func TestBestResize(t *testing.T) {
 	l := lib()
 	tm := sta.Analyze(n, l, 0)
 	d := n.FindGate("d")
-	size, gain := NewFrame(sta.NewScratch()).BestResize(tm, d, MinSlack)
-	if size == 0 || gain <= 0 {
-		t.Fatalf("BestResize missed the win: size=%d gain=%v", size, gain)
+	best := NewFrame(sta.NewScratch()).BestResizes(tm, d)[MinSlack]
+	if best.Size == 0 || best.Gain <= 0 {
+		t.Fatalf("BestResizes missed the win: %+v", best)
 	}
 }
 

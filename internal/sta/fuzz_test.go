@@ -145,12 +145,115 @@ func fuzzEdit(r *byteReader, n *network.Network) string {
 	}
 }
 
+// fuzzUndoableEdit applies one random edit that can be undone exactly —
+// a pin rewire, a pin swap, a resize, or an inserted inverter — and
+// returns it with its undo. Edits that would close a cycle are undone at
+// once.
+func fuzzUndoableEdit(r *byteReader, n *network.Network) (string, func()) {
+	gates := n.GateSlice()
+	var pins []network.Pin
+	var cells []*network.Gate
+	for _, g := range gates {
+		for j := range g.Fanins() {
+			pins = append(pins, network.Pin{Gate: g, Index: j})
+		}
+		if !g.IsInput() {
+			cells = append(cells, g)
+		}
+	}
+	if len(pins) == 0 {
+		return "none", func() {}
+	}
+	pick := func() network.Pin { return pins[r.next()%len(pins)] }
+	rewire := func(p network.Pin, d *network.Gate) func() {
+		old := p.Driver()
+		pos := n.ReplaceFaninAt(p.Gate, p.Index, d)
+		return func() { n.UndoReplaceFanin(p.Gate, p.Index, old, pos) }
+	}
+	switch r.next() % 4 {
+	case 0:
+		p := pick()
+		undo := rewire(p, gates[r.next()%len(gates)])
+		if n.CheckAcyclic() != nil {
+			undo()
+			return "rewire+undo", func() {}
+		}
+		return "rewire", undo
+	case 1:
+		a, b := pick(), pick()
+		da, db := a.Driver(), b.Driver()
+		ua := rewire(a, db)
+		ub := rewire(b, da)
+		undo := func() { ub(); ua() }
+		if n.CheckAcyclic() != nil {
+			undo()
+			return "swap+undo", func() {}
+		}
+		return "swap", undo
+	case 2:
+		g := cells[r.next()%len(cells)]
+		old := g.SizeIdx
+		n.SetSize(g, r.next()%library.NumSizes)
+		return "resize", func() { n.SetSize(g, old) }
+	default:
+		p := pick()
+		inv := n.AddGate(n.FreshName("u"), logic.Inv, p.Driver())
+		inv.X, inv.Y, inv.Placed = float64(r.next()*7), float64(r.next()*5), true
+		undo := rewire(p, inv)
+		return "inverter", func() { undo(); n.RemoveGate(inv) }
+	}
+}
+
+// timingReads returns, as bits, everything a reader of tm can observe
+// about n: the scalars, every live gate's arrival, required time, load
+// and slack, and every pin's wire delay through both the pin table and
+// the scan.
+func timingReads(n *network.Network, tm *sta.Timing) []uint64 {
+	bits := func(xs ...float64) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	out := bits(tm.Clock, tm.CriticalDelay, tm.Lateness)
+	n.Gates(func(g *network.Gate) {
+		a, q := tm.Arrival(g), tm.Required(g)
+		out = append(out, bits(a.Rise, a.Fall, q.Rise, q.Fall, tm.Load(g), tm.Slack(g))...)
+		for j, d := range g.Fanins() {
+			out = append(out, bits(tm.PinWireDelay(d, g, j), tm.WireDelay(d, g))...)
+		}
+	})
+	return out
+}
+
+// requireReads asserts that tm reads exactly what it read when want was
+// taken.
+func requireReads(t testing.TB, step string, n *network.Network, tm *sta.Timing, want []uint64) {
+	t.Helper()
+	got := timingReads(n, tm)
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d reads after rollback, %d at the checkpoint", step, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: read %d is %v after rollback, %v at the checkpoint", step, i,
+				math.Float64frombits(got[i]), math.Float64frombits(want[i]))
+		}
+	}
+}
+
 // FuzzIncrementalTiming drives an incremental timer on a random placed
 // DAG through a random script of pin swaps, resizes, inverter
 // insertions, rewires with sweeps and fanin-count changes. Before each
 // Update the pin table must agree with the scan on the pending network;
 // after it, the timing must be bit-identical to a fresh analysis. A flag
 // byte starts the net-generation counter just short of its wrap.
+//
+// A step may instead be a rejected batch: Checkpoint, undoable edits,
+// Update, the undos in reverse order, Rollback. The timer must then read
+// bit for bit what it read at the checkpoint, and later steps must still
+// match a fresh analysis.
 func FuzzIncrementalTiming(f *testing.F) {
 	f.Add([]byte{2, 5, 2, 0, 1, 0, 3, 0, 1, 2, 1, 2, 3, 1, 0, 0, 9, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	f.Add([]byte{3, 9, 2, 1, 0, 1, 1, 3, 2, 1, 3, 0, 4, 0, 2, 4, 2, 5, 4, 0, 3, 4, 0, 1, 1, 50, 60, 70, 80, 90, 1, 3, 1, 2, 2, 4, 3, 7, 4, 1, 0, 2})
@@ -170,6 +273,12 @@ func FuzzIncrementalTiming(f *testing.F) {
 		clock := inc.Timing().Clock
 		requireMatch(t, "seed", n, lib, clock, inc.Timing())
 		for step := 0; step < 16 && r.more(); step++ {
+			if r.next()%3 == 0 {
+				rolledBackBatch(t, fmt.Sprintf("step %d", step), n, lib, clock, inc, func() (string, func()) {
+					return fuzzUndoableEdit(r, n)
+				}, 1+r.next()%4)
+				continue
+			}
 			desc := ""
 			for k := 1 + r.next()%3; k > 0; k-- {
 				desc += fuzzEdit(r, n) + ","
@@ -179,4 +288,28 @@ func FuzzIncrementalTiming(f *testing.F) {
 			requireMatch(t, name, n, lib, clock, inc.Update())
 		}
 	})
+}
+
+// rolledBackBatch runs one rejected batch of k edits on inc: Checkpoint,
+// the edits, an Update that must match a fresh analysis, the undos in
+// reverse order, and Rollback, after which every read must equal the
+// checkpoint's.
+func rolledBackBatch(t testing.TB, step string, n *network.Network, lib *library.Library, clock float64, inc *sta.Incremental, edit func() (string, func()), k int) {
+	t.Helper()
+	want := timingReads(n, inc.Timing())
+	inc.Checkpoint()
+	desc := ""
+	var undos []func()
+	for ; k > 0; k-- {
+		d, undo := edit()
+		desc += d + ","
+		undos = append(undos, undo)
+	}
+	step += " rolled back (" + desc + ")"
+	requireMatch(t, step+" applied", n, lib, clock, inc.Update())
+	for i := len(undos) - 1; i >= 0; i-- {
+		undos[i]()
+	}
+	requireReads(t, step, n, inc.Rollback(), want)
+	requireMatch(t, step, n, lib, clock, inc.Update())
 }

@@ -214,7 +214,22 @@ type Incremental struct {
 	touched  gateSet
 	lastFull bool
 
+	// ckpt is the state Rollback restores, saved by Checkpoint.
+	ckpt checkpoint
+
 	stats IncStats
+}
+
+// checkpoint is a saved copy of everything an Update can change: the
+// Timing (its per-gate arrays, net arena and pin table), the logic
+// levels and the PO list. Its Timing is borrowed from timingPool on the
+// first Checkpoint and handed back by Release.
+type checkpoint struct {
+	t        *Timing
+	levels   []int32
+	posList  []*network.Gate
+	poMember []bool
+	posStale bool
 }
 
 // NewIncremental builds the timer with one full ground-truth Analyze and
@@ -263,6 +278,7 @@ func (it *Incremental) seed(clock float64) {
 	// cheap any-valid-order walk serves; see TopoOrderFast.
 	order := it.n.TopoOrderFast()
 	it.t.analyzeInto(clock, order)
+	it.t.version = versions.Add(1)
 	it.clock = it.t.Clock
 	it.rebuildLevels(order)
 	it.rebuildPOs()
@@ -354,8 +370,60 @@ func (it *Incremental) Close() { it.n.Unobserve(it) }
 // dropGates), so the pool never keeps a finished network reachable.
 func (it *Incremental) Release() {
 	it.n.Unobserve(it)
+	if it.ckpt.t != nil {
+		ReleaseTiming(it.ckpt.t)
+		it.ckpt.t = nil
+	}
 	it.dropGates()
 	incPool.Put(it)
+}
+
+// Checkpoint saves the timer's state for Rollback. Take it right after
+// an Update, with no mutation pending; it panics otherwise. A later
+// Checkpoint replaces it.
+//
+// The copy is O(network), a few memory copies of the per-gate arrays,
+// where re-timing a rolled-back batch costs its whole dirty region
+// twice. The checkpoint's Timing comes from the pool AnalyzeReleased
+// draws on and goes back to it with Release, so an optimizer's final
+// analysis after Release reuses it instead of allocating another.
+func (it *Incremental) Checkpoint() {
+	if len(it.dirty.list) != 0 {
+		panic("sta: Checkpoint with mutations pending; call Update first")
+	}
+	c := &it.ckpt
+	if c.t == nil {
+		c.t = timingPool.Get().(*Timing)
+	}
+	c.t.copyFrom(it.t)
+	c.levels = append(c.levels[:0], it.levels...)
+	c.posList = append(clearGates(c.posList), it.posList...)
+	c.poMember = append(c.poMember[:0], it.poMember...)
+	c.posStale = it.posStale
+}
+
+// Rollback restores the state saved by the last Checkpoint and drops
+// every pending mutation, returning the restored view. The caller must
+// first have returned the network to its checkpointed state — every
+// gate's fanins, fanout lists in their order, types, sizes and PO flags
+// — and removed the gates it created since (an exactly undone batch);
+// the timer then reads bit for bit what it read at the checkpoint, which
+// is what an Update after the undo would recompute. The checkpoint stays
+// valid for another Rollback.
+func (it *Incremental) Rollback() *Timing {
+	c := &it.ckpt
+	if c.t == nil {
+		panic("sta: Rollback without Checkpoint")
+	}
+	it.t.copyFrom(c.t)
+	it.levels = append(it.levels[:0], c.levels...)
+	it.posList = append(clearGates(it.posList), c.posList...)
+	it.poMember = append(it.poMember[:0], c.poMember...)
+	it.posStale = c.posStale
+	it.dirty.reset()
+	it.touched.reset()
+	it.lastFull = false
+	return it.t
 }
 
 // dropGates clears every reference the timer keeps into the network it
@@ -367,6 +435,7 @@ func (it *Incremental) dropGates() {
 	it.n, it.lib, it.bounds = nil, nil, nil
 	it.t.dropGates()
 	it.posList = nil
+	it.ckpt.posList = clearGates(it.ckpt.posList)
 	it.dirty.dropGates()
 	it.backSeeds.dropGates()
 	it.forced.dropGates()
@@ -478,6 +547,7 @@ func (it *Incremental) incremental(pending int) {
 		it.stats.MaxDirty = pending
 	}
 	it.t.grow(it.n.IDBound())
+	it.t.version = versions.Add(1)
 	it.dirty.grow(it.n.IDBound())
 
 	// Backward seeds: every dirty gate (its sink set or wire model moved)

@@ -191,6 +191,60 @@ func TestIncrementalMatchesFullSTA(t *testing.T) {
 	}
 }
 
+// TestIncrementalRollback rejects random batches of supergate swaps
+// (inverting ones create and then remove inverters) and resizes the way
+// the optimizer does: Checkpoint, apply, Update, undo in reverse order,
+// Rollback. Every accessor must then read bit for bit what it read at
+// the checkpoint, and the accepted batches in between must keep matching
+// a fresh analysis.
+func TestIncrementalRollback(t *testing.T) {
+	for _, name := range []string{"c432", "s5378"} {
+		t.Run(name, func(t *testing.T) {
+			lib := library.Default035()
+			n, err := gen.Generate(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			place.Place(n, lib, place.Options{Seed: 7, MovesPerCell: 5})
+			sizing.SeedForLoad(n, lib, 0)
+			inc := sta.NewIncremental(n, lib, 0)
+			defer inc.Release()
+			inc.FullFraction = 2
+			clock := inc.Timing().Clock
+			m := &mutator{rng: rand.New(rand.NewSource(5)), n: n}
+			edit := func() (string, func()) {
+				if m.rng.Intn(3) == 0 {
+					g := n.GateSlice()[m.rng.Intn(n.NumGates())]
+					if g.IsInput() {
+						return "none", func() {}
+					}
+					old := g.SizeIdx
+					n.SetSize(g, m.rng.Intn(library.NumSizes))
+					return "resize", func() { n.SetSize(g, old) }
+				}
+				if undo := m.randomSwap(); undo != nil {
+					return "swap", undo
+				}
+				return "none", func() {}
+			}
+			for i := 0; i < 12; i++ {
+				step := fmt.Sprintf("step %d", i)
+				rolledBackBatch(t, step, n, lib, clock, inc, edit, 1+m.rng.Intn(8))
+				if i%3 == 2 {
+					// An accepted batch between rejections.
+					edit()
+					edit()
+					n.Sweep()
+					requireMatch(t, step+" accepted", n, lib, clock, inc.Update())
+				}
+			}
+			if st := inc.Stats(); st.FullAnalyses != 1 {
+				t.Fatalf("expected only the construction-time full analysis: %+v", st)
+			}
+		})
+	}
+}
+
 // TestIncrementalFullFallback drives the timer with FullFraction = 0 so
 // every Update takes the seeded full-Analyze escape hatch, which must be
 // just as correct.

@@ -28,6 +28,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/library"
 	"repro/internal/logic"
@@ -138,6 +139,14 @@ type Timing struct {
 	// only its geometry buffers persist (its sink/delay slices are set to
 	// the net's arena slots for each rebuild).
 	nsc NetModel
+
+	// version identifies the network state this view times, for callers
+	// that cache what they derive from it (opt's scoring engine). An
+	// Incremental timer draws a fresh, process-unique version whenever an
+	// Update or a fallback analysis re-times a changed network, and
+	// Rollback restores the checkpoint's. A plain analysis has version 0,
+	// which identifies nothing.
+	version uint64
 
 	// Clock is the PO required time used; equals CriticalDelay when
 	// Analyze was called without a positive clock.
@@ -276,6 +285,9 @@ func AnalyzeBounded(n *network.Network, lib *library.Library, clock float64, b *
 	return t
 }
 
+// versions hands out Timing versions; see Timing.Version.
+var versions atomic.Uint64
+
 // timingPool recycles the dense per-gate arrays of released analyses.
 // The optimizer's rounds run one full analysis each; without recycling,
 // each pays a fresh allocation of four network-sized arrays plus the
@@ -313,6 +325,27 @@ func (t *Timing) dropGates() {
 	t.nsc.sinks = nil
 }
 
+// copyFrom makes t an exact copy of src's analysis, reusing t's arrays.
+// Only the net-model scratch is not copied; it holds nothing between
+// rebuilds.
+func (t *Timing) copyFrom(src *Timing) {
+	t.n, t.lib, t.bounds = src.n, src.lib, src.bounds
+	t.arrival = append(t.arrival[:0], src.arrival...)
+	t.required = append(t.required[:0], src.required...)
+	t.load = append(t.load[:0], src.load...)
+	t.wire = append(t.wire[:0], src.wire...)
+	t.netSinks = append(t.netSinks[:0], src.netSinks...)
+	t.netDelays = append(t.netDelays[:0], src.netDelays...)
+	t.netGen = append(t.netGen[:0], src.netGen...)
+	t.pinOff = append(t.pinOff[:0], src.pinOff...)
+	t.pinN = append(t.pinN[:0], src.pinN...)
+	t.pinGen = append(t.pinGen[:0], src.pinGen...)
+	t.pinDelay = append(t.pinDelay[:0], src.pinDelay...)
+	t.gen = src.gen
+	t.version = src.version
+	t.Clock, t.CriticalDelay, t.Lateness = src.Clock, src.CriticalDelay, src.Lateness
+}
+
 // clearGates clears s up to its capacity and returns it empty, so a
 // recycled buffer keeps its array but none of the gates it held.
 func clearGates(s []*network.Gate) []*network.Gate {
@@ -333,6 +366,7 @@ func (t *Timing) analyzeInto(clock float64, order []*network.Gate) {
 		order = n.TopoOrderFast()
 	}
 	bound := n.IDBound()
+	t.version = 0
 	// Reset: zero the reused prefix, then grow to the current bound. The
 	// net arena and the pin table are re-laid from empty, each sized once
 	// for every pin plus a sixteenth for the nets and gates an incremental
@@ -574,6 +608,11 @@ func (t *Timing) gateOutputCell(cell *library.Cell, g *network.Gate, pinArr []Ed
 	}
 	return Edge{Rise: worstRise + dRise, Fall: worstFall + dFall}
 }
+
+// Version identifies the network state this view times: two reads of
+// views with the same nonzero version see the same timing bit for bit
+// (see Incremental). It is 0 for a view no Incremental timer manages.
+func (t *Timing) Version() uint64 { return t.version }
 
 // Network returns the network this analysis describes.
 func (t *Timing) Network() *network.Network { return t.n }

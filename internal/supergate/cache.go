@@ -33,6 +33,10 @@
 // supergate is cascade-invalidated and its remainder re-pooled. The peel
 // terminates because the topmost pooled gate is always ready.
 //
+// A batch that is undone exactly leaves nothing to re-extract: Rollback
+// drops its touches, so a rejected optimizer batch costs the cache
+// nothing.
+//
 // Like the incremental timer, the Cache falls back to a full Extract when
 // a batch dirties more than FullFraction of the network, and counts its
 // work in CacheStats for the harness's reporting.
@@ -164,6 +168,15 @@ func (c *Cache) Extraction() *Extraction {
 	}
 	return c.ext
 }
+
+// Rollback drops the touches recorded since the last flush, for a caller
+// that has exactly undone every mutation since then (rewire.Apply's undos
+// in reverse order). The extraction is then still current: it reads only
+// fanin lists, gate types and fanout counts, which the undo restored, and
+// the only gates the undo removed are inverters created after the flush,
+// which no supergate covers or stops at. Re-extracting the touched
+// supergates would rebuild them as they are.
+func (c *Cache) Rollback() { clear(c.dirty) }
 
 // invalidate drops sg from the decomposition, re-pooling its covered
 // gates and unhooking its leaf-consumer back references.

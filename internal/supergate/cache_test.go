@@ -7,7 +7,9 @@ package supergate_test
 // test below drives randomized batches of every structural mutation the
 // optimizer performs (non-inverting and inverting swaps, undos, DeMorgan
 // dualization, redundancy removal, inverter insertion, sweeps, resizes)
-// and compares canonical signatures after each batch.
+// and compares canonical signatures after each batch. Every other round
+// also rejects a batch the optimizer's way (exact undo, then
+// Cache.Rollback), which must leave the cache current at no cost.
 //
 // This file lives in package supergate_test because it exercises the
 // cache through rewire's transformations (rewire imports supergate).
@@ -110,6 +112,9 @@ func TestCacheMatchesFreshExtractUnderRandomMutations(t *testing.T) {
 			if len(nt) == 0 {
 				t.Fatal("degenerate test network: no non-trivial supergates")
 			}
+			if round%2 == 1 {
+				rolledBackBatch(t, n, c, nt, rng, fmt.Sprintf("seed %d round %d", seed, round))
+			}
 			// One batch: several mutations back to back, flushed once.
 			batch := 1 + rng.Intn(6)
 			for b := 0; b < batch; b++ {
@@ -175,6 +180,39 @@ func TestCacheMatchesFreshExtractUnderRandomMutations(t *testing.T) {
 			t.Fatalf("cache never flushed incrementally: %+v", st)
 		}
 		c.Close()
+	}
+}
+
+// rolledBackBatch applies a random batch of swaps and resizes from the
+// flushed extraction, undoes it in reverse order and rolls the cache
+// back, the way the optimizer rejects a batch. The cache must then be
+// current without re-extracting anything.
+func rolledBackBatch(t *testing.T, n *network.Network, c *supergate.Cache, nt []*supergate.Supergate, rng *rand.Rand, when string) {
+	t.Helper()
+	before := c.Stats()
+	var undos []func()
+	for k := 1 + rng.Intn(8); k > 0; k-- {
+		if rng.Intn(4) == 0 {
+			g := randomLogicGate(n, rng)
+			old := g.SizeIdx
+			n.SetSize(g, (old+1)%3)
+			undos = append(undos, func() { n.SetSize(g, old) })
+			continue
+		}
+		sg := nt[rng.Intn(len(nt))]
+		if swaps := rewire.Enumerate(sg); len(swaps) > 0 {
+			undos = append(undos, rewire.Apply(n, swaps[rng.Intn(len(swaps))]))
+		}
+	}
+	n.BeginBatch()
+	for i := len(undos) - 1; i >= 0; i-- {
+		undos[i]()
+	}
+	n.EndBatch()
+	c.Rollback()
+	checkMirror(t, n, c, when+" after a rolled-back batch")
+	if after := c.Stats(); after != before {
+		t.Fatalf("%s: a rolled-back batch of %d moves cost the cache work: %+v, was %+v", when, len(undos), after, before)
 	}
 }
 
