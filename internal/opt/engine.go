@@ -15,12 +15,13 @@
 //
 // A site is scored once per network state. Its candidates' slack vectors
 // do not depend on the phase asking, so each is reduced under both
-// objectives and the site's best move under each is kept in a buffer
-// keyed by the site's gate ID and the timing view's version
-// (sta.Timing.Version). A phase on an unchanged state — after a rejected
-// batch has been rolled back, the optimizer's timer reports the version
-// the scores were taken at — takes its moves from the buffer and scores
-// only the sites it lacks; any accepted batch moves the version on.
+// objectives, and the engine keeps every scored site's best move under
+// each for the state its timing view's version (sta.Timing.Version)
+// names. A phase on that same state — after a rejected batch has been
+// rolled back, the optimizer's timer reports the version the scores were
+// taken at — takes its moves from those scores and scores only the sites
+// they lack; a phase at any other version starts them afresh, and any
+// accepted batch moves the version on.
 package opt
 
 import (
@@ -73,13 +74,6 @@ func sortMoves(moves []Move) {
 		}
 		return moves[i].IsSwap && !moves[j].IsSwap
 	})
-}
-
-// siteScore is one site's best move under each objective, indexed by
-// sizing.Objective, scored against the timing view of version version.
-type siteScore struct {
-	version uint64
-	best    [2]siteMove
 }
 
 // siteMove is a site's best move under one objective: the swap of leaves
@@ -164,16 +158,22 @@ type Engine struct {
 	state   []*workerState
 	stats   EvalStats
 
-	// Per-phase buffers, reused across phases. crit holds the phase's
-	// criticality predicate by gate ID; swapScores and resizeScores the
-	// site scores by the swap site's root ID and the resized gate's ID.
-	crit         []bool
-	swapScores   []siteScore
-	resizeScores []siteScore
-	swapSites    []*supergate.Supergate
-	resizeSites  []*network.Gate
-	todo         []int
-	ranked       []rankedSite
+	// The site scores of the network state timed at version scoredAt:
+	// scores holds each scored site's best move per objective (indexed
+	// by sizing.Objective), and slot maps a swap site's root ID
+	// (slot[0]) or a resized gate's ID (slot[1]) to its entry's index
+	// plus one, 0 for a site not scored yet.
+	scoredAt uint64
+	scores   [][2]siteMove
+	slot     [2][]int32
+
+	// Per-phase buffers, reused across phases; crit holds the phase's
+	// criticality predicate by gate ID.
+	crit        []bool
+	swapSites   []*supergate.Supergate
+	resizeSites []*network.Gate
+	todo        []int
+	ranked      []rankedSite
 }
 
 // NewEngine builds an engine with the given parallelism; workers <= 0
@@ -292,21 +292,20 @@ func (e *Engine) Moves(tm *sta.Timing, strat Strategy, obj sizing.Objective, o O
 			windowSiteBudget(o.Window, n.NumLogicGates()))
 	}
 
-	// Score the sites the buffers lack at this version, each into its own
-	// entry (sites are distinct, so workers never share one).
+	// Score the sites not scored at this version yet, each into its own
+	// entry, so workers never share one.
 	e.stats.Phases++
-	ver := tm.Version()
-	e.swapScores = growScores(e.swapScores, bound)
-	e.resizeScores = growScores(e.resizeScores, bound)
+	e.keepScores(tm.Version(), bound)
 	todo := slices.Grow(e.todo[:0], len(swapSites)+len(resizeSites))
+	e.scores = slices.Grow(e.scores, len(swapSites)+len(resizeSites))
 	for i, sg := range swapSites {
-		if ver == 0 || e.swapScores[sg.Root.ID()].version != ver {
+		if e.newSlot(0, sg.Root.ID()) {
 			todo = append(todo, i)
 			e.stats.SwapSites++
 		}
 	}
 	for i, g := range resizeSites {
-		if ver == 0 || e.resizeScores[g.ID()].version != ver {
+		if e.newSlot(1, g.ID()) {
 			todo = append(todo, len(swapSites)+i)
 			e.stats.ResizeSites++
 		}
@@ -316,16 +315,15 @@ func (e *Engine) Moves(tm *sta.Timing, strat Strategy, obj sizing.Objective, o O
 		i := todo[k]
 		if i < len(swapSites) {
 			sg := swapSites[i]
-			e.swapScores[sg.Root.ID()] = siteScore{version: ver, best: bestSwaps(tm, sg, ws)}
+			e.scores[e.slot[0][sg.Root.ID()]-1] = bestSwaps(tm, sg, ws)
 			return
 		}
 		g := resizeSites[i-len(swapSites)]
 		ws.resizeEvals += library.NumSizes - 1
-		sc := siteScore{version: ver}
+		best := &e.scores[e.slot[1][g.ID()]-1]
 		for obj, r := range ws.rs.BestResizes(tm, g) {
-			sc.best[obj] = siteMove{gain: r.Gain, a: int32(r.Size)}
+			best[obj] = siteMove{gain: r.Gain, a: int32(r.Size)}
 		}
-		e.resizeScores[g.ID()] = sc
 	})
 	for _, ws := range e.state {
 		e.stats.add(ws)
@@ -333,13 +331,13 @@ func (e *Engine) Moves(tm *sta.Timing, strat Strategy, obj sizing.Objective, o O
 
 	moves := make([]Move, 0, len(swapSites)+len(resizeSites))
 	for _, sg := range swapSites {
-		if m := e.swapScores[sg.Root.ID()].best[obj]; m.gain > eps {
+		if m := e.scores[e.slot[0][sg.Root.ID()]-1][obj]; m.gain > eps {
 			moves = append(moves, Move{Gain: m.gain, IsSwap: true,
 				Swap: rewire.Swap{SG: sg, I: int(m.a), J: int(m.b), Inverting: m.inv}})
 		}
 	}
 	for _, g := range resizeSites {
-		if m := e.resizeScores[g.ID()].best[obj]; m.gain > eps {
+		if m := e.scores[e.slot[1][g.ID()]-1][obj]; m.gain > eps {
 			moves = append(moves, Move{Gain: m.gain, Gate: g, Size: int(m.a)})
 		}
 	}
@@ -348,13 +346,35 @@ func (e *Engine) Moves(tm *sta.Timing, strat Strategy, obj sizing.Objective, o O
 	return moves
 }
 
-// growScores extends a score buffer to cover gate IDs below bound; new
-// entries have version 0, which no timing view matches.
-func growScores(s []siteScore, bound int) []siteScore {
-	if bound > len(s) {
-		s = append(s, make([]siteScore, bound-len(s))...)
+// keepScores readies the score buffers for a phase on the state timed at
+// version ver: they keep their entries when the engine scored at ver
+// last, and are emptied otherwise — always for a plain analysis
+// (version 0), which identifies no state.
+func (e *Engine) keepScores(ver uint64, bound int) {
+	reset := ver == 0 || ver != e.scoredAt
+	e.scoredAt = ver
+	if reset {
+		e.scores = e.scores[:0]
 	}
-	return s
+	for k := range e.slot {
+		if reset {
+			clear(e.slot[k])
+		}
+		if n := len(e.slot[k]); bound > n {
+			e.slot[k] = append(e.slot[k], make([]int32, bound-n)...)
+		}
+	}
+}
+
+// newSlot gives site id of the kind (0 swap, 1 resize) an entry and
+// reports true, or reports false when the site is already scored.
+func (e *Engine) newSlot(kind, id int) bool {
+	if e.slot[kind][id] != 0 {
+		return false
+	}
+	e.scores = append(e.scores, [2]siteMove{})
+	e.slot[kind][id] = int32(len(e.scores))
+	return true
 }
 
 // windowSiteFloor is the minimum per-phase site budget in windowed mode;
@@ -525,8 +545,7 @@ func bestSwaps(tm *sta.Timing, sg *supergate.Supergate, ws *workerState) [2]site
 	ws.swaps = rewire.EnumerateInto(ws.swaps[:0], sg)
 	ws.swapEvals += len(ws.swaps)
 	for _, s := range ws.swaps {
-		gains := evalSwap(tm, s, ws.sc)
-		for obj, gain := range gains {
+		for obj, gain := range EvalSwapScratch(tm, s, ws.sc) {
 			if gain > best[obj].gain+eps {
 				best[obj] = siteMove{gain: gain, a: int32(s.I), b: int32(s.J), inv: s.Inverting}
 			}
@@ -535,8 +554,9 @@ func bestSwaps(tm *sta.Timing, sg *supergate.Supergate, ws *workerState) [2]site
 	return best
 }
 
-// EvalSwapScratch locally evaluates the objective gain of a swap against
-// tm: the two affected drivers' nets are rebuilt with the exchanged sink,
+// EvalSwapScratch locally evaluates the gain of a swap against tm under
+// each objective, indexed by sizing.Objective (the two gains reduce the
+// same slack vectors): the two affected drivers' nets are rebuilt with the exchanged sink,
 // their arrivals recomputed, and the slacks of every gate they feed
 // rescored with required times frozen. Inverting swaps add the inverter's
 // cell delay at the receiving pin (the committed batch is still guarded by
@@ -545,13 +565,7 @@ func bestSwaps(tm *sta.Timing, sg *supergate.Supergate, ws *workerState) [2]site
 // collected once into a deterministic slice (drivers first, then sinks in
 // post-exchange net order), so the score — float summation order
 // included — never depends on map iteration.
-func EvalSwapScratch(tm *sta.Timing, s rewire.Swap, obj sizing.Objective, sc *sta.Scratch) float64 {
-	return evalSwap(tm, s, sc)[obj]
-}
-
-// evalSwap is EvalSwapScratch under both objectives at once, indexed by
-// sizing.Objective: the two gains reduce the same slack vectors.
-func evalSwap(tm *sta.Timing, s rewire.Swap, sc *sta.Scratch) [2]float64 {
+func EvalSwapScratch(tm *sta.Timing, s rewire.Swap, sc *sta.Scratch) [2]float64 {
 	pa := s.SG.Leaves[s.I].Pin
 	pb := s.SG.Leaves[s.J].Pin
 	ka, kb := pa.Driver(), pb.Driver()

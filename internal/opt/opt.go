@@ -15,15 +15,22 @@
 //
 // Every accepted batch of moves is guarded by a network-wide timing
 // check, so the critical delay never regresses; local evaluations only
-// *rank* candidates. Each phase scores its candidates once: a batch that
-// fails the guard is rolled back, and the single-move retry walks the
-// same ranking against the restored timing instead of scoring the
-// restored network again. The guard itself is cheap: an incremental timer
+// *rank* candidates. The guard itself is cheap: an incremental timer
 // (sta.Incremental) absorbs each batch by re-propagating timing through
 // the mutated region only. From-scratch ground-truth analyses run twice
 // per optimization — once to seed the timer and once at the end for the
 // reported result — plus the timer's own threshold fallbacks when a batch
 // dirties most of a (small) network.
+//
+// A batch that fails the guard costs nothing once undone. Its moves are
+// undone in reverse order, which restores the network exactly, fanout
+// order included (rewire.Apply); the timer returns to the checkpoint it
+// took before the batch and the supergate cache drops the batch's
+// touches, so nothing is re-timed or re-extracted. The single-move retry
+// walks the phase's own ranking against the restored timing, and a later
+// phase on the restored network takes every site it already scored from
+// the engine's buffers (engine.go), since a site is scored under both
+// objectives at once.
 package opt
 
 import (
@@ -411,7 +418,7 @@ func applyMoves(n *network.Network, tm *sta.Timing, moves []Move, obj sizing.Obj
 			break
 		}
 		if m.IsSwap {
-			if gain := EvalSwapScratch(tm, m.Swap, obj, ws.sc); gain <= eps {
+			if gain := EvalSwapScratch(tm, m.Swap, ws.sc)[obj]; gain <= eps {
 				continue
 			}
 			undos = append(undos, applySwap(n, m.Swap))

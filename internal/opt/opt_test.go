@@ -277,7 +277,7 @@ func TestEvalSwapSameDriverIsZero(t *testing.T) {
 	tm := sta.Analyze(n, l, 0)
 	e := supergate.Extract(n)
 	sg := e.Of(f)
-	if got := EvalSwapScratch(tm, rewireSwap(sg, 0, 1, false), sizing.MinSlack, sta.NewScratch()); got != 0 {
+	if got := EvalSwapScratch(tm, rewireSwap(sg, 0, 1, false), sta.NewScratch())[sizing.MinSlack]; got != 0 {
 		t.Fatalf("same-driver swap scored %v", got)
 	}
 }
@@ -294,8 +294,8 @@ func TestEvalSwapInvertingPenalty(t *testing.T) {
 	for _, sg := range e.NonTrivial() {
 		for i := 0; i < len(sg.Leaves) && checked < 50; i++ {
 			for j := i + 1; j < len(sg.Leaves) && checked < 50; j++ {
-				plain := EvalSwapScratch(tm, rewireSwap(sg, i, j, false), sizing.MinSlack, sc)
-				inv := EvalSwapScratch(tm, rewireSwap(sg, i, j, true), sizing.MinSlack, sc)
+				plain := EvalSwapScratch(tm, rewireSwap(sg, i, j, false), sc)[sizing.MinSlack]
+				inv := EvalSwapScratch(tm, rewireSwap(sg, i, j, true), sc)[sizing.MinSlack]
 				if inv > plain+1e-9 {
 					t.Fatalf("inverting swap scored better: %v > %v", inv, plain)
 				}

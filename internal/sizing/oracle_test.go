@@ -93,10 +93,10 @@ func oracleEvalResize(tm *sta.Timing, g *network.Gate, newSize int, obj Objectiv
 		return 0
 	}
 	sc.Begin(tm)
-	before := Score(obj, localSlacks(tm, g, sc), tm.Clock)
+	before := Scores(localSlacks(tm, g, sc), tm.Clock)[obj]
 	sc.Begin(tm)
 	sc.OverrideSize(g, newSize)
-	after := Score(obj, localSlacks(tm, g, sc), tm.Clock)
+	after := Scores(localSlacks(tm, g, sc), tm.Clock)[obj]
 	return after - before
 }
 

@@ -56,15 +56,10 @@ func neighborhood(g *network.Gate, sc *sta.Scratch) []*network.Gate {
 	return sc.Hood
 }
 
-// Score reduces a set of neighborhood slacks to the objective value:
-// the minimum for MinSlack, the clock-clipped sum for SumSlack.
-func Score(obj Objective, slacks []float64, clock float64) float64 {
-	return Scores(slacks, clock)[obj]
-}
-
-// Scores reduces one set of neighborhood slacks under both objectives
-// in one pass, indexed by Objective. A candidate's slack vector does not
-// depend on the phase that asks for it, so scoring it once serves both.
+// Scores reduces a set of neighborhood slacks to the value of each
+// objective, indexed by Objective: the minimum for MinSlack, the
+// clock-clipped sum for SumSlack. A candidate's slack vector does not
+// depend on the phase that asks for it, so one pass serves both.
 func Scores(slacks []float64, clock float64) [2]float64 {
 	min, sum := math.MaxFloat64, 0.0
 	for _, s := range slacks {

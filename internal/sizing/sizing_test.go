@@ -70,17 +70,17 @@ func TestBestResize(t *testing.T) {
 
 func TestScore(t *testing.T) {
 	slacks := []float64{3, 1, 2}
-	if got := Score(MinSlack, slacks, 10); got != 1 {
+	if got := Scores(slacks, 10)[MinSlack]; got != 1 {
 		t.Fatalf("min score %v", got)
 	}
-	if got := Score(SumSlack, slacks, 10); got != 6 {
+	if got := Scores(slacks, 10)[SumSlack]; got != 6 {
 		t.Fatalf("sum score %v", got)
 	}
 	// Clipping at clock.
-	if got := Score(SumSlack, []float64{100}, 10); got != 10 {
+	if got := Scores([]float64{100}, 10)[SumSlack]; got != 10 {
 		t.Fatalf("clipped score %v", got)
 	}
-	if got := Score(MinSlack, nil, 10); got != math.MaxFloat64 {
+	if got := Scores(nil, 10)[MinSlack]; got != math.MaxFloat64 {
 		t.Fatalf("empty min score %v", got)
 	}
 }

@@ -37,6 +37,21 @@
 // back to a seeded full Analyze — at that size the from-scratch three-pass
 // walk is cheaper than chasing the frontier.
 //
+// # Checkpoint and rollback
+//
+// An optimizer rejects most of its batches. Checkpoint, taken right after
+// an Update, copies everything an Update can change: the Timing's arrays,
+// net arena and pin table, the levels and the PO list. Once the caller
+// has undone a batch exactly — every fanin and fanout list back in its
+// order, created gates removed — Rollback copies that state back and
+// drops the dirty set, instead of re-timing the batch's region a second
+// time. Fanout order matters: the star model sums over a driver's sinks
+// in list order, so a permuted list would round differently in the last
+// bits and the restored timing would not be the checkpoint's. Every view
+// an Update produces carries a fresh Version, and a rollback restores the
+// checkpoint's, so caches keyed on the version (opt's site scores) come
+// back into force with it.
+//
 // All bookkeeping — the dirty set, logic levels, the level-ordered
 // propagation queues, and the PO set — is held in dense gate-ID-indexed
 // arrays with epoch stamps (no per-event map operations): the PR 6 profile

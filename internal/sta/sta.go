@@ -330,20 +330,31 @@ func (t *Timing) dropGates() {
 // rebuilds.
 func (t *Timing) copyFrom(src *Timing) {
 	t.n, t.lib, t.bounds = src.n, src.lib, src.bounds
-	t.arrival = append(t.arrival[:0], src.arrival...)
-	t.required = append(t.required[:0], src.required...)
-	t.load = append(t.load[:0], src.load...)
-	t.wire = append(t.wire[:0], src.wire...)
-	t.netSinks = append(t.netSinks[:0], src.netSinks...)
-	t.netDelays = append(t.netDelays[:0], src.netDelays...)
-	t.netGen = append(t.netGen[:0], src.netGen...)
-	t.pinOff = append(t.pinOff[:0], src.pinOff...)
-	t.pinN = append(t.pinN[:0], src.pinN...)
-	t.pinGen = append(t.pinGen[:0], src.pinGen...)
-	t.pinDelay = append(t.pinDelay[:0], src.pinDelay...)
+	t.arrival = copyInto(t.arrival, src.arrival)
+	t.required = copyInto(t.required, src.required)
+	t.load = copyInto(t.load, src.load)
+	t.wire = copyInto(t.wire, src.wire)
+	t.netSinks = copyInto(t.netSinks, src.netSinks)
+	t.netDelays = copyInto(t.netDelays, src.netDelays)
+	t.netGen = copyInto(t.netGen, src.netGen)
+	t.pinOff = copyInto(t.pinOff, src.pinOff)
+	t.pinN = copyInto(t.pinN, src.pinN)
+	t.pinGen = copyInto(t.pinGen, src.pinGen)
+	t.pinDelay = copyInto(t.pinDelay, src.pinDelay)
 	t.gen = src.gen
 	t.version = src.version
 	t.Clock, t.CriticalDelay, t.Lateness = src.Clock, src.CriticalDelay, src.Lateness
+}
+
+// copyInto copies src over dst's array, first reallocating it to
+// exactly src's capacity when it has less: a copy taken into a pooled
+// Timing then has the room the next analysis or update into it would
+// otherwise grow it to, and copies back and forth never grow either side.
+func copyInto[T any](dst, src []T) []T {
+	if cap(dst) < cap(src) {
+		dst = make([]T, 0, cap(src))
+	}
+	return append(dst[:0], src...)
 }
 
 // clearGates clears s up to its capacity and returns it empty, so a
