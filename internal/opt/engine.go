@@ -225,6 +225,9 @@ func (e *Engine) TakeStats() EvalStats {
 // again (see the package comment); the ranking is bit-identical to a
 // fresh engine's.
 func (e *Engine) Moves(tm *sta.Timing, strat Strategy, obj sizing.Objective, o Options, ext *supergate.Extraction) []Move {
+	// Version panics on a view whose required times are pending, so no
+	// phase scores stale slacks.
+	ver := tm.Version()
 	n := tm.Network()
 
 	// In the min-slack phase only sites touching the critical region are
@@ -295,7 +298,7 @@ func (e *Engine) Moves(tm *sta.Timing, strat Strategy, obj sizing.Objective, o O
 	// Score the sites not scored at this version yet, each into its own
 	// entry, so workers never share one.
 	e.stats.Phases++
-	e.keepScores(tm.Version(), bound)
+	e.keepScores(ver, bound)
 	todo := slices.Grow(e.todo[:0], len(swapSites)+len(resizeSites))
 	e.scores = slices.Grow(e.scores, len(swapSites)+len(resizeSites))
 	for i, sg := range swapSites {

@@ -17,7 +17,11 @@
 // check, so the critical delay never regresses; local evaluations only
 // *rank* candidates. The guard itself is cheap: an incremental timer
 // (sta.Incremental) absorbs each batch by re-propagating timing through
-// the mutated region only. From-scratch ground-truth analyses run twice
+// the mutated region only. The guard reads primary-output lateness, which
+// depends on arrival times alone, so it brings only arrivals current
+// (UpdateArrivals); the backward required-time sweep of an accepted batch
+// runs with the next phase's Update, which scoring needs, and a rejected
+// batch never pays for one. From-scratch ground-truth analyses run twice
 // per optimization — once to seed the timer and once at the end for the
 // reported result — plus the timer's own threshold fallbacks when a batch
 // dirties most of a (small) network.
@@ -121,12 +125,14 @@ type Options struct {
 	// survive across rounds. The run consumes the engine's counters via
 	// TakeStats.
 	engine *Engine
-	// skipFinal skips the final from-scratch ground-truth analysis and
-	// reports FinalDelay from the incremental timer instead.
-	// OptimizeRounds sets it: each round's FinalDelay is discarded (the
-	// round's own re-analysis is the ground truth), so one extra full
-	// analysis per round would be waste.
-	skipFinal bool
+	// timer and cache, when non-nil, are a caller-owned incremental timer
+	// and supergate cache over the run's network, fully timed, to use
+	// instead of building fresh ones. OptimizeRounds hands every round the
+	// same pair. Such a run leaves both open, skips the final from-scratch
+	// analysis (the caller owns it), reports FinalDelay from the timer and
+	// Timer/Extractor as the pair's running totals.
+	timer *sta.Incremental
+	cache *supergate.Cache
 }
 
 // PhaseReport is one typed progress milestone of an optimization run.
@@ -238,7 +244,10 @@ func Optimize(ctx context.Context, n *network.Network, lib *library.Library, str
 	if o.MaxSwapLeaves <= 0 {
 		o.MaxSwapLeaves = 48
 	}
-	inc := sta.NewIncrementalBounded(n, lib, o.Clock, o.Bounds)
+	inc := o.timer
+	if inc == nil {
+		inc = sta.NewIncrementalBounded(n, lib, o.Clock, o.Bounds)
+	}
 	tm := inc.Timing()
 	clock := tm.Clock
 
@@ -246,8 +255,11 @@ func Optimize(ctx context.Context, n *network.Network, lib *library.Library, str
 	// the incremental timer: each phase's supergate decomposition is the
 	// previous one with only the supergates whose cones a batch touched
 	// re-extracted, instead of a from-scratch O(network) Extract.
-	cache := supergate.NewCache(n)
-	defer cache.Close()
+	cache := o.cache
+	if cache == nil {
+		cache = supergate.NewCache(n)
+		defer cache.Close()
+	}
 	eng := o.engine
 	if eng == nil {
 		eng = NewEngine(o.Workers)
@@ -299,6 +311,8 @@ func Optimize(ctx context.Context, n *network.Network, lib *library.Library, str
 				break
 			}
 			ranPhase = true
+			// The phase starts fully timed: this Update also runs the
+			// backward sweep the last accepted batch's guard deferred.
 			tm = inc.Update()
 			before := tm.Lateness
 			// Snapshot the move counters: a rolled-back batch must not
@@ -330,7 +344,10 @@ func Optimize(ctx context.Context, n *network.Network, lib *library.Library, str
 				report(iter, obj, 0, false, tm)
 				continue
 			}
-			tm = inc.Update()
+			// The guard reads lateness only, so it brings arrivals
+			// current and leaves the backward sweep to the next phase's
+			// Update; a rollback discards it unrun.
+			tm = inc.UpdateArrivals()
 			after := tm.Lateness
 			retried := after > before+eps
 			if retried {
@@ -346,7 +363,7 @@ func Optimize(ctx context.Context, n *network.Network, lib *library.Library, str
 					report(iter, obj, 0, true, tm)
 					continue
 				}
-				tm = inc.Update()
+				tm = inc.UpdateArrivals()
 				after = tm.Lateness
 				if after > before+eps {
 					tm = rollback(undos)
@@ -380,19 +397,20 @@ func Optimize(ctx context.Context, n *network.Network, lib *library.Library, str
 	// chains often serve as buffers, and stripping them regresses delay;
 	// inverting swaps already collapse onto inverter drivers instead of
 	// stacking (see rewire.Apply), so nothing accretes.
-	if o.skipFinal {
-		res.FinalDelay = inc.Update().CriticalDelay
-	}
 	res.Timer = inc.Stats()
-	// Releasing the timer hands its checkpoint's Timing back to the pool
-	// the final analysis draws from.
-	inc.Release()
-	if !o.skipFinal {
+	res.Extractor = cache.Stats()
+	if o.timer != nil {
+		// The caller's timer goes on; the guard's view of the final
+		// network is current after its orphans' sweep is absorbed.
+		res.FinalDelay = inc.UpdateArrivals().CriticalDelay
+	} else {
+		// Releasing the timer hands its checkpoint's Timing back to the
+		// pool the final analysis draws from.
+		inc.Release()
 		final := sta.AnalyzeReleased(n, lib, clock, o.Bounds)
 		res.FinalDelay = final.CriticalDelay
 		sta.ReleaseTiming(final)
 	}
-	res.Extractor = cache.Stats()
 	res.Evals = eng.TakeStats()
 	res.FinalArea = techmap.Area(n, lib)
 	return res

@@ -1,11 +1,14 @@
 // Optimization in rounds: the paper's optimizers run to a budget on the
-// whole network, the orphaned gates are swept, and one from-scratch
-// analysis sets the next round's baseline. This is what the facade's
-// WithRegions(n > 1) runs; it partitions nothing, because a timing-region
-// partition held one region on every measured input (DESIGN.md §3b).
-// Each round starts from fresh timing and a fresh supergate extraction,
-// and a windowed run gets a fresh per-round iteration budget, so rounds
-// can reach moves a single Optimize call has stopped looking for.
+// whole network, the orphaned gates are swept, and the timer's lateness
+// after the sweep sets the next round's baseline. This is what the
+// facade's WithRegions(n > 1) runs; it partitions nothing, because a
+// timing-region partition held one region on every measured input
+// (DESIGN.md §3b). The rounds share one incremental timer, one supergate
+// cache and one scoring engine: each round starts from the state the
+// last one left, timed and extracted exactly as a fresh analysis and a
+// fresh extraction would (TestOptimizeRegionedDegradesToSequential checks
+// this). A windowed run gets a fresh per-round iteration budget, so
+// rounds can reach moves a single Optimize call has stopped looking for.
 package opt
 
 import (
@@ -15,6 +18,7 @@ import (
 	"repro/internal/library"
 	"repro/internal/network"
 	"repro/internal/sta"
+	"repro/internal/supergate"
 	"repro/internal/techmap"
 )
 
@@ -25,10 +29,12 @@ const rounds = 3
 // OptimizeRounds runs the selected strategy for up to three rounds on
 // the whole network. Each round is one Optimize run (MaxIters defaults
 // to 6 per round, and to 1 when o.Window is unset), followed by a sweep
-// of orphaned gates and one full re-analysis; the run stops after a
-// round that commits nothing or does not improve the lateness. The
-// final network never has a worse critical delay than the initial one,
-// and its logic function is preserved (the guarantee Optimize gives).
+// of orphaned gates and an Update of the shared timer; the run stops
+// after a round that commits nothing or does not improve the lateness.
+// One from-scratch analysis at the end sets FinalDelay, as in Optimize.
+// The final network never has a worse critical delay than the initial
+// one, and its logic function is preserved (the guarantee Optimize
+// gives). Result.Timer and Result.Extractor count the whole run's work.
 //
 // o.Progress receives one "start" report and one "round" report per
 // round. The context is checked at round boundaries and handed to every
@@ -42,27 +48,26 @@ func OptimizeRounds(ctx context.Context, n *network.Network, lib *library.Librar
 		o.MaxSwapLeaves = 48
 	}
 
-	// Global analyses cycle through the sta timing pool, and each is
-	// released as soon as its lateness and delay are read: a round's
-	// Optimize then seeds its timer and borrows its checkpoint from the
-	// pool instead of growing it, and the next analysis reuses them.
-	tm := sta.AnalyzeReleased(n, lib, o.Clock, o.Bounds)
+	// One timer and one cache serve every round: the timer's seed is the
+	// run's initial analysis, and each round's Optimize picks up the
+	// timing and the extraction the last one left.
+	inc := sta.NewIncrementalBounded(n, lib, o.Clock, o.Bounds)
+	cache := supergate.NewCache(n)
+	tm := inc.Timing()
 	clock, lateness, delay := tm.Clock, tm.Lateness, tm.CriticalDelay
-	sta.ReleaseTiming(tm)
 	res := Result{
 		Strategy:     strat,
 		InitialDelay: delay,
-		FinalDelay:   delay,
 	}
-	res.Timer.FullAnalyses++
 	if o.Progress != nil {
 		o.Progress(PhaseReport{
 			Phase: "start", Delay: delay, Lateness: lateness,
 		})
 	}
 
-	// One scoring engine serves every round, so its scratch arenas warm
-	// up once per run.
+	// One scoring engine serves every round too, so its scratch arenas
+	// warm up once per run, and the site scores of a state the last round
+	// ended on carry over.
 	so := o
 	if o.Window <= 0 {
 		// Unwindowed, the rounds are the outer loop: letting every round
@@ -75,10 +80,8 @@ func OptimizeRounds(ctx context.Context, n *network.Network, lib *library.Librar
 	}
 	so.engine = NewEngine(so.Workers)
 	defer so.engine.Release()
-	// The round's own analysis below is the ground truth, so each round
-	// skips Optimize's final one; the loop reports per round instead of
-	// per phase.
-	so.skipFinal = true
+	so.timer, so.cache = inc, cache
+	// The loop reports per round instead of per phase.
 	so.Progress = nil
 
 	for round := 0; round < rounds; round++ {
@@ -95,8 +98,6 @@ func OptimizeRounds(ctx context.Context, n *network.Network, lib *library.Librar
 			res.InitialArea, res.Coverage = r.InitialArea, r.Coverage
 			res.MaxLeaves, res.Redundancies = r.MaxLeaves, r.Redundancies
 		}
-		res.Timer.Add(r.Timer)
-		res.Extractor.Add(r.Extractor)
 		res.Evals.Add(r.Evals)
 		if r.Iterations > 0 {
 			res.Iterations = round + 1
@@ -105,15 +106,12 @@ func OptimizeRounds(ctx context.Context, n *network.Network, lib *library.Librar
 		if applied > 0 {
 			res.Swaps += r.Swaps
 			res.Resizes += r.Resizes
-			// Sweep the orphans first so one fresh analysis serves as
-			// both the next round's baseline and this round's ground
-			// truth (Optimize's own guard has already enforced the
-			// lateness).
+			// Sweep the orphans first so that one Update serves as both
+			// the next round's starting timing and this round's
+			// lateness (Optimize's own guard has already enforced it).
 			n.Sweep()
-			tm = sta.AnalyzeReleased(n, lib, clock, o.Bounds)
+			tm = inc.Update()
 			lateness, delay = tm.Lateness, tm.CriticalDelay
-			sta.ReleaseTiming(tm)
-			res.Timer.FullAnalyses++
 		}
 		if o.Progress != nil {
 			o.Progress(PhaseReport{
@@ -129,7 +127,15 @@ func OptimizeRounds(ctx context.Context, n *network.Network, lib *library.Librar
 	if cancelled(ctx) {
 		res.Interrupted = true
 	}
-	res.FinalDelay = delay
+	res.Timer = inc.Stats()
+	res.Extractor = cache.Stats()
+	cache.Close()
+	// Releasing the timer hands its checkpoint's Timing back to the pool
+	// the final analysis draws from.
+	inc.Release()
+	final := sta.AnalyzeReleased(n, lib, clock, o.Bounds)
+	res.FinalDelay = final.CriticalDelay
+	sta.ReleaseTiming(final)
 	res.FinalArea = techmap.Area(n, lib)
 	return res
 }

@@ -18,10 +18,26 @@
 //     stopping wherever a recomputed arrival is bit-identical to the
 //     cached one (reconvergence damping). Logic levels are repaired in the
 //     same sweep.
-//  3. Propagates required times backward from the dirty gates and their
+//  3. Rescans the primary outputs for the critical delay and lateness.
+//  4. Propagates required times backward from the dirty gates and their
 //     fanin drivers (a dirty gate's cell delay feeds its fanins' required
-//     times), again stopping on unchanged values.
-//  4. Rescans the primary outputs for the critical delay.
+//     times), again stopping on unchanged values. Required times depend
+//     on arrivals nowhere, so this step can wait: UpdateArrivals runs
+//     steps 1-3 and keeps the step-4 seeds pending, and the next Update
+//     merges the seeds of every batch since into one backward sweep.
+//     That sweep reaches every gate whose required time moved, because
+//     each batch's changed nets and delays are among the merged seeds,
+//     and a gate deleted meanwhile leaves them (GateRemoved). The values
+//     are the unique fixpoint of the current network, so merging changes
+//     no bit, only the work.
+//
+// The optimizers' timing guard reads only lateness, so it calls
+// UpdateArrivals; most guarded batches are rejected and rolled back,
+// which discards their pending backward work unrun, and an accepted
+// batch's sweep runs with the next phase's Update, which scoring needs.
+// A view with required times pending is stale for slacks: Version and
+// Scratch.Begin panic on it and Checkpoint refuses it, so no scoring
+// reads it, and each finished backward pass draws a fresh Version.
 //
 // The clock is frozen at construction (when built with clock <= 0 it locks
 // to the initial critical delay, exactly like the optimizers do), so
@@ -33,9 +49,10 @@
 // already dirty in the same batch (opt places the inverters a swap
 // creates right after rewire.Apply reports them).
 //
-// When a batch dirties more than FullFraction of the network, Update falls
-// back to a seeded full Analyze — at that size the from-scratch three-pass
-// walk is cheaper than chasing the frontier.
+// When a batch dirties more than FullFraction of the network, the update
+// falls back to a seeded full Analyze — at that size the from-scratch
+// three-pass walk is cheaper than chasing the frontier. UpdateArrivals
+// runs passes 1-2 of it and defers pass 3 like any backward work.
 //
 // # Checkpoint and rollback
 //
@@ -88,10 +105,12 @@ const DefaultFullFraction = 0.5
 // harness's full-vs-incremental reporting.
 type IncStats struct {
 	// FullAnalyses counts from-scratch analyses: the initial one at
-	// construction plus every threshold fallback.
+	// construction plus every threshold fallback, an arrivals-only one
+	// included even when a Rollback then dropped its deferred pass 3.
 	FullAnalyses int
-	// IncrementalUpdates counts Update calls that ran dirty-region
-	// propagation (calls with an empty dirty set are free and not counted).
+	// IncrementalUpdates counts Update and UpdateArrivals calls that ran
+	// dirty-region propagation (calls with an empty dirty set are free and
+	// not counted).
 	IncrementalUpdates int
 	// DirtyGates is the total dirty-set size consumed across incremental
 	// updates; MaxDirty is the largest single batch.
@@ -99,23 +118,13 @@ type IncStats struct {
 	MaxDirty   int
 	// ArrivalRecomputes and RequiredRecomputes count gate evaluations
 	// during propagation — the true measure of region size, since a change
-	// ripples beyond the dirty epicenters.
+	// ripples beyond the dirty epicenters. RequiredRecomputes covers only
+	// the backward sweeps that ran — one per Update that found backward
+	// work pending, however many arrivals-only batches merged into it;
+	// work a Rollback discarded never runs and is not counted, and neither
+	// is a full analysis's pass 3.
 	ArrivalRecomputes  int
 	RequiredRecomputes int
-}
-
-// Add folds another timer's counters into s (MaxDirty takes the max);
-// opt.OptimizeRounds sums its rounds with it. Every IncStats field must
-// be folded here.
-func (s *IncStats) Add(o IncStats) {
-	s.FullAnalyses += o.FullAnalyses
-	s.IncrementalUpdates += o.IncrementalUpdates
-	s.DirtyGates += o.DirtyGates
-	if o.MaxDirty > s.MaxDirty {
-		s.MaxDirty = o.MaxDirty
-	}
-	s.ArrivalRecomputes += o.ArrivalRecomputes
-	s.RequiredRecomputes += o.RequiredRecomputes
 }
 
 // AvgDirty returns the mean dirty-set size per incremental update.
@@ -217,9 +226,18 @@ type Incremental struct {
 
 	// Propagation scratch, persistent across updates.
 	fwdQ, bwdQ levelQueue
-	backSeeds  gateSet
-	forced     gateSet
 	pinArr     []Edge // per-pin arrivals of the gate being recomputed
+
+	// The backward work UpdateArrivals defers to the next Update (see
+	// the package comment). backSeeds and forced merge the seeds of every
+	// arrivals-only batch since the last Update; reqFull marks a deferred
+	// pass 3 of a fallback analysis, which re-times every required time
+	// and so supersedes them. order is that fallback's topological order,
+	// kept until a mutation arrives; nil otherwise.
+	backSeeds gateSet
+	forced    gateSet
+	reqFull   bool
+	order     []*network.Gate
 
 	// touched records every gate whose arrival or required time was
 	// recomputed by the most recent Update, deduplicated across the two
@@ -283,17 +301,20 @@ func (it *Incremental) start(n *network.Network, lib *library.Library, clock flo
 	it.t.n, it.t.lib, it.t.bounds = n, lib, b
 	it.fwdQ.init(it, false)
 	it.bwdQ.init(it, true)
-	it.seed(clock)
+	it.full(clock)
+	it.finishRequired()
 	n.Observe(it)
 }
 
-// seed runs the ground-truth analysis and rebuilds levels and the PO list.
-func (it *Incremental) seed(clock float64) {
+// full runs passes 1-2 of the ground-truth analysis under clock (the
+// construction seed, or a threshold fallback under the frozen clock),
+// reusing the Timing's arrays in place, and rebuilds the levels and the
+// PO list. Pass 3 is left to finishRequired, with the order it walks.
+func (it *Incremental) full(clock float64) {
 	// Levels and the analysis passes are all value-level dataflow, so the
 	// cheap any-valid-order walk serves; see TopoOrderFast.
 	order := it.n.TopoOrderFast()
-	it.t.analyzeInto(clock, order)
-	it.t.version = versions.Add(1)
+	it.t.analyzeArrivals(clock, order)
 	it.clock = it.t.Clock
 	it.rebuildLevels(order)
 	it.rebuildPOs()
@@ -301,9 +322,13 @@ func (it *Incremental) seed(clock float64) {
 	it.dirty.reset()
 	it.dirty.grow(bound)
 	// Pre-size the propagation scratch too, so the first updates don't
-	// regrow each stamped set by appending.
+	// regrow each stamped set by appending. Pass 3 re-times every
+	// required time, so no seed survives it.
+	it.backSeeds.reset()
 	it.backSeeds.grow(bound)
+	it.forced.reset()
 	it.forced.grow(bound)
+	it.reqFull, it.order = true, order
 	it.fwdQ.qset.grow(bound)
 	it.bwdQ.qset.grow(bound)
 	it.touched.reset()
@@ -394,8 +419,9 @@ func (it *Incremental) Release() {
 }
 
 // Checkpoint saves the timer's state for Rollback. Take it right after
-// an Update, with no mutation pending; it panics otherwise. A later
-// Checkpoint replaces it.
+// an Update, with no mutation and no backward work pending (an
+// UpdateArrivals leaves some); it panics otherwise. A later Checkpoint
+// replaces it.
 //
 // The copy is O(network), a few memory copies of the per-gate arrays,
 // where re-timing a rolled-back batch costs its whole dirty region
@@ -403,8 +429,8 @@ func (it *Incremental) Release() {
 // draws on and goes back to it with Release, so an optimizer's final
 // analysis after Release reuses it instead of allocating another.
 func (it *Incremental) Checkpoint() {
-	if len(it.dirty.list) != 0 {
-		panic("sta: Checkpoint with mutations pending; call Update first")
+	if len(it.dirty.list) != 0 || it.t.reqStale {
+		panic("sta: Checkpoint with mutations or required times pending; call Update first")
 	}
 	c := &it.ckpt
 	if c.t == nil {
@@ -418,7 +444,8 @@ func (it *Incremental) Checkpoint() {
 }
 
 // Rollback restores the state saved by the last Checkpoint and drops
-// every pending mutation, returning the restored view. The caller must
+// every pending mutation and all backward work pending from
+// UpdateArrivals, returning the restored view. The caller must
 // first have returned the network to its checkpointed state — every
 // gate's fanins, fanout lists in their order, types, sizes and PO flags
 // — and removed the gates it created since (an exactly undone batch);
@@ -436,6 +463,9 @@ func (it *Incremental) Rollback() *Timing {
 	it.poMember = append(it.poMember[:0], c.poMember...)
 	it.posStale = c.posStale
 	it.dirty.reset()
+	it.backSeeds.reset()
+	it.forced.reset()
+	it.reqFull, it.order = false, nil
 	it.touched.reset()
 	it.lastFull = false
 	return it.t
@@ -450,6 +480,7 @@ func (it *Incremental) dropGates() {
 	it.n, it.lib, it.bounds = nil, nil, nil
 	it.t.dropGates()
 	it.posList = nil
+	it.reqFull, it.order = false, nil
 	it.ckpt.posList = clearGates(it.ckpt.posList)
 	it.dirty.dropGates()
 	it.backSeeds.dropGates()
@@ -460,16 +491,18 @@ func (it *Incremental) dropGates() {
 }
 
 // Timing returns the current timing view, valid as of the last Update (or
-// construction). The view is updated in place, so always read through the
-// pointer returned by the most recent Update.
+// construction), or with required times pending as of the last
+// UpdateArrivals. The view is updated in place, so always read through
+// the pointer returned by the most recent update.
 func (it *Incremental) Timing() *Timing { return it.t }
 
 // Stats returns the accumulated work counters.
 func (it *Incremental) Stats() IncStats { return it.stats }
 
 // LastTouched returns the gates whose arrival or required time was
-// recomputed by the most recent Update (or construction), deduplicated.
-// After a full analysis — construction, a FullFraction fallback — it
+// recomputed by the most recent Update (or construction), deduplicated;
+// after an UpdateArrivals, the gates whose arrival was. After a full
+// analysis — construction, a FullFraction fallback — it
 // returns nil and LastUpdateFull reports true; use LastTouchedCount for
 // a size that covers both cases. The slice is owned by the timer and
 // valid only until the next Update; callers must not mutate it.
@@ -510,11 +543,14 @@ func (it *Incremental) GateTouched(g *network.Gate) {
 	}
 }
 
-// GateRemoved drops a deleted gate from every structure; part of
-// network.Observer. The gate's former fanins were reported touched by the
-// removal itself.
+// GateRemoved drops a deleted gate from every structure, the backward
+// seeds pending from UpdateArrivals included; part of network.Observer.
+// The gate's former fanins were reported touched by the removal itself.
 func (it *Incremental) GateRemoved(g *network.Gate) {
 	it.dirty.remove(g)
+	it.backSeeds.remove(g)
+	it.forced.remove(g)
+	it.order = nil
 	if id := g.ID(); id < len(it.poMember) && it.poMember[id] {
 		it.poMember[id] = false
 		it.posStale = true
@@ -522,16 +558,34 @@ func (it *Incremental) GateRemoved(g *network.Gate) {
 	it.t.forget(g)
 }
 
-// Update brings the timing current with the network and returns the view.
-// With no pending mutations it is free; with a small dirty set it
-// propagates through the affected region only; past the FullFraction
-// threshold it falls back to a full Analyze.
+// Update brings the timing current with the network, required times
+// included, and returns the view: UpdateArrivals, then the backward work
+// it and every UpdateArrivals since the last Update deferred. With
+// nothing pending it is free; with a small dirty set it propagates
+// through the affected region only; past the FullFraction threshold it
+// falls back to a full analysis.
 func (it *Incremental) Update() *Timing {
+	it.UpdateArrivals()
+	it.finishRequired()
+	return it.t
+}
+
+// UpdateArrivals brings arrivals, loads, nets, levels, CriticalDelay and
+// Lateness current with the network — everything the optimizers' timing
+// guard reads — and defers the backward (required-time) work to the next
+// Update, merging its seeds with those of earlier arrivals-only batches;
+// a fallback analysis defers its pass 3 the same way. Until that Update
+// the view's required times and slacks are stale: Version and
+// Scratch.Begin panic on it, and Checkpoint refuses it. A Rollback
+// discards the deferred work with the batch, so a rejected batch never
+// pays for its backward sweep.
+func (it *Incremental) UpdateArrivals() *Timing {
 	if len(it.dirty.list) == 0 {
 		it.touched.reset()
 		it.lastFull = false
 		return it.t
 	}
+	it.order = nil // the network moved since the last fallback's order
 	pending := it.dirty.size()
 	if pending == 0 {
 		it.dirty.reset()
@@ -540,17 +594,38 @@ func (it *Incremental) Update() *Timing {
 		return it.t
 	}
 	if float64(pending) > it.FullFraction*float64(it.n.NumGates()) {
-		it.full()
+		it.full(it.clock)
 		return it.t
 	}
 	it.incremental(pending)
 	return it.t
 }
 
-// full re-runs the ground-truth analysis under the frozen clock, reusing
-// the Timing's arrays in place.
-func (it *Incremental) full() {
-	it.seed(it.clock)
+// finishRequired runs the deferred backward work, if any — a fallback's
+// pass 3, or one backward sweep from the merged seeds — and gives the
+// now fully timed view a fresh version.
+func (it *Incremental) finishRequired() {
+	if !it.t.reqStale {
+		return
+	}
+	if it.posStale {
+		it.rebuildPOs()
+	}
+	if it.reqFull {
+		order := it.order
+		if order == nil {
+			order = it.n.TopoOrderFast()
+		}
+		it.t.analyzeRequired(order, it.posList)
+		it.lastFull = true
+	} else {
+		it.propagateRequired()
+	}
+	it.backSeeds.reset()
+	it.forced.reset()
+	it.reqFull, it.order = false, nil
+	it.t.reqStale = false
+	it.t.version = versions.Add(1)
 }
 
 func (it *Incremental) incremental(pending int) {
@@ -562,7 +637,6 @@ func (it *Incremental) incremental(pending int) {
 		it.stats.MaxDirty = pending
 	}
 	it.t.grow(it.n.IDBound())
-	it.t.version = versions.Add(1)
 	it.dirty.grow(it.n.IDBound())
 
 	// Backward seeds: every dirty gate (its sink set or wire model moved)
@@ -570,23 +644,25 @@ func (it *Incremental) incremental(pending int) {
 	// fanins' required times). The dirty snapshot is kept separately: a
 	// dirty gate must push its fanins even when its own required time lands
 	// unchanged, because its delay still moved. Both sets are collected
-	// before the forward pass consumes the dirty set.
-	it.backSeeds.reset()
-	it.forced.reset()
-	for _, g := range it.dirty.list {
-		if !it.dirty.has(g) {
-			continue // removed after being touched
-		}
-		it.forced.add(g)
-		it.backSeeds.add(g)
-		for _, f := range g.Fanins() {
-			it.backSeeds.add(f)
+	// before the forward pass consumes the dirty set, and join the seeds
+	// still pending from earlier arrivals-only batches; a pending pass 3
+	// needs none.
+	if !it.reqFull {
+		for _, g := range it.dirty.list {
+			if !it.dirty.has(g) {
+				continue // removed after being touched
+			}
+			it.forced.add(g)
+			it.backSeeds.add(g)
+			for _, f := range g.Fanins() {
+				it.backSeeds.add(f)
+			}
 		}
 	}
 
 	it.propagateArrivals()
-	it.propagateRequired()
 	it.dirty.reset()
+	it.t.reqStale = true
 
 	// Rescan the tracked primary outputs for the critical delay and the
 	// boundary lateness — O(#POs), not O(network). The lateness term is
@@ -665,7 +741,7 @@ func (it *Incremental) propagateArrivals() {
 	it.pinArr = pinArr
 }
 
-// propagateRequired runs the backward sweep from the seeds, recomputing
+// propagateRequired runs the backward sweep from the live seeds, recomputing
 // each reached gate's required time from its sinks' (already current)
 // required times, delays, and wire models, and enqueuing fanins whenever
 // the value moved — or unconditionally for gates in forced, whose own
@@ -682,7 +758,9 @@ func (it *Incremental) propagateRequired() {
 	q := &it.bwdQ
 	q.reset()
 	for _, g := range it.backSeeds.list {
-		q.push(g)
+		if it.backSeeds.has(g) { // not removed since it was seeded
+			q.push(g)
+		}
 	}
 	for q.Len() > 0 {
 		g := q.pop()

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -31,6 +32,21 @@ func sameEdge(a, b sta.Edge) bool { return same(a.Rise, b.Rise) && same(a.Fall, 
 // agrees with the scan.
 func requireMatch(t testing.TB, step string, n *network.Network, lib *library.Library, clock float64, got *sta.Timing) {
 	t.Helper()
+	want := requireArrivalsMatch(t, step, n, lib, clock, got)
+	n.Gates(func(g *network.Gate) {
+		if gr, wr := got.Required(g), want.Required(g); !sameEdge(gr, wr) {
+			t.Fatalf("%s: required of %v diverged: incremental %+v, full %+v", step, g, gr, wr)
+		}
+	})
+	requirePinTable(t, step, n, got)
+}
+
+// requireArrivalsMatch asserts what UpdateArrivals keeps current — every
+// arrival, load and pin wire delay, the critical delay and the lateness —
+// bit for bit against a fresh analysis under the same bounds, which it
+// returns.
+func requireArrivalsMatch(t testing.TB, step string, n *network.Network, lib *library.Library, clock float64, got *sta.Timing) *sta.Timing {
+	t.Helper()
 	want := sta.AnalyzeBounded(n, lib, clock, got.Bounds())
 	if !same(want.CriticalDelay, got.CriticalDelay) || !same(want.Lateness, got.Lateness) {
 		t.Fatalf("%s: critical delay/lateness diverged: incremental %v/%v, full %v/%v",
@@ -40,14 +56,30 @@ func requireMatch(t testing.TB, step string, n *network.Network, lib *library.Li
 		if ga, wa := got.Arrival(g), want.Arrival(g); !sameEdge(ga, wa) {
 			t.Fatalf("%s: arrival of %v diverged: incremental %+v, full %+v", step, g, ga, wa)
 		}
-		if gr, wr := got.Required(g), want.Required(g); !sameEdge(gr, wr) {
-			t.Fatalf("%s: required of %v diverged: incremental %+v, full %+v", step, g, gr, wr)
-		}
 		if !same(got.Load(g), want.Load(g)) {
 			t.Fatalf("%s: load of %v diverged: incremental %v, full %v", step, g, got.Load(g), want.Load(g))
 		}
+		for j, d := range g.Fanins() {
+			if gw, ww := got.PinWireDelay(d, g, j), want.PinWireDelay(d, g, j); !same(gw, ww) {
+				t.Fatalf("%s: pin %d of %v diverged: incremental %v, full %v", step, j, g, gw, ww)
+			}
+		}
 	})
-	requirePinTable(t, step, n, got)
+	return want
+}
+
+// requireForgotten asserts that every gate of gates the network has
+// deleted reads as the zero value, as it does in a fresh analysis.
+func requireForgotten(t testing.TB, step string, n *network.Network, tm *sta.Timing, gates []*network.Gate) {
+	t.Helper()
+	for _, g := range gates {
+		if n.Live(g) {
+			continue
+		}
+		if a, q, l := tm.Arrival(g), tm.Required(g), tm.Load(g); a != (sta.Edge{}) || q != (sta.Edge{}) || l != 0 {
+			t.Fatalf("%s: deleted gate %v reads arrival %+v required %+v load %v", step, g, a, q, l)
+		}
+	}
 }
 
 // requirePinTable asserts that PinWireDelay agrees bit for bit with the
@@ -229,7 +261,7 @@ func TestIncrementalRollback(t *testing.T) {
 			}
 			for i := 0; i < 12; i++ {
 				step := fmt.Sprintf("step %d", i)
-				rolledBackBatch(t, step, n, lib, clock, inc, edit, 1+m.rng.Intn(8))
+				rolledBackBatch(t, step, n, lib, clock, inc, edit, 1+m.rng.Intn(8), i%2 == 1)
 				if i%3 == 2 {
 					// An accepted batch between rejections.
 					edit()
@@ -560,5 +592,183 @@ func TestIncrementalPooledReuse(t *testing.T) {
 			small.Sweep()
 		}
 		requireMatch(t, fmt.Sprintf("step %d", i), small, lib, clock, inc.Update())
+	}
+}
+
+// TestUpdateArrivalsMatchesAnalyze drives the optimizer's guard path:
+// arrivals-only updates whose backward work waits for the next Update.
+// After each UpdateArrivals every arrival, load, pin wire delay, the
+// critical delay and the lateness must equal a fresh analysis bit for
+// bit, and the stale view must refuse Version, Scratch.Begin and
+// Checkpoint; after the next Update every accessor must match, required
+// times included, and deleted gates must read as zero. The script covers
+// two arrivals-only batches merged into one Update, a Sweep that deletes
+// pending seeds, an arrivals-only full fallback (finished at once, and
+// after a further batch and a Sweep), and a Rollback after an
+// arrivals-only update, incremental or full, after which the next batch
+// must cost exactly what it costs a timer seeded on the restored network.
+func TestUpdateArrivalsMatchesAnalyze(t *testing.T) {
+	for _, name := range []string{"c432", "s5378"} {
+		t.Run(name, func(t *testing.T) {
+			lib := library.Default035()
+			n, err := gen.Generate(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			place.Place(n, lib, place.Options{Seed: 7, MovesPerCell: 5})
+			sizing.SeedForLoad(n, lib, 0)
+			inc := sta.NewIncremental(n, lib, 0)
+			defer inc.Release()
+			inc.FullFraction = 2
+			clock := inc.Timing().Clock
+			rng := rand.New(rand.NewSource(13))
+			m := &mutator{rng: rng, n: n}
+			gates := n.GateSlice()
+
+			// resize moves a random logic gate to another size and
+			// returns its undo.
+			resize := func() func() {
+				for {
+					g := n.GateSlice()[rng.Intn(n.NumGates())]
+					if g.IsInput() {
+						continue
+					}
+					old := g.SizeIdx
+					n.SetSize(g, (old+1+rng.Intn(library.NumSizes-1))%library.NumSizes)
+					return func() { n.SetSize(g, old) }
+				}
+			}
+			arrivalsOnly := func(step string) {
+				t.Helper()
+				tm := inc.UpdateArrivals()
+				requireArrivalsMatch(t, step, n, lib, clock, tm)
+				requireStale(t, step, inc)
+				gates = append(gates, n.GateSlice()...)
+			}
+			update := func(step string) {
+				t.Helper()
+				tm := inc.Update()
+				requireMatch(t, step, n, lib, clock, tm)
+				requireForgotten(t, step, n, tm, gates)
+			}
+			// orphan resizes a gate with one sink, which an arrivals-only
+			// update then seeds, and detaches that sink's pin onto a
+			// primary input, so the next Sweep deletes the gate.
+			orphan := func(step string) {
+				t.Helper()
+				var g *network.Gate
+				for g == nil || g.IsInput() || g.PO || g.NumFanouts() != 1 {
+					g = n.GateSlice()[rng.Intn(n.NumGates())]
+				}
+				n.SetSize(g, (g.SizeIdx+1)%library.NumSizes)
+				arrivalsOnly(step + " seeds the gate")
+				s := g.Fanouts()[0]
+				for j, f := range s.Fanins() {
+					if f == g {
+						n.ReplaceFanin(s, j, n.Inputs()[0])
+						break
+					}
+				}
+				if removed := n.Sweep(); removed == 0 {
+					t.Fatalf("%s: sweep removed nothing", step)
+				}
+			}
+
+			for i := 0; i < 4; i++ {
+				step := fmt.Sprintf("round %d", i)
+
+				resize()
+				m.randomSwap()
+				arrivalsOnly(step + " batch 1")
+				resize()
+				arrivalsOnly(step + " batch 2")
+				update(step + " two batches merged")
+
+				orphan(step + " sweep")
+				update(step + " sweep of pending seeds")
+
+				inc.FullFraction = 0
+				resize()
+				arrivalsOnly(step + " full fallback")
+				if !inc.LastUpdateFull() {
+					t.Fatalf("%s: FullFraction 0 did not fall back", step)
+				}
+				inc.FullFraction = 2
+				if i%2 == 0 {
+					update(step + " fallback finished at once")
+				} else {
+					resize()
+					arrivalsOnly(step + " batch after fallback")
+					orphan(step + " sweep after fallback")
+					update(step + " fallback finished after a batch and a sweep")
+				}
+
+				for _, full := range []bool{false, true} {
+					rb := fmt.Sprintf("%s rollback (full %v)", step, full)
+					want := timingReads(n, inc.Timing())
+					inc.Checkpoint()
+					if full {
+						inc.FullFraction = 0
+					}
+					undos := []func(){resize()}
+					if undo := m.randomSwap(); undo != nil {
+						undos = append(undos, undo)
+					}
+					arrivalsOnly(rb + " applied")
+					inc.FullFraction = 2
+					for k := len(undos) - 1; k >= 0; k-- {
+						undos[k]()
+					}
+					requireReads(t, rb, n, inc.Rollback(), want)
+					requireNothingLeft(t, rb, n, lib, clock, inc, resize)
+				}
+			}
+		})
+	}
+}
+
+// requireStale asserts that a view with required times pending refuses
+// everything that would read its slacks.
+func requireStale(t testing.TB, step string, inc *sta.Incremental) {
+	t.Helper()
+	for what, f := range map[string]func(){
+		"Version":       func() { inc.Timing().Version() },
+		"Scratch.Begin": func() { sta.NewScratch().Begin(inc.Timing()) },
+		"Checkpoint":    inc.Checkpoint,
+	} {
+		if !panics(f) {
+			t.Fatalf("%s: %s accepted a view with required times pending", step, what)
+		}
+	}
+}
+
+func panics(f func()) (p bool) {
+	defer func() { p = recover() != nil }()
+	f()
+	return false
+}
+
+// requireNothingLeft asserts that inc, just rolled back, kept nothing of
+// the rejected batch: the next batch must cost it exactly what it costs
+// a timer seeded on the restored network — the same arrival and required
+// recomputes and the same re-timed gates in the same order — and both
+// must match a fresh analysis.
+func requireNothingLeft(t testing.TB, step string, n *network.Network, lib *library.Library, clock float64, inc *sta.Incremental, edit func() func()) {
+	t.Helper()
+	ref := sta.NewIncremental(n, lib, clock)
+	defer ref.Release()
+	ref.FullFraction = inc.FullFraction
+	before, refBefore := inc.Stats(), ref.Stats()
+	edit()
+	requireMatch(t, step+" next batch", n, lib, clock, inc.Update())
+	requireMatch(t, step+" next batch (reference)", n, lib, clock, ref.Update())
+	got, want := inc.Stats(), ref.Stats()
+	if g, w := [2]int{got.ArrivalRecomputes - before.ArrivalRecomputes, got.RequiredRecomputes - before.RequiredRecomputes},
+		[2]int{want.ArrivalRecomputes - refBefore.ArrivalRecomputes, want.RequiredRecomputes - refBefore.RequiredRecomputes}; g != w {
+		t.Fatalf("%s: next batch recomputed %v (arrival, required), a fresh timer %v", step, g, w)
+	}
+	if g, w := inc.LastTouched(), ref.LastTouched(); !slices.Equal(g, w) || inc.LastUpdateFull() != ref.LastUpdateFull() {
+		t.Fatalf("%s: next batch re-timed %d gates (full %v), a fresh timer %d (full %v)",
+			step, len(g), inc.LastUpdateFull(), len(w), ref.LastUpdateFull())
 	}
 }

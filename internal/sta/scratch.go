@@ -151,8 +151,11 @@ func NewScratch() *Scratch { return &Scratch{} }
 
 // Begin opens a new evaluation against tm: previous per-gate entries die
 // (epoch bump) and the stamp array is grown to cover every gate ID of
-// tm's network, including gates created since the last call.
+// tm's network, including gates created since the last call. Every
+// hypothetical evaluation reads slacks, so it panics when tm's required
+// times are pending (see Timing.Version).
 func (sc *Scratch) Begin(tm *Timing) {
+	tm.mustBeTimed()
 	bound := tm.n.IDBound()
 	if bound > sc.bound {
 		sc.seenStamp = append(sc.seenStamp, make([]uint32, bound-sc.bound)...)

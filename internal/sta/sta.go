@@ -142,11 +142,16 @@ type Timing struct {
 
 	// version identifies the network state this view times, for callers
 	// that cache what they derive from it (opt's scoring engine). An
-	// Incremental timer draws a fresh, process-unique version whenever an
-	// Update or a fallback analysis re-times a changed network, and
+	// Incremental timer draws a fresh, process-unique version whenever it
+	// finishes re-timing a changed network, required times included, and
 	// Rollback restores the checkpoint's. A plain analysis has version 0,
 	// which identifies nothing.
 	version uint64
+	// reqStale marks a view whose required times lag its arrivals: an
+	// Incremental.UpdateArrivals deferred the backward work to the next
+	// Update. Version and Scratch.Begin panic on such a view, so nothing
+	// that scores slacks can read it.
+	reqStale bool
 
 	// Clock is the PO required time used; equals CriticalDelay when
 	// Analyze was called without a positive clock.
@@ -342,7 +347,7 @@ func (t *Timing) copyFrom(src *Timing) {
 	t.pinGen = copyInto(t.pinGen, src.pinGen)
 	t.pinDelay = copyInto(t.pinDelay, src.pinDelay)
 	t.gen = src.gen
-	t.version = src.version
+	t.version, t.reqStale = src.version, src.reqStale
 	t.Clock, t.CriticalDelay, t.Lateness = src.Clock, src.CriticalDelay, src.Lateness
 }
 
@@ -369,15 +374,25 @@ func clearGates(s []*network.Gate) []*network.Gate {
 // same Timing so its array capacity amortizes across the run). order may
 // be nil, in which case a fresh topological order is computed.
 func (t *Timing) analyzeInto(clock float64, order []*network.Gate) {
-	n := t.n
-	t.bounds.densify(n.IDBound())
 	if order == nil {
 		// Any valid topological order serves: every write below is
 		// ID-indexed dataflow, so the values are order-independent.
-		order = n.TopoOrderFast()
+		order = t.n.TopoOrderFast()
 	}
+	t.analyzeRequired(order, t.analyzeArrivals(clock, order))
+}
+
+// analyzeArrivals runs passes 1-2 of the analysis over order: nets,
+// loads, arrivals, the clock, the critical delay and the lateness. The
+// required times stay zero, and the view stale, until analyzeRequired
+// runs pass 3; the incremental timer's arrivals-only fallback stops here.
+// It returns the primary outputs it scanned.
+func (t *Timing) analyzeArrivals(clock float64, order []*network.Gate) []*network.Gate {
+	n := t.n
+	t.bounds.densify(n.IDBound())
 	bound := n.IDBound()
 	t.version = 0
+	t.reqStale = true
 	// Reset: zero the reused prefix, then grow to the current bound. The
 	// net arena and the pin table are re-laid from empty, each sized once
 	// for every pin plus a sixteenth for the nets and gates an incremental
@@ -435,8 +450,14 @@ func (t *Timing) analyzeInto(clock float64, order []*network.Gate) {
 		t.Clock = t.CriticalDelay
 	}
 	t.Lateness = poLateness(t, pos)
+	return pos
+}
 
-	// Pass 3: required times, walking in reverse topological order.
+// analyzeRequired runs pass 3 over order, a topological order of the
+// network as it stands, and its primary outputs pos: every required time
+// from the outputs back, walking order in reverse. The minimum over a
+// driver's sinks is exact, so any valid order gives the same bits.
+func (t *Timing) analyzeRequired(order, pos []*network.Gate) {
 	for _, g := range order {
 		t.required[g.ID()] = Edge{inf, inf}
 	}
@@ -462,6 +483,7 @@ func (t *Timing) analyzeInto(clock float64, order []*network.Gate) {
 			t.required[d.ID()] = cur
 		}
 	}
+	t.reqStale = false
 }
 
 // padLoad returns the non-net load of g: the PO pad when g is a primary
@@ -622,8 +644,21 @@ func (t *Timing) gateOutputCell(cell *library.Cell, g *network.Gate, pinArr []Ed
 
 // Version identifies the network state this view times: two reads of
 // views with the same nonzero version see the same timing bit for bit
-// (see Incremental). It is 0 for a view no Incremental timer manages.
-func (t *Timing) Version() uint64 { return t.version }
+// (see Incremental). It is 0 for a view no Incremental timer manages. It
+// panics on a view whose required times are pending (after
+// Incremental.UpdateArrivals, before the next Update): such a view names
+// no fully timed state, and its slacks are stale.
+func (t *Timing) Version() uint64 {
+	t.mustBeTimed()
+	return t.version
+}
+
+// mustBeTimed panics when t's required times are pending; see Version.
+func (t *Timing) mustBeTimed() {
+	if t.reqStale {
+		panic("sta: required times pending after UpdateArrivals; call Update before reading slacks")
+	}
+}
 
 // Network returns the network this analysis describes.
 func (t *Timing) Network() *network.Network { return t.n }

@@ -67,15 +67,6 @@ type CacheStats struct {
 	Reextracted int
 }
 
-// Add folds another cache's counters into s; opt.OptimizeRounds sums its
-// rounds with it. Every CacheStats field must be folded here.
-func (s *CacheStats) Add(o CacheStats) {
-	s.FullExtractions += o.FullExtractions
-	s.IncrementalFlushes += o.IncrementalFlushes
-	s.Invalidated += o.Invalidated
-	s.Reextracted += o.Reextracted
-}
-
 // Cache keeps a supergate Extraction current over one mutating network.
 // Create it with NewCache, mutate through Network methods, and call
 // Extraction to get the up-to-date decomposition. Close it when done so
