@@ -381,12 +381,13 @@ func BenchmarkIncrementalWideUpdate(b *testing.B) {
 
 // BenchmarkRollback measures one rejected sum-slack batch on s38417, the
 // way the optimizer undoes it: checkpoint the timer, apply every move of
-// the phase's ranking, Update, undo the moves in reverse order, and roll
-// the timer and the extraction cache back. Nothing is re-timed or
-// re-extracted after the undo, so the op costs the batch's own Update —
-// a full analysis, since the unrevalidated batch dirties most of the
-// network, as the optimizer's rejected sum-slack batches on s38417 do —
-// plus two copies of the timing arrays.
+// the phase's ranking, run the guard's UpdateArrivals, undo the moves in
+// reverse order, and roll the timer and the extraction cache back.
+// Nothing is re-timed or re-extracted after the undo, and the guard's
+// backward work is discarded unrun, so the op costs passes 1-2 of a full
+// analysis (the unrevalidated batch dirties most of the network, as the
+// optimizer's rejected sum-slack batches on s38417 do) plus two copies of
+// the timing arrays.
 func BenchmarkRollback(b *testing.B) {
 	n, lib, _ := staSwapSetup(b)
 	inc := sta.NewIncremental(n, lib, 0)
@@ -410,7 +411,7 @@ func BenchmarkRollback(b *testing.B) {
 			undos = append(undos, func() { n.SetSize(g, old) })
 		}
 		n.EndBatch()
-		inc.Update()
+		inc.UpdateArrivals()
 		n.BeginBatch()
 		for i := len(undos) - 1; i >= 0; i-- {
 			undos[i]()
@@ -590,8 +591,9 @@ func BenchmarkOptimizeWindowed(b *testing.B) {
 
 // BenchmarkOptimizeRegioned runs gsg+GS on s38417 as one Optimize call
 // versus the rounds loop behind WithRegions (up to 3 whole-network
-// rounds with a full re-analysis between them), unwindowed and with a
-// 0.005 criticality window.
+// rounds sharing one timer and one supergate cache), unwindowed and with
+// a 0.005 criticality window. The windowed rounds arm is in make
+// perf-gate.
 func BenchmarkOptimizeRegioned(b *testing.B) {
 	for _, arm := range []struct {
 		name   string
