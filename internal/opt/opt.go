@@ -404,16 +404,21 @@ func Optimize(ctx context.Context, n *network.Network, lib *library.Library, str
 		// network is current after its orphans' sweep is absorbed.
 		res.FinalDelay = inc.UpdateArrivals().CriticalDelay
 	} else {
-		// Releasing the timer hands its checkpoint's Timing back to the
-		// pool the final analysis draws from.
-		inc.Release()
-		final := sta.AnalyzeReleased(n, lib, clock, o.Bounds)
-		res.FinalDelay = final.CriticalDelay
-		sta.ReleaseTiming(final)
+		res.FinalDelay = releaseForFinal(inc, n, lib, clock, o.Bounds)
 	}
 	res.Evals = eng.TakeStats()
 	res.FinalArea = techmap.Area(n, lib)
 	return res
+}
+
+// releaseForFinal releases a run's timer, which hands its checkpoint's
+// Timing back to the pool the final analysis draws from, and returns the
+// critical delay of that from-scratch ground-truth analysis of n.
+func releaseForFinal(inc *sta.Incremental, n *network.Network, lib *library.Library, clock float64, b *sta.Bounds) float64 {
+	inc.Release()
+	final := sta.AnalyzeReleased(n, lib, clock, b)
+	defer sta.ReleaseTiming(final)
+	return final.CriticalDelay
 }
 
 // applyMoves applies the best sequence of a phase's ranked moves (sorted

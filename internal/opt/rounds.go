@@ -130,12 +130,7 @@ func OptimizeRounds(ctx context.Context, n *network.Network, lib *library.Librar
 	res.Timer = inc.Stats()
 	res.Extractor = cache.Stats()
 	cache.Close()
-	// Releasing the timer hands its checkpoint's Timing back to the pool
-	// the final analysis draws from.
-	inc.Release()
-	final := sta.AnalyzeReleased(n, lib, clock, o.Bounds)
-	res.FinalDelay = final.CriticalDelay
-	sta.ReleaseTiming(final)
+	res.FinalDelay = releaseForFinal(inc, n, lib, clock, o.Bounds)
 	res.FinalArea = techmap.Area(n, lib)
 	return res
 }
