@@ -101,12 +101,13 @@ session-smoke:
 # Fault-injection suite under the race detector (DESIGN.md §5a): the
 # journal package, worker panic isolation, retry/backoff, job
 # timeouts, journal write failures, in-process journal recovery, cache
-# corruption detection, the DELETE state table, readiness, and the
-# chaos sweep — and the real-binary SIGKILL + restart of an ECO
-# session.
+# corruption detection, the DELETE state table, readiness, the chaos
+# sweep, admission by circuit size (hook-held attempts script the
+# line; concurrent results match a one-worker server's) — and the
+# real-binary SIGKILL + restart of an ECO session.
 chaos:
 	$(GO) test -race -count=1 ./rapids/server/journal
-	$(GO) test -race -count=1 -run 'TestWorkerPanicIsolation|TestTransientPanicRetries|TestJobTimeoutRetriesThenFails|TestRequestTimeoutMS|TestJournalWriteErrorTurnsUnready|TestRecoveryRequeuesAcceptedJobs|TestRecoveryRebirthsTerminalJobs|TestCacheCorruptionDetected|TestDeleteStateTable|TestReadyz|TestChaosSweepLosesNothing|TestCacheConcurrentAccess|TestFleetStoreDegraded|TestFleetPeerUnreachable|TestSessionCrashRecovery|TestSessionJournalFailureClosesSession' -v ./rapids/server
+	$(GO) test -race -count=1 -run 'TestAdmission|TestConcurrentResultsMatchSerial|TestWorkerPanicIsolation|TestTransientPanicRetries|TestJobTimeoutRetriesThenFails|TestRequestTimeoutMS|TestJournalWriteErrorTurnsUnready|TestRecoveryRequeuesAcceptedJobs|TestRecoveryRebirthsTerminalJobs|TestCacheCorruptionDetected|TestDeleteStateTable|TestReadyz|TestChaosSweepLosesNothing|TestCacheConcurrentAccess|TestFleetStoreDegraded|TestFleetPeerUnreachable|TestSessionCrashRecovery|TestSessionJournalFailureClosesSession' -v ./rapids/server
 	$(GO) test -race -count=1 -run 'TestKillRestartSessionRecovery' -v ./cmd/rapidsd
 
 # Multi-replica acceptance (DESIGN.md §5c), all under the race

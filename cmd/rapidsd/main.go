@@ -1,15 +1,15 @@
 // Command rapidsd is the batch-optimization daemon: the rapids/server
-// HTTP/JSON service (bounded job queue, worker pool of
-// Circuit.Optimize runs, content-hash result cache, SSE progress
-// streams) behind a plain net/http listener with graceful
-// signal-driven drain. The result cache is one tiered path: a local
-// LRU of -cache entries, then the optional -store directory, each
-// entry sealed once with a sha256 checksum that every tier re-verifies
-// on read.
+// HTTP/JSON service (bounded job queue, a worker pool of
+// Circuit.Optimize runs, one per core and admitted by circuit size,
+// content-hash result cache, SSE progress streams) behind a plain
+// net/http listener with graceful signal-driven drain. The result
+// cache is one tiered path: a local LRU of -cache entries, then the
+// optional -store directory, each entry sealed once with a sha256
+// checksum that every tier re-verifies on read.
 //
 // Usage:
 //
-//	rapidsd [-addr :8347] [-opt-workers N] [-queue N] [-cache N]
+//	rapidsd [-addr :8347] [-opt-workers 0] [-queue N] [-cache N]
 //	        [-journal jobs.journal] [-job-timeout 0] [-job-retries 2]
 //	        [-store dir] [-peers url,url,...] [-self url]
 //	        [-max-sessions 8] [-session-ttl 15m]
@@ -38,6 +38,15 @@
 // first gets one "resync" frame carrying the current TimingView, then
 // only newer deltas. Job streams keep every event and resume the same
 // way.
+//
+// Jobs run -opt-workers at a time, one per core by default. A worker
+// loads its job's circuit, then the job waits for admission: its gates
+// plus those of every running job must fit within the largest circuit
+// the daemon has started, and a larger circuit starts only alone. A
+// job's memory tracks its gate count, so concurrent jobs hold no more
+// than one largest job did. Admission is first come, first served; the
+// wait shows as JobStatus.admission_wait_ns and in the
+// rapidsd_admission_* metrics (DESIGN.md §5).
 //
 // Sessions are capped at -max-sessions (503 with Retry-After past the
 // cap) and evicted after -session-ttl idle. With -journal, each
@@ -102,7 +111,7 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", ":8347", "listen address (host:port; port 0 picks a free port)")
-		workers    = flag.Int("opt-workers", 1, "concurrent optimization runs (each already parallelizes scoring across GOMAXPROCS)")
+		workers    = flag.Int("opt-workers", 0, "concurrent optimization jobs (0 = GOMAXPROCS, one per core); a loaded job waits until its gates plus those of every running job fit within the largest circuit started so far, and each run parallelizes its scoring across GOMAXPROCS")
 		queue      = flag.Int("queue", 16, "job queue capacity; a full queue rejects submissions with 503")
 		cache      = flag.Int("cache", 64, "result cache entries (negative disables caching)")
 		jpath      = flag.String("journal", "", "persistent job journal file; replayed on start so accepted jobs survive a crash (empty disables)")

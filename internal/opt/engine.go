@@ -167,13 +167,16 @@ type Engine struct {
 	scores   [][2]siteMove
 	slot     [2][]int32
 
-	// Per-phase buffers, reused across phases; crit holds the phase's
-	// criticality predicate by gate ID.
-	crit        []bool
-	swapSites   []*supergate.Supergate
-	resizeSites []*network.Gate
-	todo        []int
-	ranked      []rankedSite
+	// Per-phase buffers, reused across phases; slack holds the phase's
+	// gate slacks and crit its criticality predicate, both by gate ID.
+	slack         []float64
+	crit          []bool
+	swapSites     []*supergate.Supergate
+	resizeSites   []*network.Gate
+	todo          []int
+	ranked        []rankedSite
+	budgetSwaps   []*supergate.Supergate
+	budgetResizes []*network.Gate
 }
 
 // NewEngine builds an engine with the given parallelism; workers <= 0
@@ -250,10 +253,26 @@ func (e *Engine) Moves(tm *sta.Timing, strat Strategy, obj sizing.Objective, o O
 			margin = 5 * o.Window * tm.Clock
 		}
 	}
-	threshold := tm.WorstSlack() + margin
+
+	// One slack pass serves the whole phase: every live gate's slack by
+	// ID, their minimum (tm.WorstSlack's fold, in its order) and the
+	// logic gate count the windowed budget scales with.
 	bound := n.IDBound()
+	e.slack = slices.Grow(e.slack[:0], bound)[:bound]
+	worst, logic := math.MaxFloat64, 0
+	n.Gates(func(g *network.Gate) {
+		s := tm.Slack(g)
+		e.slack[g.ID()] = s
+		if s < worst {
+			worst = s
+		}
+		if !g.IsInput() {
+			logic++
+		}
+	})
+	threshold := worst + margin
 	e.crit = slices.Grow(e.crit[:0], bound)[:bound]
-	n.Gates(func(g *network.Gate) { e.crit[g.ID()] = tm.Slack(g) <= threshold })
+	n.Gates(func(g *network.Gate) { e.crit[g.ID()] = e.slack[g.ID()] <= threshold })
 
 	swapSites := e.swapSites[:0]
 	if strat != GS && ext != nil {
@@ -291,8 +310,7 @@ func (e *Engine) Moves(tm *sta.Timing, strat Strategy, obj sizing.Objective, o O
 	// under the floor and see no change. Dropped sites are not lost: the
 	// slack profile shifts every accepted batch, and later phases re-rank.
 	if o.Window > 0 {
-		swapSites, resizeSites = e.budgetSites(tm, swapSites, resizeSites,
-			windowSiteBudget(o.Window, n.NumLogicGates()))
+		swapSites, resizeSites = e.budgetSites(swapSites, resizeSites, windowSiteBudget(o.Window, logic))
 	}
 
 	// Score the sites not scored at this version yet, each into its own
@@ -421,10 +439,11 @@ func cmpRanked(a, b rankedSite) int {
 }
 
 // budgetSites keeps the budget most-critical sites across both site
-// kinds, ranking by the worst slack a move at the site can touch with the
-// dense site ID as the deterministic tie-break. It selects the budget
-// first and sorts only what it keeps.
-func (e *Engine) budgetSites(tm *sta.Timing, swapSites []*supergate.Supergate, resizeSites []*network.Gate, budget int) ([]*supergate.Supergate, []*network.Gate) {
+// kinds, ranking by the worst slack a move at the site can touch (read
+// from the phase's slack pass) with the dense site ID as the
+// deterministic tie-break. It selects the budget first and sorts only
+// what it keeps, into the engine's reused output buffers.
+func (e *Engine) budgetSites(swapSites []*supergate.Supergate, resizeSites []*network.Gate, budget int) ([]*supergate.Supergate, []*network.Gate) {
 	total := len(swapSites) + len(resizeSites)
 	if total <= budget {
 		return swapSites, resizeSites
@@ -433,21 +452,21 @@ func (e *Engine) budgetSites(tm *sta.Timing, swapSites []*supergate.Supergate, r
 	for i, sg := range swapSites {
 		s := math.MaxFloat64
 		for _, g := range sg.Gates {
-			if v := tm.Slack(g); v < s {
+			if v := e.slack[g.ID()]; v < s {
 				s = v
 			}
 		}
 		for _, l := range sg.Leaves {
-			if v := tm.Slack(l.Driver); v < s {
+			if v := e.slack[l.Driver.ID()]; v < s {
 				s = v
 			}
 		}
 		ranked = append(ranked, rankedSite{slack: s, id: sg.Root.ID(), swap: i + 1})
 	}
 	for _, g := range resizeSites {
-		s := tm.Slack(g)
+		s := e.slack[g.ID()]
 		for _, d := range g.Fanins() {
-			if v := tm.Slack(d); v < s {
+			if v := e.slack[d.ID()]; v < s {
 				s = v
 			}
 		}
@@ -455,8 +474,7 @@ func (e *Engine) budgetSites(tm *sta.Timing, swapSites []*supergate.Supergate, r
 	}
 	selectSmallest(ranked, budget, cmpRanked)
 	slices.SortFunc(ranked[:budget], cmpRanked)
-	var outSwaps []*supergate.Supergate
-	var outResizes []*network.Gate
+	outSwaps, outResizes := e.budgetSwaps[:0], e.budgetResizes[:0]
 	for _, r := range ranked[:budget] {
 		if r.swap > 0 {
 			outSwaps = append(outSwaps, swapSites[r.swap-1])
@@ -466,6 +484,7 @@ func (e *Engine) budgetSites(tm *sta.Timing, swapSites []*supergate.Supergate, r
 	}
 	clear(ranked) // drop the gate pointers; the engine outlives the phase
 	e.ranked = ranked[:0]
+	e.budgetSwaps, e.budgetResizes = outSwaps, outResizes
 	return outSwaps, outResizes
 }
 

@@ -110,9 +110,7 @@ func (t *Timing) computeNetInto(sc *Scratch, m *NetModel, d *network.Gate, sinks
 	}
 	wire.BuildInto(&m.star, wire.Point{X: d.X, Y: d.Y}, m.pts)
 	m.Load = m.star.TotalLoad(m.caps)
-	for i := range sinks {
-		m.delays = append(m.delays, m.star.ElmoreToSink(i, m.caps))
-	}
+	m.delays = m.star.ElmoreAll(m.caps, m.delays)
 }
 
 // Scratch is one worker's arena. It is not safe for concurrent use; a

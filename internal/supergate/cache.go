@@ -292,6 +292,7 @@ func (c *Cache) extractFrom(root *network.Gate) {
 		c.addLeafConsumer(l.Driver, sg)
 	}
 	c.ext.Supergates = append(c.ext.Supergates, sg)
+	c.ext.nonTrivialOK = false
 	c.stale = true
 }
 
@@ -335,6 +336,7 @@ func (c *Cache) rebuildViews() {
 		}
 	}
 	c.ext.Supergates = sgs
+	c.ext.nonTrivialOK = false
 	c.ext.Redundancies = c.ext.Redundancies[:0]
 	for _, sg := range sgs {
 		c.ext.Redundancies = append(c.ext.Redundancies, sg.reds...)

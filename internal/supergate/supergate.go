@@ -133,6 +133,11 @@ type Extraction struct {
 	// indexed by gate ID (dense and never reused, see network.IDBound);
 	// read it through Of.
 	byGate []*Supergate
+
+	// nonTrivial caches NonTrivial while nonTrivialOK; a Cache clears
+	// the flag whenever it changes Supergates.
+	nonTrivial   []*Supergate
+	nonTrivialOK bool
 }
 
 // Of returns the supergate covering gate g, or nil when g is a primary
@@ -385,13 +390,18 @@ func (e *Extraction) MaxLeaves() int {
 	return max
 }
 
-// NonTrivial returns the supergates covering more than one gate.
+// NonTrivial returns the supergates covering more than one gate, in
+// Supergates order. The slice is built once per change of the
+// decomposition and shared: callers must not modify it.
 func (e *Extraction) NonTrivial() []*Supergate {
-	var out []*Supergate
-	for _, sg := range e.Supergates {
-		if !sg.Trivial() {
-			out = append(out, sg)
+	if !e.nonTrivialOK {
+		e.nonTrivial = nil
+		for _, sg := range e.Supergates {
+			if !sg.Trivial() {
+				e.nonTrivial = append(e.nonTrivial, sg)
+			}
 		}
+		e.nonTrivialOK = true
 	}
-	return out
+	return e.nonTrivial
 }

@@ -122,6 +122,28 @@ func (s *Star) ElmoreToSink(i int, sinkPinCaps []float64) float64 {
 	return r0*(c0/2+downstream) + ri*(ci/2+sinkPinCaps[i])
 }
 
+// ElmoreAll appends ElmoreToSink(i, sinkPinCaps) for every sink i, in
+// sink order, to out and returns the extended slice. It sums the
+// downstream capacitance once, in ElmoreToSink's order, so a net's
+// delays cost linear rather than quadratic time in its fanout and
+// every delay is bit-identical to ElmoreToSink's.
+func (s *Star) ElmoreAll(sinkPinCaps, out []float64) []float64 {
+	r0 := s.SourceLen * ResPerCm
+	c0 := s.SourceLen * CapPerCm
+	downstream := 0.0
+	for j, l := range s.SinkLen {
+		downstream += l * CapPerCm
+		downstream += sinkPinCaps[j]
+	}
+	src := r0 * (c0/2 + downstream)
+	for i, l := range s.SinkLen {
+		ri := l * ResPerCm
+		ci := l * CapPerCm
+		out = append(out, src+ri*(ci/2+sinkPinCaps[i]))
+	}
+	return out
+}
+
 // HPWL returns the half-perimeter wirelength of a terminal set in µm —
 // the placement cost metric.
 func HPWL(points []Point) float64 {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -107,5 +108,63 @@ func TestElmoreMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// ElmoreAll reproduces ElmoreToSink bit for bit on random stars,
+// including zero-length segments (a sink on the star center, or the
+// source on it) and coincident terminals, and appends after out's
+// existing contents.
+func TestElmoreAllMatchesElmoreToSink(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	coord := func() float64 {
+		// A coarse grid makes coincident points and centered terminals
+		// common; the rest are arbitrary.
+		if rng.Intn(2) == 0 {
+			return float64(rng.Intn(3) * 50)
+		}
+		return rng.Float64() * 1000
+	}
+	out := []float64{-1}
+	for trial := 0; trial < 2000; trial++ {
+		src := Point{coord(), coord()}
+		sinks := make([]Point, rng.Intn(12))
+		caps := make([]float64, len(sinks))
+		for i := range sinks {
+			switch rng.Intn(4) {
+			case 0:
+				sinks[i] = src
+			case 1:
+				if i > 0 {
+					sinks[i] = sinks[i-1]
+					break
+				}
+				fallthrough
+			default:
+				sinks[i] = Point{coord(), coord()}
+			}
+			if rng.Intn(5) > 0 {
+				caps[i] = rng.Float64() * 0.02
+			}
+		}
+		if trial%7 == 0 && len(sinks) > 0 {
+			// Source and one sink on the centroid: zero-length segments.
+			c := Point{100, 100}
+			src, sinks[0] = c, c
+			for i := 1; i < len(sinks); i++ {
+				sinks[i] = Point{200 - sinks[i-1].X, 200 - sinks[i-1].Y}
+			}
+		}
+		s := Build(src, sinks)
+		out = s.ElmoreAll(caps, out[:1])
+		if len(out) != 1+len(sinks) || out[0] != -1 {
+			t.Fatalf("trial %d: ElmoreAll returned %v for %d sinks", trial, out, len(sinks))
+		}
+		for i := range sinks {
+			if got, want := out[1+i], s.ElmoreToSink(i, caps); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d sink %d: ElmoreAll %v (%#x), ElmoreToSink %v (%#x)",
+					trial, i, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
 	}
 }

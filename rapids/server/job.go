@@ -66,8 +66,9 @@ type JobStatus struct {
 	State string `json:"state"`
 	// Cached marks a job served from the result cache without a run.
 	Cached bool `json:"cached,omitempty"`
-	// Circuit and Gates identify the loaded netlist (set once the job
-	// starts; immediately for cache hits).
+	// Circuit and Gates identify the loaded netlist (set once a worker
+	// has loaded it; immediately for cache hits). A queued job with
+	// Gates set is loaded and waiting for admission.
 	Circuit string `json:"circuit,omitempty"`
 	Gates   int    `json:"gates,omitempty"`
 	// Error explains failed (and canceled-before-start) jobs.
@@ -80,12 +81,17 @@ type JobStatus struct {
 	// otherwise).
 	Recovered bool `json:"recovered,omitempty"`
 	// QueuedFor is the accumulated time the job spent waiting for a
-	// worker (including retry backoff waits), and RanFor the
-	// accumulated wall-clock time of its optimization attempts. Both
-	// are journaled with the terminal transition, so a job reborn
-	// after a restart reports the timings of its original run.
-	QueuedFor time.Duration `json:"queued_for_ns,omitempty"`
-	RanFor    time.Duration `json:"ran_for_ns,omitempty"`
+	// worker (including retry backoff waits) or, loaded, for admission,
+	// and RanFor the accumulated wall-clock time of its attempts.
+	// AdmissionWait is the part of QueuedFor spent waiting for
+	// admission: until the job's gates fit within the largest circuit
+	// the server has started, beside every job still running
+	// (DESIGN.md §5). All three are journaled with the terminal
+	// transition, so a job reborn after a restart reports the timings
+	// of its original run.
+	QueuedFor     time.Duration `json:"queued_for_ns,omitempty"`
+	RanFor        time.Duration `json:"ran_for_ns,omitempty"`
+	AdmissionWait time.Duration `json:"admission_wait_ns,omitempty"`
 	// Result is the structured rapids.Result once the job finished.
 	// Canceled jobs that had started carry the best-so-far result with
 	// Result.Interrupted set (the facade's anytime contract).
@@ -114,11 +120,13 @@ type job struct {
 
 	// Timing accounting: enqueuedAt/startedAt mark the start of the
 	// current queued/running stint (zero when not in that state);
-	// queuedFor/ranFor accumulate completed stints across retries.
-	enqueuedAt time.Time
-	startedAt  time.Time
-	queuedFor  time.Duration
-	ranFor     time.Duration
+	// queuedFor/ranFor accumulate completed stints across retries, and
+	// admissionWait the admission waits booked into queuedFor.
+	enqueuedAt    time.Time
+	startedAt     time.Time
+	queuedFor     time.Duration
+	ranFor        time.Duration
+	admissionWait time.Duration
 }
 
 func newJob(id, key string, seq int, req JobRequest) *job {
@@ -161,12 +169,29 @@ func (j *job) closeStints(now time.Time) {
 	}
 }
 
-func (j *job) setRunning(circuit string, gates int) {
+// setLoaded records the identity of the job's loaded circuit.
+func (j *job) setLoaded(circuit string, gates int) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.circuit = circuit
+	j.gates = gates
+}
+
+// admitted books an admission wait of d, spent inside the running stint
+// beginRun opened, as queue time: the loaded job was waiting for
+// capacity, not running.
+func (j *job) admitted(d time.Duration) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.queuedFor += d
+	j.admissionWait += d
+	j.startedAt = j.startedAt.Add(d)
+}
+
+func (j *job) setRunning() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.state = StateRunning
-	j.circuit = circuit
-	j.gates = gates
 }
 
 // setQueued moves a transiently-failed job back behind the workers
@@ -222,7 +247,7 @@ func (j *job) status() JobStatus {
 		ID: j.id, State: j.state, Cached: j.cached,
 		Circuit: j.circuit, Gates: j.gates,
 		Error: j.errmsg, Attempts: j.attempt, Recovered: j.recovered,
-		QueuedFor: j.queuedFor, RanFor: j.ranFor,
+		QueuedFor: j.queuedFor, RanFor: j.ranFor, AdmissionWait: j.admissionWait,
 		Result: j.result,
 	}
 }

@@ -84,14 +84,16 @@ type Entry struct {
 	Gates   int       `json:"gates,omitempty"`
 	// Cached marks a done entry served from the result cache.
 	Cached bool `json:"cached,omitempty"`
-	// QueuedFor and RanFor record, on terminal entries, the job's
-	// accumulated queue-wait and run time (nanoseconds) so a reborn
-	// job reports the same timings the original did (JobStatus
-	// QueuedFor/RanFor survive restarts).
-	QueuedFor time.Duration   `json:"queued_for_ns,omitempty"`
-	RanFor    time.Duration   `json:"ran_for_ns,omitempty"`
-	Request   json.RawMessage `json:"request,omitempty"`
-	Result    json.RawMessage `json:"result,omitempty"`
+	// QueuedFor, RanFor and AdmissionWait record, on terminal entries,
+	// the job's accumulated queue-wait, run and admission-wait time
+	// (nanoseconds) so a reborn job reports the same timings the
+	// original did (the JobStatus fields of those names survive
+	// restarts).
+	QueuedFor     time.Duration   `json:"queued_for_ns,omitempty"`
+	RanFor        time.Duration   `json:"ran_for_ns,omitempty"`
+	AdmissionWait time.Duration   `json:"admission_wait_ns,omitempty"`
+	Request       json.RawMessage `json:"request,omitempty"`
+	Result        json.RawMessage `json:"result,omitempty"`
 }
 
 // Journal is the persistence seam of rapids/server. Implementations

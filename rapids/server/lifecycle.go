@@ -295,28 +295,36 @@ func serveStream[T any](s *Server, w http.ResponseWriter, r *http.Request, st *s
 // it with the request's placement spec (defaults filled): the one
 // construction site of job attempts, sessions, and their journal
 // replays, so every re-run starts from the bit-identical placed circuit
-// the original did.
+// the original did. A job attempt runs the two halves apart, with its
+// admission wait between them (admit.go).
 func placedCircuit(req JobRequest) (*rapids.Circuit, error) {
-	var c *rapids.Circuit
-	var err error
-	if req.Generate != "" {
-		c, err = rapids.Generate(req.Generate)
-	} else {
-		var format rapids.Format
-		if format, err = rapids.ParseFormat(req.Format); err == nil {
-			c, err = rapids.LoadReader(strings.NewReader(req.Netlist), format, "netlist")
-		}
+	c, err := loadCircuit(req)
+	if err == nil {
+		placeCircuit(c, req)
 	}
+	return c, err
+}
+
+// loadCircuit loads req's circuit from its single source.
+func loadCircuit(req JobRequest) (*rapids.Circuit, error) {
+	if req.Generate != "" {
+		return rapids.Generate(req.Generate)
+	}
+	format, err := rapids.ParseFormat(req.Format)
 	if err != nil {
 		return nil, err
 	}
+	return rapids.LoadReader(strings.NewReader(req.Netlist), format, "netlist")
+}
+
+// placeCircuit places c with req's placement spec, defaults filled.
+func placeCircuit(c *rapids.Circuit, req JobRequest) {
 	var place PlaceSpec
 	if req.Place != nil {
 		place = *req.Place
 	}
 	p := place.withDefaults()
 	c.Place(rapids.PlaceSeed(p.Seed), rapids.PlaceMoves(p.Moves), rapids.PlaceAspect(p.Aspect))
-	return c, nil
 }
 
 // follower is one entity's replay state: it folds the entity's journal

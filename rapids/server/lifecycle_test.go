@@ -34,7 +34,7 @@ const journalGolden = "testdata/journal.golden.jsonl"
 func stableEntry(t *testing.T, e journal.Entry) journal.Entry {
 	t.Helper()
 	e.Time = time.Time{}
-	e.QueuedFor, e.RanFor = 0, 0
+	e.QueuedFor, e.RanFor, e.AdmissionWait = 0, 0, 0
 	if len(e.Result) > 0 {
 		var res rapids.Result
 		if err := json.Unmarshal(e.Result, &res); err != nil {
@@ -54,7 +54,7 @@ func stableEntry(t *testing.T, e journal.Entry) journal.Entry {
 // differently from the live one: wall-clock timings and the Recovered
 // mark.
 func stableJobStatus(st JobStatus) JobStatus {
-	st.QueuedFor, st.RanFor, st.Recovered = 0, 0, false
+	st.QueuedFor, st.RanFor, st.AdmissionWait, st.Recovered = 0, 0, 0, false
 	if st.Result != nil {
 		res := *st.Result
 		res.Elapsed = 0

@@ -69,6 +69,12 @@ type serverMetrics struct {
 	queueHighWater *metrics.Gauge
 	queueWait      *metrics.Histogram
 
+	// Admission by circuit size (admit.go).
+	admissionWaiting *metrics.Gauge
+	admittedGates    *metrics.Gauge
+	admissionMark    *metrics.Gauge
+	admissionWait    *metrics.Histogram
+
 	// Workers and attempts.
 	workers      *metrics.Gauge
 	workersBusy  *metrics.Gauge
@@ -129,6 +135,14 @@ func newServerMetrics() *serverMetrics {
 			"Peak queue depth observed since start."),
 		queueWait: r.Histogram("rapidsd_job_queue_wait_seconds",
 			"Time jobs spent queued before a worker picked them up.", nil),
+		admissionWaiting: r.Gauge("rapidsd_admission_waiting",
+			"Loaded jobs waiting for their gates to fit within the admission mark."),
+		admittedGates: r.Gauge("rapidsd_admitted_gates",
+			"Gates of the admitted jobs still placing or optimizing."),
+		admissionMark: r.Gauge("rapidsd_admission_mark_gates",
+			"The admission mark: gates of the largest circuit started since start."),
+		admissionWait: r.Histogram("rapidsd_job_admission_wait_seconds",
+			"Time loaded jobs waited for admission (a part of their queue time).", nil),
 		workers: r.Gauge("rapidsd_workers",
 			"Configured optimization worker count."),
 		workersBusy: r.Gauge("rapidsd_workers_busy",

@@ -31,7 +31,7 @@ func (st *replayState) follow(e journal.Entry) error {
 		st.terminal = e.Op
 		j.errmsg = e.Error
 		j.circuit, j.gates, j.cached = e.Circuit, e.Gates, e.Cached
-		j.queuedFor, j.ranFor, j.enqueuedAt = e.QueuedFor, e.RanFor, time.Time{}
+		j.queuedFor, j.ranFor, j.admissionWait, j.enqueuedAt = e.QueuedFor, e.RanFor, e.AdmissionWait, time.Time{}
 		j.result = nil
 		if len(e.Result) > 0 {
 			var res rapids.Result

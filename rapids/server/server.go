@@ -55,10 +55,13 @@ const maxBody = 16 << 20
 
 // Config sizes a Server.
 type Config struct {
-	// Workers is the number of concurrent optimization runs (default
-	// 1: a single run already parallelizes move scoring across
-	// GOMAXPROCS, so more optimization concurrency mainly helps many
-	// small jobs).
+	// Workers is the number of jobs run at once (default GOMAXPROCS,
+	// one per core). Each run still parallelizes its move scoring
+	// across GOMAXPROCS. A worker loads its job's circuit, then waits
+	// for admission by circuit size before placing it: the job's gates
+	// plus those of every running job must fit within the largest
+	// circuit the server has started, so concurrent jobs never hold
+	// more memory than one largest job did (DESIGN.md §5).
 	Workers int
 	// QueueCap bounds the jobs waiting for a worker (default 16). A
 	// full queue rejects POST /v1/jobs with 503 Service Unavailable
@@ -132,8 +135,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Workers == 0 {
-		c.Workers = 1
+	if c.Workers <= 0 {
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.QueueCap == 0 {
 		c.QueueCap = 16
@@ -172,6 +175,7 @@ type Server struct {
 	mux     *http.ServeMux
 	metrics *serverMetrics
 	queue   *jobQueue
+	admit   *admission     // the size gate between load and place (admit.go)
 	local   *store.Mem     // the local result tier; nil when CacheCap < 0
 	tiers   []tier         // result tiers in lookup order (cache.go)
 	wg      sync.WaitGroup // workers
@@ -231,6 +235,7 @@ func newServer(cfg Config) (*Server, error) {
 		mux:       http.NewServeMux(),
 		metrics:   m,
 		queue:     newJobQueue(m.queueDepth, m.queueHighWater),
+		admit:     newAdmission(m.admissionWaiting, m.admittedGates, m.admissionMark),
 		drainc:    make(chan struct{}),
 		forwarded: make(map[string]string),
 		jobKind: kind{
@@ -410,6 +415,8 @@ func (s *Server) worker() {
 // failure (panic, timeout) that earns a retry. Each attempt reloads
 // and re-places the circuit, so a retried or crash-recovered run is a
 // fresh deterministic run — bit-identical to an undisturbed one.
+// Between load and place the job waits for admission by its gate count
+// (admit.go); it holds its admitted gates until the attempt returns.
 func (s *Server) run(j *job) {
 	if j.ctx.Err() != nil {
 		s.finishJob(j, StateCanceled, nil, "canceled before start")
@@ -423,7 +430,7 @@ func (s *Server) run(j *job) {
 	s.metrics.attempts.Inc()
 	s.appendJournal(journal.Entry{Op: journal.OpStarted, JobID: j.id, Key: j.key, Seq: j.seq, Attempt: attempt})
 
-	c, err := placedCircuit(j.req)
+	c, err := loadCircuit(j.req)
 	if err != nil {
 		s.finishJob(j, StateFailed, nil, err.Error())
 		return
@@ -433,12 +440,27 @@ func (s *Server) run(j *job) {
 	// optimizer runs: inverting swaps may add cells, and a later cache
 	// hit must mirror the original job's status exactly.
 	circuit, gates := c.Name(), c.Gates()
-	j.setRunning(circuit, gates)
+	j.setLoaded(circuit, gates)
+	waitStart := time.Now()
+	admitted, waited := s.admit.admit(j.ctx, gates)
+	if waited {
+		wait := time.Since(waitStart)
+		j.admitted(wait)
+		s.metrics.admissionWait.ObserveDuration(wait)
+	}
+	if !admitted {
+		s.finishJob(j, StateCanceled, nil, "canceled while waiting for admission")
+		s.logf("job %s: canceled while waiting for admission", j.id)
+		return
+	}
+	j.setRunning()
 	s.logf("job %s: running %s (%d gates), attempt %d", j.id, circuit, gates, attempt)
 
+	placeCircuit(c, j.req)
 	runStart := time.Now()
 	res, err, timedOut := s.attempt(j, c, attempt)
 	s.metrics.runSeconds.ObserveDuration(time.Since(runStart))
+	s.admit.release(gates)
 	var pe *WorkerPanicError
 	switch {
 	case err == nil:
@@ -585,7 +607,7 @@ func (s *Server) finishJob(j *job, state string, res *rapids.Result, errmsg stri
 	e := journal.Entry{
 		JobID: j.id, Key: j.key, Seq: j.seq, Attempt: st.Attempts,
 		Error: errmsg, Circuit: st.Circuit, Gates: st.Gates, Cached: st.Cached,
-		QueuedFor: st.QueuedFor, RanFor: st.RanFor,
+		QueuedFor: st.QueuedFor, RanFor: st.RanFor, AdmissionWait: st.AdmissionWait,
 	}
 	switch state {
 	case StateDone:
@@ -822,9 +844,11 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.local != nil {
 		cacheLen = s.local.Len()
 	}
+	mark, gates, waiting := s.admit.state()
 	body := map[string]any{
 		"status":       status,
 		"workers":      s.cfg.Workers,
+		"admission":    map[string]int{"mark_gates": mark, "admitted_gates": gates, "waiting": waiting},
 		"queue_cap":    s.cfg.QueueCap,
 		"queue_len":    s.queue.len(),
 		"jobs":         counts,

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -776,7 +777,8 @@ func TestNoGoroutineLeaks(t *testing.T) {
 	}
 }
 
-// TestHealthz sanity-checks the liveness endpoint.
+// TestHealthz sanity-checks the liveness endpoint: one worker per core
+// by default, and an idle admission gate.
 func TestHealthz(t *testing.T) {
 	_, ts := startServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/healthz")
@@ -785,13 +787,15 @@ func TestHealthz(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var h struct {
-		Status  string `json:"status"`
-		Workers int    `json:"workers"`
+		Status    string         `json:"status"`
+		Workers   int            `json:"workers"`
+		Admission map[string]int `json:"admission"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
-	if h.Status != "ok" || h.Workers != 1 {
+	idle := map[string]int{"mark_gates": 0, "admitted_gates": 0, "waiting": 0}
+	if h.Status != "ok" || h.Workers != runtime.GOMAXPROCS(0) || !maps.Equal(h.Admission, idle) {
 		t.Fatalf("healthz: %+v", h)
 	}
 }
