@@ -46,10 +46,10 @@ func newAdmission(waiting, gates, mark *metrics.Gauge) *admission {
 }
 
 // admit blocks until a job of the given gate count is admitted and
-// reports true, or reports false once ctx ends first; the job then holds
-// nothing. An admitted job calls release with the same count when it
-// stops placing and optimizing. waited reports whether the job had to
-// join the line.
+// reports true, or reports false once ctx ends first — or ends while the
+// job is being admitted; the job then holds nothing. An admitted job
+// calls release with the same count when it stops placing and
+// optimizing. waited reports whether the job had to join the line.
 func (a *admission) admit(ctx context.Context, gates int) (ok, waited bool) {
 	a.mu.Lock()
 	if len(a.line) == 0 && a.fitsLocked(gates) {
@@ -64,8 +64,12 @@ func (a *admission) admit(ctx context.Context, gates int) (ok, waited bool) {
 
 	select {
 	case <-t.ready:
-		return true, true
 	case <-ctx.Done():
+	}
+	// A select picks at random when both are ready, so a job cancelled
+	// as the line reached it is checked here, not left to the pick.
+	if ctx.Err() == nil {
+		return true, true
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -25,17 +25,29 @@ const (
 )
 
 // holds is a BeforeAttempt hook that parks every attempt, once admitted
-// and placed, until the test lets its job go or the attempt's context
-// ends. An attempt in the hook holds its admitted gates, so the tests
-// script the admission line exactly.
+// and placed, until the test lets its job go, lets every job go, or the
+// attempt's context ends. An attempt in the hook holds its admitted
+// gates, so the tests script the admission line exactly.
 type holds struct {
-	entered chan string // job ids, in the order their attempts began
+	entered chan string // job ids, in the order their attempts began; sized past any test's job count
+	stop    chan struct{}
 	mu      sync.Mutex
 	release map[string]chan struct{}
 }
 
 func newHolds() *holds {
-	return &holds{entered: make(chan string, 64), release: map[string]chan struct{}{}}
+	return &holds{entered: make(chan string, 64), stop: make(chan struct{}), release: map[string]chan struct{}{}}
+}
+
+// startHeld starts a server whose attempts park in a holds hook. Every
+// parked attempt is let go before the server's cleanup drains it, so a
+// failed test does not wait out the drain deadline.
+func startHeld(t *testing.T, cfg Config) (*Server, *httptest.Server, *holds) {
+	h := newHolds()
+	cfg.Hooks = &FaultHooks{BeforeAttempt: h.hook}
+	s, ts := startServer(t, cfg)
+	t.Cleanup(func() { close(h.stop) })
+	return s, ts, h
 }
 
 func (h *holds) gate(id string) chan struct{} {
@@ -53,6 +65,7 @@ func (h *holds) hook(ctx context.Context, id string, attempt int) {
 	h.entered <- id
 	select {
 	case <-h.gate(id):
+	case <-h.stop:
 	case <-ctx.Done():
 	}
 }
@@ -132,8 +145,7 @@ func raiseMark(t *testing.T, s *Server, url string, h *holds) {
 // TestAdmissionRunsFittingJobsConcurrently: two jobs whose gates fit
 // within the mark together run at the same time.
 func TestAdmissionRunsFittingJobsConcurrently(t *testing.T) {
-	h := newHolds()
-	s, ts := startServer(t, Config{Workers: 2, Hooks: &FaultHooks{BeforeAttempt: h.hook}})
+	s, ts, h := startHeld(t, Config{Workers: 2})
 	raiseMark(t, s, ts.URL, h)
 
 	a := submitOK(t, ts.URL, admissionRequest("alu2", 2))
@@ -159,9 +171,8 @@ func TestAdmissionRunsFittingJobsConcurrently(t *testing.T) {
 // one waits until no job runs, then raises the mark. Its wait is part of
 // its queue time, is scraped, and survives a journal replay.
 func TestAdmissionLargerJobRunsAlone(t *testing.T) {
-	h := newHolds()
 	mem := journal.NewMem()
-	s, ts := startServer(t, Config{Workers: 2, Journal: mem, Hooks: &FaultHooks{BeforeAttempt: h.hook}})
+	s, ts, h := startHeld(t, Config{Workers: 2, Journal: mem})
 
 	small := submitOK(t, ts.URL, admissionRequest("c432", 1))
 	if got := h.next(t); got != small {
@@ -206,8 +217,7 @@ func TestAdmissionLargerJobRunsAlone(t *testing.T) {
 // is not overtaken by a later small job that would fit beside the
 // running one.
 func TestAdmissionFirstComeFirstServed(t *testing.T) {
-	h := newHolds()
-	s, ts := startServer(t, Config{Workers: 3, Hooks: &FaultHooks{BeforeAttempt: h.hook}})
+	s, ts, h := startHeld(t, Config{Workers: 3})
 	raiseMark(t, s, ts.URL, h)
 
 	running := submitOK(t, ts.URL, admissionRequest("alu2", 2))
