@@ -26,6 +26,7 @@ package network
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/logic"
 )
@@ -84,20 +85,16 @@ func (n *Network) Observe(o Observer) {
 
 // Unobserve removes a previously registered observer. Unknown observers
 // are ignored. Unobserving inside a batch window forfeits the pending
-// coalesced events for that observer.
+// coalesced events for that observer. No slot past the slices' lengths
+// keeps the observer, so a removed one (a closed supergate cache, say) is
+// not held reachable by the network.
 func (n *Network) Unobserve(o Observer) {
-	for i, x := range n.observers {
-		if x == o {
-			n.observers = append(n.observers[:i], n.observers[i+1:]...)
-			break
-		}
+	if i := slices.Index(n.observers, o); i >= 0 {
+		n.observers = slices.Delete(n.observers, i, i+1)
 	}
 	if bo, ok := o.(BatchObserver); ok {
-		for i, x := range n.batchObs {
-			if x == bo {
-				n.batchObs = append(n.batchObs[:i], n.batchObs[i+1:]...)
-				return
-			}
+		if i := slices.Index(n.batchObs, bo); i >= 0 {
+			n.batchObs = slices.Delete(n.batchObs, i, i+1)
 		}
 	}
 }

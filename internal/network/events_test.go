@@ -1,7 +1,9 @@
 package network
 
 import (
+	"runtime"
 	"testing"
+	"weak"
 
 	"repro/internal/logic"
 )
@@ -152,4 +154,59 @@ func TestEventsMultipleObservers(t *testing.T) {
 			t.Errorf("observer %d missed the SetSize event", i)
 		}
 	}
+}
+
+// tally counts every event it receives into a map it shares with the test,
+// so the test can see deliveries without holding the observer itself.
+type tally struct {
+	name string
+	hits map[string]int
+}
+
+func (o *tally) GateTouched(*Gate) { o.hits[o.name]++ }
+func (o *tally) GateRemoved(*Gate) { o.hits[o.name]++ }
+
+// batchTally is a tally that also takes coalesced batches.
+type batchTally struct{ tally }
+
+func (o *batchTally) GateBatch(touched, removed []*Gate) {
+	o.hits[o.name] += len(touched) + len(removed)
+}
+
+// TestUnobserveReleasesObserver checks that an unobserved observer is
+// garbage once the caller drops it, while its network lives on: no slot of
+// the observer lists past their lengths may keep it reachable.
+func TestUnobserveReleasesObserver(t *testing.T) {
+	n, _, _, _, g1, _ := buildObserved(t)
+	hits := map[string]int{}
+	first := &tally{name: "first", hits: hits}
+	middle := &batchTally{tally{name: "middle", hits: hits}}
+	last := &tally{name: "last", hits: hits}
+	n.Observe(first)
+	n.Observe(middle)
+	n.Observe(last)
+	weakMiddle, weakLast := weak.Make(middle), weak.Make(last)
+
+	n.Unobserve(last)
+	n.Unobserve(middle)
+	middle, last = nil, nil
+	runtime.GC()
+	if weakLast.Value() != nil {
+		t.Error("the unobserved last observer is still reachable")
+	}
+	if weakMiddle.Value() != nil {
+		t.Error("the unobserved middle (batch) observer is still reachable")
+	}
+
+	n.SetSize(g1, 1)
+	n.BeginBatch()
+	n.SetGateType(g1, logic.And)
+	n.EndBatch()
+	if hits["first"] == 0 {
+		t.Error("the live observer missed events after the removals")
+	}
+	if hits["middle"] != 0 || hits["last"] != 0 {
+		t.Errorf("removed observers got events: %v", hits)
+	}
+	runtime.KeepAlive(first)
 }

@@ -135,56 +135,71 @@ func (s IncStats) AvgDirty() float64 {
 	return float64(s.DirtyGates) / float64(s.IncrementalUpdates)
 }
 
-// gateSet is a deduplicating set of gates: an epoch-stamped dense array
-// for O(1) membership plus an insertion-ordered slice for iteration.
-// Reset is O(1) (epoch bump); the backing arrays persist across batches.
-type gateSet struct {
+// stampSet is a set of gates by dense ID: an epoch-stamped array for O(1)
+// membership. Reset is O(1) (epoch bump); the array persists across
+// batches. It holds no gate pointers.
+type stampSet struct {
 	stamp []uint64
 	epoch uint64
-	list  []*network.Gate
 }
 
-func (s *gateSet) grow(bound int) {
+func (s *stampSet) grow(bound int) {
 	if bound > len(s.stamp) {
 		s.stamp = append(s.stamp, make([]uint64, bound-len(s.stamp))...)
 	}
 }
 
-func (s *gateSet) reset() {
-	s.epoch++
-	s.list = s.list[:0]
-}
+func (s *stampSet) reset() { s.epoch++ }
 
-// add inserts g, growing the stamp array if g is newer than the last grow.
-func (s *gateSet) add(g *network.Gate) {
+// add inserts g, growing the stamp array if g is newer than the last
+// grow, and reports whether g was absent.
+func (s *stampSet) add(g *network.Gate) bool {
 	id := g.ID()
 	if id >= len(s.stamp) {
 		s.grow(id + 1)
 	}
 	if s.stamp[id] == s.epoch {
-		return
+		return false
 	}
 	s.stamp[id] = s.epoch
-	s.list = append(s.list, g)
+	return true
+}
+
+func (s *stampSet) has(g *network.Gate) bool {
+	id := g.ID()
+	return id < len(s.stamp) && s.stamp[id] == s.epoch
+}
+
+// remove drops g from the set.
+func (s *stampSet) remove(g *network.Gate) {
+	if id := g.ID(); id < len(s.stamp) && s.stamp[id] == s.epoch {
+		s.stamp[id] = 0
+	}
+}
+
+// gateSet is a stampSet plus an insertion-ordered slice for iteration.
+// remove leaves the list entry, so iterators must check has().
+type gateSet struct {
+	stampSet
+	list []*network.Gate
+}
+
+func (s *gateSet) reset() {
+	s.stampSet.reset()
+	s.list = s.list[:0]
+}
+
+// add inserts g.
+func (s *gateSet) add(g *network.Gate) {
+	if s.stampSet.add(g) {
+		s.list = append(s.list, g)
+	}
 }
 
 // dropGates empties the set and clears its list up to capacity.
 func (s *gateSet) dropGates() {
 	s.list = clearGates(s.list)
 	s.reset()
-}
-
-func (s *gateSet) has(g *network.Gate) bool {
-	id := g.ID()
-	return id < len(s.stamp) && s.stamp[id] == s.epoch
-}
-
-// remove drops g from the set (the list entry stays; iterators must check
-// has()).
-func (s *gateSet) remove(g *network.Gate) {
-	if id := g.ID(); id < len(s.stamp) && s.stamp[id] == s.epoch {
-		s.stamp[id] = 0
-	}
 }
 
 // size returns the number of live members (list entries that still pass
@@ -836,7 +851,7 @@ func requiredCandidate(t *Timing, s *network.Gate, w float64) Edge {
 type levelQueue struct {
 	it      *Incremental
 	desc    bool
-	qset    gateSet
+	qset    stampSet      // queued gates
 	buckets []levelBucket // by logic level
 	full    []uint64      // bit l set when buckets[l] is non-empty
 	cur     int           // the level being drained
@@ -868,24 +883,23 @@ func (q *levelQueue) reset() {
 	q.qset.reset()
 }
 
-// dropGates empties the queue and clears every bucket and the dedup
-// set up to capacity.
+// dropGates empties the queue and clears every bucket up to capacity;
+// the dedup set holds no gate pointers.
 func (q *levelQueue) dropGates() {
 	for i := range q.buckets {
 		q.buckets[i] = levelBucket{gates: clearGates(q.buckets[i].gates)}
 	}
 	clear(q.full)
 	q.n = 0
-	q.qset.dropGates()
+	q.qset.reset()
 }
 
 func (q *levelQueue) Len() int { return q.n }
 
 func (q *levelQueue) push(g *network.Gate) {
-	if q.qset.has(g) {
+	if !q.qset.add(g) {
 		return
 	}
-	q.qset.add(g)
 	lv := int(q.it.levelOf(g))
 	if lv >= len(q.buckets) {
 		q.grow(max(lv+1, 2*len(q.buckets)))

@@ -14,7 +14,7 @@ import (
 // of bucketing gates by the level they were pushed at.
 type oracleQueue struct {
 	h    oracleHeap
-	qset gateSet
+	qset stampSet
 }
 
 type oracleHeap struct {
@@ -24,10 +24,9 @@ type oracleHeap struct {
 }
 
 func (q *oracleQueue) push(g *network.Gate) {
-	if q.qset.has(g) {
+	if !q.qset.add(g) {
 		return
 	}
-	q.qset.add(g)
 	heap.Push(&q.h, g)
 }
 

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -216,14 +217,16 @@ func (st *stream[T]) since(from int) (items []T, start int, closed bool, wake <-
 
 // serveStream is the service's one Server-Sent-Events writer. It starts
 // at index 0, or just past a well-formed Last-Event-ID header, then
-// follows live appends, one frame per item ("id: N", "event: " +
-// name(item), "data: " + its JSON); once st is closed a final "end"
-// event carries end(), the entity's terminal status. A subscriber whose
-// next index has left a windowed stream gets one "resync" frame instead
-// of the lost items: resync returns its payload and which items that
-// payload already covers, and no covered item is sent after it. Streams
-// that keep every item pass a nil resync.
-func serveStream[T any](s *Server, w http.ResponseWriter, r *http.Request, st *stream[T], name func(T) string, end func() any, resync func() (frame any, covers func(T) bool)) {
+// follows live appends, one frame per item ("id: N", "event: " + the
+// item's name, "data: " + its JSON), written by frame; it stops at the
+// first frame that fails, which writes nothing for an item it cannot
+// encode. Once st is closed a final "end" event carries end(), the
+// entity's terminal status. A subscriber whose next index has left a
+// windowed stream gets one "resync" frame instead of the lost items:
+// resync returns its payload and which items that payload already
+// covers, and no covered item is sent after it. Streams that keep every
+// item pass a nil resync.
+func serveStream[T any](s *Server, w http.ResponseWriter, r *http.Request, st *stream[T], frame func(w io.Writer, id int, item T) error, end func() any, resync func() (frame any, covers func(T) bool)) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		httpError(w, http.StatusInternalServerError, "response writer cannot stream")
@@ -267,11 +270,9 @@ func serveStream[T any](s *Server, w http.ResponseWriter, r *http.Request, st *s
 				continue
 			}
 			covers = nil
-			data, err := json.Marshal(item)
-			if err != nil {
+			if frame(w, next, item) != nil {
 				return
 			}
-			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", next, name(item), data)
 			next++
 		}
 		if len(items) > 0 {
@@ -289,6 +290,17 @@ func serveStream[T any](s *Server, w http.ResponseWriter, r *http.Request, st *s
 			return
 		}
 	}
+}
+
+// writeFrame writes one SSE frame carrying v's JSON, or nothing when v
+// cannot be encoded.
+func writeFrame(w io.Writer, id int, event string, v any) error {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", id, event, data)
+	return err
 }
 
 // placedCircuit loads req's circuit from its single source and places

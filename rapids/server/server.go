@@ -35,6 +35,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"runtime"
@@ -799,7 +800,9 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if j, ok := s.lookupJob(w, r); ok {
 		serveStream(s, w, r, &j.events,
-			func(ev rapids.Event) string { return ev.Kind.String() },
+			func(w io.Writer, id int, ev rapids.Event) error {
+				return writeFrame(w, id, ev.Kind.String(), ev)
+			},
 			func() any { return j.status() }, nil)
 	}
 }

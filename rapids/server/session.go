@@ -345,7 +345,7 @@ func (s *Server) handleSessionEdits(w http.ResponseWriter, r *http.Request) {
 		s.metrics.sessionApplySeconds.ObserveDuration(d.Elapsed)
 		s.metrics.sessionTouchedGates.Observe(float64(d.TouchedGates))
 	}
-	writeJSON(w, http.StatusOK, EditResponse{ID: ls.id, Deltas: deltas})
+	writeEditResponse(w, EditResponse{ID: ls.id, Deltas: deltas})
 }
 
 // journalSessionEdit records one applied batch in canonical form (the
@@ -391,7 +391,7 @@ func (s *Server) handleSessionTiming(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 	if ls, ok := s.lookupSession(w, r); ok {
 		serveStream(s, w, r, &ls.deltas,
-			func(*rapids.Delta) string { return "delta" },
+			writeDeltaFrame,
 			func() any { return ls.status() },
 			func() (any, func(*rapids.Delta) bool) {
 				v := ls.sess.View()
