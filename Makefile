@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race bench bench-smoke perf-gate table1 fuzz cover fmt-check api api-check docs-check serve-smoke session-smoke chaos metrics-smoke fleet-smoke flake
+.PHONY: all vet build test race bench bench-smoke perf-gate table1 fuzz cover fmt-check api api-check docs-check serve-smoke session-smoke chaos metrics-smoke fleet-smoke flake corpus
 
 all: vet fmt-check api-check build test docs-check
 
@@ -55,6 +55,13 @@ perf-gate:
 
 table1:
 	$(GO) run ./cmd/table1 -quick
+
+# The phase-start shadow on the whole optimizer corpus: all 114 rows of
+# TestOptimizeNetworkGolden (19 circuits x 3 configs x placement seeds 1
+# and 2), each run checking its timer, supergate cache and ranking
+# against fresh state at every phase start. Tier-1 runs three circuits.
+corpus:
+	$(GO) test -tags corpus -count=1 -run 'TestPhaseStartsMatchFreshStateCorpus$$' ./internal/opt
 
 # Native fuzz smoke: each parser target, the resize frame against its
 # oracle, the incremental timer against full analysis on random placed

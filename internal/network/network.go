@@ -709,45 +709,14 @@ func (n *Network) Validate() error {
 			return fmt.Errorf("edge %v multiplicity mismatch: fanin %d fanout %d", e, c, fanoutEdges[e])
 		}
 	}
-	// Cycle check via DFS colors.
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make(map[*Gate]int, n.NumGates())
-	var stack []*Gate
-	for _, root := range n.gates {
-		if root == nil || color[root] != white {
-			continue
-		}
-		stack = append(stack[:0], root)
-		for len(stack) > 0 {
-			g := stack[len(stack)-1]
-			if color[g] == white {
-				color[g] = gray
-				for _, f := range g.fanins {
-					switch color[f] {
-					case gray:
-						return fmt.Errorf("combinational cycle through %s", f)
-					case white:
-						stack = append(stack, f)
-					}
-				}
-			} else {
-				color[g] = black
-				stack = stack[:len(stack)-1]
-			}
-		}
-	}
-	return nil
+	return n.CheckAcyclic()
 }
 
-// CheckAcyclic verifies the two invariants region-blind rewiring can
-// break — acyclicity and fanin liveness — and returns the first
-// violation, or nil: the same checks Validate performs, minus the
-// edge-multiset audit, on dense ID-indexed scratch instead of maps, so it
-// is cheap enough to run after every region stitch.
+// CheckAcyclic verifies acyclicity and fanin liveness and returns the
+// first violation, or nil. It is one depth-first walk on dense
+// ID-indexed colours, with no maps, so callers that only need these two
+// invariants can afford it after every mutation; Validate runs it after
+// its fanin-count and edge-multiset audits.
 func (n *Network) CheckAcyclic() error {
 	const (
 		white = 0

@@ -131,17 +131,6 @@ func (s EvalStats) PerPhase() float64 {
 	return float64(s.Candidates()) / float64(s.Phases)
 }
 
-// Add folds another run's counters into s; OptimizeRounds sums its
-// rounds with it. Every EvalStats field must be folded here.
-func (s *EvalStats) Add(o EvalStats) {
-	s.Phases += o.Phases
-	s.SwapSites += o.SwapSites
-	s.ResizeSites += o.ResizeSites
-	s.SwapEvals += o.SwapEvals
-	s.ResizeEvals += o.ResizeEvals
-	s.Moves += o.Moves
-}
-
 // add merges worker-local counters.
 func (s *EvalStats) add(ws *workerState) {
 	s.SwapEvals += ws.swapEvals
@@ -151,8 +140,9 @@ func (s *EvalStats) add(ws *workerState) {
 }
 
 // Engine scores candidate moves for the optimizer. One Engine serves one
-// Optimize run (or one benchmark loop); it owns a Scratch per worker and
-// is not safe for concurrent Moves calls.
+// optimizer run, every round of OptimizeRounds included (or one
+// benchmark loop); it owns a Scratch per worker and is not safe for
+// concurrent Moves calls.
 type Engine struct {
 	workers int
 	state   []*workerState
@@ -210,15 +200,6 @@ func (e *Engine) Workers() int { return e.workers }
 
 // Stats returns the accumulated candidate-generation counters.
 func (e *Engine) Stats() EvalStats { return e.stats }
-
-// TakeStats returns the accumulated counters and resets them, so one
-// engine can serve several Optimize runs (OptimizeRounds reuses one
-// engine across its rounds) with each run reporting only its own work.
-func (e *Engine) TakeStats() EvalStats {
-	s := e.stats
-	e.stats = EvalStats{}
-	return s
-}
 
 // Moves generates and scores the strategy's candidates for one phase
 // against the frozen timing view, returning them sorted by (gain, site

@@ -58,17 +58,44 @@ func shortHash(s string) string {
 	return hex.EncodeToString(sum[:])[:16]
 }
 
-// goldenConfigs are the optimizer configurations of the golden corpus:
-// the facade default, regioned with a criticality window, and sizing only.
-var goldenConfigs = []struct {
+// goldenConfig is one optimizer configuration of the golden corpus; a
+// regions value above 1 selects the rounds loop.
+type goldenConfig struct {
 	name    string
 	strat   Strategy
 	regions int
 	window  float64
-}{
+}
+
+// goldenConfigs are the optimizer configurations of the golden corpus:
+// the facade default, regioned with a criticality window, and sizing only.
+var goldenConfigs = []goldenConfig{
 	{"default", GsgGS, 0, 0},
 	{"regions4-w0.005", GsgGS, 4, 0.005},
 	{"GS", GS, 0, 0},
+}
+
+// goldenPlacement generates a Table 1 circuit, places it at seed and
+// seeds its sizes for load, as every golden row starts.
+func goldenPlacement(t *testing.T, name string, seed int64) *network.Network {
+	t.Helper()
+	n, err := gen.Generate(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	place.Place(n, lib(), place.Options{Seed: seed, MovesPerCell: 30})
+	sizing.SeedForLoad(n, lib(), 0)
+	return n
+}
+
+// optimizeGolden runs cfg on n: the rounds loop for a regioned config,
+// one Optimize otherwise.
+func optimizeGolden(n *network.Network, cfg goldenConfig) Result {
+	o := Options{Window: cfg.window}
+	if cfg.regions > 1 {
+		return OptimizeRounds(context.Background(), n, lib(), cfg.strat, o)
+	}
+	return Optimize(context.Background(), n, lib(), cfg.strat, o)
 }
 
 // goldenRows maps circuit/placement seed/config to the final-network
@@ -201,21 +228,10 @@ func TestOptimizeNetworkGolden(t *testing.T) {
 	for _, name := range gen.Benchmarks() {
 		for seed := int64(1); seed <= 2; seed++ {
 			// One placement per circuit and seed serves all three configs.
-			base, err := gen.Generate(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			place.Place(base, lib(), place.Options{Seed: seed, MovesPerCell: 30})
-			sizing.SeedForLoad(base, lib(), 0)
+			base := goldenPlacement(t, name, seed)
 			for _, cfg := range goldenConfigs {
 				n, _ := base.Clone()
-				o := Options{Window: cfg.window}
-				var r Result
-				if cfg.regions > 1 {
-					r = OptimizeRounds(context.Background(), n, lib(), cfg.strat, o)
-				} else {
-					r = Optimize(context.Background(), n, lib(), cfg.strat, o)
-				}
+				r := optimizeGolden(n, cfg)
 				key := fmt.Sprintf("%s/seed%d/%s", name, seed, cfg.name)
 				js := resultJSON(t, r)
 				got := [2]string{networkHash(n), shortHash(js)}

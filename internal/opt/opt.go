@@ -35,6 +35,11 @@
 // phase on the restored network takes every site it already scored from
 // the engine's buffers (engine.go), since a site is scored under both
 // objectives at once.
+//
+// Optimize and OptimizeRounds (rounds.go) share one run state, run:
+// newRun seeds the timer, the cache and the engine, phases is the one
+// phase loop, and finish releases them and completes the Result.
+// Optimize runs the loop once, OptimizeRounds once per round.
 package opt
 
 import (
@@ -118,21 +123,6 @@ type Options struct {
 	// of OptimizeRounds). It is called synchronously on the
 	// optimizer's goroutine and must not mutate the network.
 	Progress func(PhaseReport)
-
-	// engine, when non-nil, is a caller-owned scoring engine to use
-	// instead of building (and releasing) a fresh one. OptimizeRounds
-	// hands every round one persistent engine so its scratch arenas
-	// survive across rounds. The run consumes the engine's counters via
-	// TakeStats.
-	engine *Engine
-	// timer and cache, when non-nil, are a caller-owned incremental timer
-	// and supergate cache over the run's network, fully timed, to use
-	// instead of building fresh ones. OptimizeRounds hands every round the
-	// same pair. Such a run leaves both open, skips the final from-scratch
-	// analysis (the caller owns it), reports FinalDelay from the timer and
-	// Timer/Extractor as the pair's running totals.
-	timer *sta.Incremental
-	cache *supergate.Cache
 }
 
 // PhaseReport is one typed progress milestone of an optimization run.
@@ -238,47 +228,84 @@ func (r Result) AreaDeltaPct() float64 {
 // valid, function-preserving improvement of the input). A nil context
 // never cancels.
 func Optimize(ctx context.Context, n *network.Network, lib *library.Library, strat Strategy, o Options) Result {
+	r := newRun(n, lib, strat, o)
+	r.res.Iterations, r.res.Interrupted = r.phases(ctx, r.o.MaxIters, o.Progress)
+	return r.finish()
+}
+
+// run is the state of one optimizer run, Optimize's or OptimizeRounds':
+// the network and its library, the strategy, the defaulted options, the
+// incremental timer and the supergate cache that follow the network
+// through its mutation events, the scoring engine, and the Result being
+// built. Optimize runs its phase loop once; OptimizeRounds runs it once
+// per round on the same state.
+type run struct {
+	n     *network.Network
+	lib   *library.Library
+	strat Strategy
+	o     Options
+	inc   *sta.Incremental
+	cache *supergate.Cache
+	eng   *Engine
+	res   Result
+}
+
+// phaseHook, when non-nil, is called at every phase start, after the
+// Update, the cache flush and the scoring, with the phase's ranking.
+// Tests set it to check the run's state against a fresh analysis, a
+// fresh extraction and a fresh engine; it is nil otherwise. It takes a
+// copy of the run, so the run itself stays off the heap.
+var phaseHook func(r run, obj sizing.Objective, ranked []Move)
+
+// newRun fills o's defaults, seeds the timer and the extraction cache
+// with one full analysis and one full extraction of n, records the
+// input network's Result fields and sends the "start" report.
+func newRun(n *network.Network, lib *library.Library, strat Strategy, o Options) run {
 	if o.MaxIters <= 0 {
 		o.MaxIters = 6
 	}
 	if o.MaxSwapLeaves <= 0 {
 		o.MaxSwapLeaves = 48
 	}
-	inc := o.timer
-	if inc == nil {
-		inc = sta.NewIncrementalBounded(n, lib, o.Clock, o.Bounds)
-	}
-	tm := inc.Timing()
-	clock := tm.Clock
-
 	// The extraction cache subscribes to the same mutation-event layer as
 	// the incremental timer: each phase's supergate decomposition is the
 	// previous one with only the supergates whose cones a batch touched
 	// re-extracted, instead of a from-scratch O(network) Extract.
-	cache := o.cache
-	if cache == nil {
-		cache = supergate.NewCache(n)
-		defer cache.Close()
+	r := run{
+		n: n, lib: lib, strat: strat, o: o,
+		inc:   sta.NewIncrementalBounded(n, lib, o.Clock, o.Bounds),
+		cache: supergate.NewCache(n),
+		eng:   NewEngine(o.Workers),
 	}
-	eng := o.engine
-	if eng == nil {
-		eng = NewEngine(o.Workers)
-		defer eng.Release()
-	}
-
-	ext := cache.Extraction()
-	res := Result{
+	tm, ext := r.inc.Timing(), r.cache.Extraction()
+	r.res = Result{
 		Strategy:     strat,
 		InitialDelay: tm.CriticalDelay,
-		FinalDelay:   tm.CriticalDelay,
 		InitialArea:  techmap.Area(n, lib),
 		Coverage:     ext.Coverage(),
 		MaxLeaves:    ext.MaxLeaves(),
 		Redundancies: len(ext.Redundancies),
 	}
+	if o.Progress != nil {
+		o.Progress(PhaseReport{
+			Phase: "start", Delay: tm.CriticalDelay, Lateness: tm.Lateness,
+		})
+	}
+	return r
+}
 
+// phases runs up to iters iterations of the optimizer's loop, one phase
+// per objective each: Update, cache flush, scoring, checkpoint, apply,
+// guard, rollback and single-move retry on a regression, and the sweep
+// of an accepted batch. It stops after an iteration that does not
+// improve the lateness, or at a phase start once the context is
+// cancelled, and returns the iterations run (a partial one counts when
+// any of its phases ran) and whether the context ended the loop.
+// progress, when non-nil, receives one report per phase.
+func (r *run) phases(ctx context.Context, iters int, progress func(PhaseReport)) (ran int, interrupted bool) {
+	n, inc, cache, eng, res := r.n, r.inc, r.cache, r.eng, &r.res
 	objectives := []sizing.Objective{sizing.MinSlack, sizing.SumSlack}
-	if o.DisableRelaxation {
+	if r.o.DisableRelaxation {
 		objectives = objectives[:1]
 	}
 	// The guard metric is the boundary lateness, not the raw critical
@@ -286,8 +313,8 @@ func Optimize(ctx context.Context, n *network.Network, lib *library.Library, str
 	// comparisons are identical, while for bounded subnetworks lateness
 	// scores each output against its own pinned required time.
 	report := func(iter int, obj sizing.Objective, applied int, retried bool, tm *sta.Timing) {
-		if o.Progress != nil {
-			o.Progress(PhaseReport{
+		if progress != nil {
+			progress(PhaseReport{
 				Iteration: iter + 1, Phase: phaseName(obj), Applied: applied, Retried: retried,
 				Delay: tm.CriticalDelay, Lateness: tm.Lateness,
 				Swaps: res.Swaps, Resizes: res.Resizes,
@@ -295,25 +322,21 @@ func Optimize(ctx context.Context, n *network.Network, lib *library.Library, str
 		}
 	}
 
-	if o.Progress != nil {
-		o.Progress(PhaseReport{
-			Phase: "start", Delay: tm.CriticalDelay, Lateness: tm.Lateness,
-		})
-	}
-
-	bestLateness := tm.Lateness
-	for iter := 0; iter < o.MaxIters; iter++ {
+	bestLateness := inc.Timing().Lateness
+	for iter := 0; iter < iters; iter++ {
 		improved := false
-		ranPhase := false
-		for _, obj := range objectives {
+		for i, obj := range objectives {
 			if cancelled(ctx) {
-				res.Interrupted = true
-				break
+				// A partial iteration counts: its committed moves are
+				// part of the Result.
+				if i > 0 {
+					ran = iter + 1
+				}
+				return ran, true
 			}
-			ranPhase = true
 			// The phase starts fully timed: this Update also runs the
 			// backward sweep the last accepted batch's guard deferred.
-			tm = inc.Update()
+			tm := inc.Update()
 			before := tm.Lateness
 			// Snapshot the move counters: a rolled-back batch must not
 			// count toward the Result's committed work.
@@ -321,10 +344,13 @@ func Optimize(ctx context.Context, n *network.Network, lib *library.Library, str
 			// Flush the cache for every strategy, so that a rollback
 			// below drops only this phase's touches.
 			ext := cache.Extraction()
-			if strat == GS {
+			if r.strat == GS {
 				ext = nil
 			}
-			ranked := eng.Moves(tm, strat, obj, o, ext)
+			ranked := eng.Moves(tm, r.strat, obj, r.o, ext)
+			if phaseHook != nil {
+				phaseHook(*r, obj, ranked)
+			}
 			inc.Checkpoint()
 			// rollback returns the network, the timer and the cache to
 			// the checkpoint: the undos run in reverse order, so every
@@ -339,7 +365,7 @@ func Optimize(ctx context.Context, n *network.Network, lib *library.Library, str
 				res.Swaps, res.Resizes = swaps0, resizes0
 				return inc.Rollback()
 			}
-			applied, undos := applyMoves(n, tm, ranked, obj, &res, 0, eng)
+			applied, undos := applyMoves(n, tm, ranked, obj, res, 0, eng)
 			if applied == 0 {
 				report(iter, obj, 0, false, tm)
 				continue
@@ -358,7 +384,7 @@ func Optimize(ctx context.Context, n *network.Network, lib *library.Library, str
 				// phase's own ranking, revalidating each move against
 				// the restored timing, instead of scoring it again.
 				tm = rollback(undos)
-				applied, undos = applyMoves(n, tm, ranked, obj, &res, 1, eng)
+				applied, undos = applyMoves(n, tm, ranked, obj, res, 1, eng)
 				if applied == 0 {
 					report(iter, obj, 0, true, tm)
 					continue
@@ -380,15 +406,7 @@ func Optimize(ctx context.Context, n *network.Network, lib *library.Library, str
 				improved = true
 			}
 		}
-		if res.Interrupted {
-			// A partial iteration still counts when any of its phases
-			// ran: its committed moves are part of the Result.
-			if ranPhase {
-				res.Iterations = iter + 1
-			}
-			break
-		}
-		res.Iterations = iter + 1
+		ran = iter + 1
 		if !improved {
 			break
 		}
@@ -397,28 +415,27 @@ func Optimize(ctx context.Context, n *network.Network, lib *library.Library, str
 	// chains often serve as buffers, and stripping them regresses delay;
 	// inverting swaps already collapse onto inverter drivers instead of
 	// stacking (see rewire.Apply), so nothing accretes.
-	res.Timer = inc.Stats()
-	res.Extractor = cache.Stats()
-	if o.timer != nil {
-		// The caller's timer goes on; the guard's view of the final
-		// network is current after its orphans' sweep is absorbed.
-		res.FinalDelay = inc.UpdateArrivals().CriticalDelay
-	} else {
-		res.FinalDelay = releaseForFinal(inc, n, lib, clock, o.Bounds)
-	}
-	res.Evals = eng.TakeStats()
-	res.FinalArea = techmap.Area(n, lib)
-	return res
+	return ran, false
 }
 
-// releaseForFinal releases a run's timer, which hands its checkpoint's
-// Timing back to the pool the final analysis draws from, and returns the
-// critical delay of that from-scratch ground-truth analysis of n.
-func releaseForFinal(inc *sta.Incremental, n *network.Network, lib *library.Library, clock float64, b *sta.Bounds) float64 {
-	inc.Release()
-	final := sta.AnalyzeReleased(n, lib, clock, b)
-	defer sta.ReleaseTiming(final)
-	return final.CriticalDelay
+// finish records the run's work counters, closes the cache, releases the
+// engine and the timer, and completes the Result from one from-scratch
+// ground-truth analysis of the final network and its area. Releasing the
+// timer first hands its checkpoint's Timing back to the pool that
+// analysis draws from.
+func (r *run) finish() Result {
+	r.res.Timer = r.inc.Stats()
+	r.res.Extractor = r.cache.Stats()
+	r.res.Evals = r.eng.Stats()
+	r.cache.Close()
+	r.eng.Release()
+	clock := r.inc.Timing().Clock
+	r.inc.Release()
+	final := sta.AnalyzeReleased(r.n, r.lib, clock, r.o.Bounds)
+	r.res.FinalDelay = final.CriticalDelay
+	sta.ReleaseTiming(final)
+	r.res.FinalArea = techmap.Area(r.n, r.lib)
+	return r.res
 }
 
 // applyMoves applies the best sequence of a phase's ranked moves (sorted

@@ -288,10 +288,10 @@ func NewIncremental(n *network.Network, lib *library.Library, clock float64) *In
 }
 
 // incPool recycles whole Incremental timers — their Timing arrays, level
-// arrays, stamped sets, and propagation queues. Every optimizer run (and
-// every round of opt.OptimizeRounds) builds one timer; recycling makes
-// the steady-state cost of a new timer one full analysis, with no array
-// warm-up.
+// arrays, stamped sets, and propagation queues. Every optimizer run
+// (all of its rounds, for opt.OptimizeRounds) and every ECO session
+// builds one timer; recycling makes the steady-state cost of a new timer
+// one full analysis, with no array warm-up.
 var incPool = sync.Pool{New: func() interface{} { return new(Incremental) }}
 
 // NewIncrementalBounded is NewIncremental under pinned boundary conditions

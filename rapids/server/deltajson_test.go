@@ -77,6 +77,17 @@ func checkDeltaJSON(t *testing.T, id string, d *rapids.Delta) {
 				streamed.Code, streamed.Header(), streamed.Body.Len(),
 				encoded.Code, encoded.Header(), encoded.Body.Len())
 		}
+		// A reply encoding/json refuses is answered 500 with an
+		// ErrorBody, never 200 with an empty body.
+		if !finiteDeltas(ds...) {
+			var body ErrorBody
+			if err := json.Unmarshal(streamed.Body.Bytes(), &body); streamed.Code != 500 || err != nil || body.Error == "" {
+				t.Fatalf("non-finite reply answered %d %q (decode error %v), want 500 with an ErrorBody",
+					streamed.Code, streamed.Body.Bytes(), err)
+			}
+		} else if streamed.Code != 200 {
+			t.Fatalf("finite reply answered %d", streamed.Code)
+		}
 	}
 }
 

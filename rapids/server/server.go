@@ -31,6 +31,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -909,11 +910,18 @@ func (s *Server) writeJob(w http.ResponseWriter, code int, j *job) {
 
 // writeJSON writes v as one line of compact JSON: indenting an edit
 // reply, which is mostly numbers, makes it ~1.7x larger and ~3x slower
-// to encode.
+// to encode. It encodes before the status line goes out, so a value
+// encoding/json refuses (a NaN or ±Inf float) is answered 500 with an
+// ErrorBody instead of code with an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		code = http.StatusInternalServerError
+		json.NewEncoder(&buf).Encode(ErrorBody{Error: "encoding the response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	w.Write(buf.Bytes())
 }
 
 // ErrorBody is the JSON body of every non-2xx response.
