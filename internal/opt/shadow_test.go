@@ -54,11 +54,11 @@ func shadowGolden(t *testing.T, name string, seed int64) {
 				fresh := NewEngine(1)
 				defer fresh.Release()
 				requireSameMoves(t, step, ranked, fresh.Moves(tm, r.strat, obj, r.o, ext))
-				now := r.cache.Stats()
-				if c := r.res.Swaps + r.res.Resizes; phases > 1 && c == committed && now != flushed {
+				c, now := r.res.Swaps+r.res.Resizes, r.cache.Stats()
+				if phases > 1 && c == committed && now != flushed {
 					t.Fatalf("%s: the last phase committed nothing, yet the cache flush did work: %+v, then %+v", step, flushed, now)
 				}
-				committed, flushed = r.res.Swaps+r.res.Resizes, now
+				committed, flushed = c, now
 			})
 			optimizeGolden(n, cfg)
 			if phases == 0 {
