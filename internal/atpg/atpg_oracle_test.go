@@ -17,6 +17,10 @@
 //   - PinStuckAtTestable / StemStuckAtTestable decide single-stuck-at
 //     testability by exhaustive good/faulty simulation, validating the
 //     Fig. 1 redundancy claims.
+//
+// The package is test code: every file is a _test.go file, so only
+// `go test ./internal/atpg` builds it, and no binary, example or facade
+// path can import it.
 package atpg
 
 import (

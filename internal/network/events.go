@@ -1,7 +1,8 @@
-// Mutation events: every structural mutator of Network notifies registered
-// observers with the set of gates it touched, so downstream analyses
-// (incremental timing, and in the future congestion or power) track exactly
-// what changed instead of guessing or re-walking the whole network.
+// Mutation events: every structural mutator of Network reports the gates
+// it touched to registered observers, one coalesced round at a time, so
+// downstream analyses (incremental timing, supergate extraction) track
+// exactly what changed instead of guessing or re-walking the whole
+// network.
 //
 // The notification contract is *local*: a mutator touches every gate whose
 // locally cached timing inputs may have changed —
@@ -31,157 +32,116 @@ import (
 	"repro/internal/logic"
 )
 
-// Observer receives mutation notifications from a Network.
+// Observer receives a Network's mutation events, one round at a time.
 //
-// GateTouched(g) means g's timing-relevant state may have changed: its
-// fanin connections, its fanout multiset, its cell type or size, its PO
-// flag, or (for a freshly created gate) its existence. GateRemoved(g) is
-// called after g has been deleted; g's fanins were already reported as
-// touched. Callbacks run synchronously inside the mutator, so they must
-// not mutate the network themselves.
+// A round is one mutator call outside a BeginBatch/EndBatch window, or
+// everything up to the outermost EndBatch. GatesChanged reports it:
+//
+//   - touched holds the gates whose structure or timing-relevant state may
+//     have changed: fanin connections, fanout multiset, cell type, PO
+//     flag, name, or (for a freshly created gate) existence;
+//   - resized holds the gates a cell-size change (SetSize) reached: the
+//     resized gate and its fanin drivers, whose nets it loads;
+//   - removed holds the gates deleted in the round, in removal order. A
+//     removed gate's fanins are among the touched gates.
+//
+// touched and resized are deduplicated in first-touch order. A gate may
+// sit in both, and a gate touched and then removed sits in touched and
+// removed: a dead gate is never touched again, so handling all touches
+// before all removals reproduces the per-gate order of events. The slices
+// are owned by the network and valid only for the duration of the call.
+// The call runs synchronously at the end of the round, so it must not
+// mutate the network.
 type Observer interface {
-	GateTouched(g *Gate)
-	GateRemoved(g *Gate)
-}
-
-// ResizeObserver is an optional extension of Observer for analyses that
-// depend only on network *structure* (connectivity, gate types, PO flags)
-// and not on cell sizes — supergate extraction being the canonical case.
-// When a mutation changes nothing but a cell size (SetSize), observers
-// implementing this interface receive GateResized for the affected gates
-// instead of GateTouched, letting them skip invalidation entirely. Timing
-// observers, whose delays do move with size, simply do not implement it
-// and keep receiving GateTouched.
-type ResizeObserver interface {
-	Observer
-	GateResized(g *Gate)
-}
-
-// BatchObserver is an optional extension of Observer for analyses whose
-// per-event handlers are idempotent and commute across distinct gates —
-// supergate cache invalidation being the canonical case. Inside a
-// BeginBatch/EndBatch window the network buffers events instead of
-// delivering them one at a time, and EndBatch hands each BatchObserver a
-// single coalesced GateBatch call: touched gates deduplicated in
-// first-touch order, then removals in removal order. A gate may appear in
-// both slices (touched, then removed later in the window); since a dead
-// gate is never touched again, applying all touches before all removals
-// reproduces the interleaved per-gate event order. The slices are owned
-// by the network and valid only for the duration of the call. Observers
-// not implementing BatchObserver keep receiving synchronous per-event
-// callbacks inside batch windows.
-type BatchObserver interface {
-	Observer
-	GateBatch(touched, removed []*Gate)
+	GatesChanged(touched, resized, removed []*Gate)
 }
 
 // Observe registers o to receive mutation events until Unobserve.
-func (n *Network) Observe(o Observer) {
-	n.observers = append(n.observers, o)
-	if bo, ok := o.(BatchObserver); ok {
-		n.batchObs = append(n.batchObs, bo)
-	}
-}
+func (n *Network) Observe(o Observer) { n.observers = append(n.observers, o) }
 
 // Unobserve removes a previously registered observer. Unknown observers
-// are ignored. Unobserving inside a batch window forfeits the pending
-// coalesced events for that observer. No slot past the slices' lengths
-// keeps the observer, so a removed one (a closed supergate cache, say) is
-// not held reachable by the network.
+// are ignored. Unobserving inside a batch window forfeits that observer's
+// pending events. No slot past the slice's length keeps the observer, so
+// a removed one (a closed supergate cache, say) is not held reachable by
+// the network.
 func (n *Network) Unobserve(o Observer) {
 	if i := slices.Index(n.observers, o); i >= 0 {
 		n.observers = slices.Delete(n.observers, i, i+1)
 	}
-	if bo, ok := o.(BatchObserver); ok {
-		if i := slices.Index(n.batchObs, bo); i >= 0 {
-			n.batchObs = slices.Delete(n.batchObs, i, i+1)
-		}
-	}
 }
 
-// BeginBatch opens a coalescing window: until the matching EndBatch,
-// mutation events destined for BatchObservers are buffered and
-// deduplicated instead of delivered per event. Windows nest; only the
-// outermost EndBatch flushes. Observers that do not implement
-// BatchObserver are unaffected.
-func (n *Network) BeginBatch() {
-	if n.batchEpoch == 0 {
-		n.batchEpoch = 1 // stamp zero value must never equal a live epoch
-	}
-	n.batchDepth++
-}
+// BeginBatch opens a window: until the matching EndBatch, every mutation
+// joins one round. Windows nest; only the outermost EndBatch delivers.
+func (n *Network) BeginBatch() { n.roundDepth++ }
 
-// EndBatch closes the innermost batch window. Closing the outermost
-// window delivers one GateBatch call per BatchObserver with the
-// coalesced events, then resets the buffer. It panics without a
-// matching BeginBatch.
+// EndBatch closes the innermost window. Closing the outermost one
+// delivers the round to every observer. It panics without a matching
+// BeginBatch.
 func (n *Network) EndBatch() {
-	if n.batchDepth == 0 {
+	if n.roundDepth == 0 {
 		panic("network: EndBatch without BeginBatch")
 	}
-	n.batchDepth--
-	if n.batchDepth > 0 || (len(n.batchTouched) == 0 && len(n.batchRemoved) == 0) {
+	n.roundDepth--
+	n.endRound()
+}
+
+// endRound ends a mutator call: outside every window it delivers the
+// round, if anything joined it, and starts the next.
+func (n *Network) endRound() {
+	if n.roundDepth > 0 || len(n.roundTouched)+len(n.roundResized)+len(n.roundRemoved) == 0 {
 		return
 	}
-	for _, o := range n.batchObs {
-		o.GateBatch(n.batchTouched, n.batchRemoved)
+	for _, o := range n.observers {
+		o.GatesChanged(n.roundTouched, n.roundResized, n.roundRemoved)
 	}
-	n.batchTouched = n.batchTouched[:0]
-	n.batchRemoved = n.batchRemoved[:0]
-	n.batchEpoch++
+	n.roundTouched = n.roundTouched[:0]
+	n.roundResized = n.roundResized[:0]
+	n.roundRemoved = n.roundRemoved[:0]
+	n.roundEpoch++
 }
 
-// batching reports whether events should be buffered for batch delivery.
-func (n *Network) batching() bool {
-	return n.batchDepth > 0 && len(n.batchObs) > 0
-}
+// Flags of a round stamp, below the round's epoch: which of the round's
+// lists already hold the gate.
+const (
+	inTouched = 1 << iota
+	inResized
+	stampFlagBits = iota
+)
 
-// bufferTouched records g in the open batch window, deduplicating via an
-// epoch-stamped array indexed by dense gate ID.
-func (n *Network) bufferTouched(g *Gate) {
-	if g.id >= len(n.batchStamp) {
+// join adds g to the round's list that flag names, once per round. One
+// stamp per gate, indexed by dense gate ID, serves both lists; a round's
+// stamps are the epoch shifted past the flags, so advancing the epoch
+// clears them all.
+func (n *Network) join(g *Gate, flag uint64, list *[]*Gate) {
+	if g.id >= len(n.roundStamp) {
 		// Amortized doubling: fresh gates arrive one id at a time inside
-		// a batch, so growing to exactly nextID would reallocate per add.
-		newLen := n.nextID
-		if min := 2 * len(n.batchStamp); newLen < min {
-			newLen = min
-		}
-		grown := make([]uint64, newLen)
-		copy(grown, n.batchStamp)
-		n.batchStamp = grown
+		// a window, so growing to exactly nextID would reallocate per add.
+		grown := make([]uint64, max(n.nextID, 2*len(n.roundStamp)))
+		copy(grown, n.roundStamp)
+		n.roundStamp = grown
 	}
-	if n.batchStamp[g.id] == n.batchEpoch {
+	s := n.roundStamp[g.id]
+	if s>>stampFlagBits != n.roundEpoch {
+		s = n.roundEpoch << stampFlagBits
+	}
+	if s&flag != 0 {
 		return
 	}
-	n.batchStamp[g.id] = n.batchEpoch
-	n.batchTouched = append(n.batchTouched, g)
+	n.roundStamp[g.id] = s | flag
+	*list = append(*list, g)
 }
 
-// touch notifies every observer that the given gates changed. Nil gates
-// are skipped so call sites can pass optional participants unconditionally.
+// touch adds the given gates to the round's touched list. Nil gates are
+// skipped so call sites can pass optional participants unconditionally.
+// Without observers nothing is buffered.
 func (n *Network) touch(gs ...*Gate) {
 	n.epoch++
 	if len(n.observers) == 0 {
 		return
 	}
-	batching := n.batching()
-	if batching {
-		for _, g := range gs {
-			if g != nil {
-				n.bufferTouched(g)
-			}
-		}
-	}
-	for _, o := range n.observers {
-		if batching {
-			if _, ok := o.(BatchObserver); ok {
-				continue
-			}
-		}
-		for _, g := range gs {
-			if g != nil {
-				o.GateTouched(g)
-			}
+	for _, g := range gs {
+		if g != nil {
+			n.join(g, inTouched, &n.roundTouched)
 		}
 	}
 }
@@ -189,36 +149,28 @@ func (n *Network) touch(gs ...*Gate) {
 // Touch reports through the event layer that g's externally pinned
 // timing context changed — a boundary arrival, required time, or extra
 // load that lives outside the network structure (sta.Bounds). The
-// network itself is unmodified; observers see GateTouched and the
+// network itself is unmodified; observers see g touched and the
 // mutation epoch advances so cached snapshots know timing moved.
 func (n *Network) Touch(g *Gate) {
 	n.changed(g)
 	n.touch(g)
+	n.endRound()
 }
 
-// notifyRemoved reports the deletion of g.
+// notifyRemoved adds the deleted g to the round's removals.
 func (n *Network) notifyRemoved(g *Gate) {
 	n.epoch++
 	n.restructured()
-	batching := n.batching()
-	if batching {
-		n.batchRemoved = append(n.batchRemoved, g)
-	}
-	for _, o := range n.observers {
-		if batching {
-			if _, ok := o.(BatchObserver); ok {
-				continue
-			}
-		}
-		o.GateRemoved(g)
+	if len(n.observers) > 0 {
+		n.roundRemoved = append(n.roundRemoved, g)
 	}
 }
 
 // SetSize changes the gate's library implementation through the event
-// layer: the gate itself is touched (its cell delay changed) along with
-// its fanin drivers (the gate's input capacitance loads their nets).
-// Structure-only observers (ResizeObserver) see GateResized instead of
-// GateTouched, since a size change never moves connectivity.
+// layer. The gate (its cell delay changed) and its fanin drivers (the
+// gate's input capacitance loads their nets) join the round's resized
+// list, not its touched one: a size change never moves connectivity, so
+// structure-only observers (supergate extraction) can skip it.
 func (n *Network) SetSize(g *Gate, sizeIdx int) {
 	if g.SizeIdx == sizeIdx {
 		return
@@ -226,33 +178,13 @@ func (n *Network) SetSize(g *Gate, sizeIdx int) {
 	g.SizeIdx = sizeIdx
 	n.epoch++
 	n.changed(g)
-	batching := n.batching()
-	buffered := false
-	for _, o := range n.observers {
-		if ro, ok := o.(ResizeObserver); ok {
-			ro.GateResized(g)
-			for _, f := range g.fanins {
-				ro.GateResized(f)
-			}
-			continue
-		}
-		if batching {
-			if _, ok := o.(BatchObserver); ok {
-				if !buffered {
-					n.bufferTouched(g)
-					for _, f := range g.fanins {
-						n.bufferTouched(f)
-					}
-					buffered = true
-				}
-				continue
-			}
-		}
-		o.GateTouched(g)
+	if len(n.observers) > 0 {
+		n.join(g, inResized, &n.roundResized)
 		for _, f := range g.fanins {
-			o.GateTouched(f)
+			n.join(f, inResized, &n.roundResized)
 		}
 	}
+	n.endRound()
 }
 
 // SetGateType changes the gate's logic function in place, keeping its
@@ -280,4 +212,5 @@ func (n *Network) SetGateType(g *Gate, t logic.GateType) {
 	n.changed(g)
 	n.touch(g)
 	n.touch(g.fanins...)
+	n.endRound()
 }

@@ -6,139 +6,164 @@ import (
 	"repro/internal/logic"
 )
 
-// batchRecorder implements BatchObserver: inside a batch window it must
-// receive no per-event callbacks, only one coalesced GateBatch.
-type batchRecorder struct {
-	perEvent int
-	batches  [][2][]string
-}
-
-func (r *batchRecorder) GateTouched(g *Gate) { r.perEvent++ }
-func (r *batchRecorder) GateRemoved(g *Gate) { r.perEvent++ }
-func (r *batchRecorder) GateBatch(touched, removed []*Gate) {
-	var b [2][]string
-	for _, g := range touched {
-		b[0] = append(b[0], g.Name())
-	}
-	for _, g := range removed {
-		b[1] = append(b[1], g.Name())
-	}
-	r.batches = append(r.batches, b)
-}
-
-func equalNames(got, want []string) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestBatchDedupFirstTouchOrder: a batch window coalesces repeated
-// touches of the same gate into one entry at its first-touch position,
-// while plain observers keep receiving synchronous per-event callbacks.
+// TestBatchDedupFirstTouchOrder: a window coalesces repeated touches of
+// the same gate into one entry at its first-touch position, in each list,
+// and a gate both resized and rewired sits in both lists.
 func TestBatchDedupFirstTouchOrder(t *testing.T) {
-	n, sync, _, b, g1, g2 := buildObserved(t)
-	br := &batchRecorder{}
-	n.Observe(br)
+	n, rec, _, b, g1, g2 := buildObserved(t)
 
 	n.BeginBatch()
-	n.SetSize(g2, 1) // touches g2, then its fanin drivers g1, a
-	n.SetSize(g2, 2) // touches the same set again
-	n.SetGateType(g1, logic.Nor)
+	n.SetSize(g2, 1)             // resizes g2, then reaches its drivers g1, a
+	n.SetGateType(g1, logic.Nor) // touches g1, then its drivers a, b
+	n.ReplaceFanin(g2, 1, b)     // touches a (was the driver), b, g2
+	n.SetSize(g2, 2)             // reaches g2, g1, b: only b is new
 	n.EndBatch()
 
-	if br.perEvent != 0 {
-		t.Errorf("BatchObserver got %d per-event callbacks inside the window", br.perEvent)
-	}
-	if len(br.batches) != 1 {
-		t.Fatalf("want exactly one GateBatch, got %d", len(br.batches))
-	}
-	// First-touch order: g2's first SetSize reports g2, g1, a; the second
-	// adds nothing; SetGateType(g1) adds only the unseen fanin b.
-	if got := br.batches[0][0]; !equalNames(got, []string{"g2", "g1", "a", "b"}) {
-		t.Errorf("touched = %v, want [g2 g1 a b]", got)
-	}
-	if len(br.batches[0][1]) != 0 {
-		t.Errorf("unexpected removals: %v", br.batches[0][1])
-	}
-	// The synchronous observer saw every event as it happened.
-	sync.wantTouched(t, "batched SetSize", "g2", "g1", "a", "b")
-	_ = b
+	rec.wantRounds(t, "window", round{
+		touched: []string{"g1", "a", "b", "g2"},
+		resized: []string{"g2", "g1", "a", "b"},
+	})
 }
 
 // TestBatchTouchedThenRemoved: a gate mutated and then deleted inside
-// one window appears in both slices — touches first, then removals —
-// which reproduces the per-gate interleaved order for idempotent
-// observers (a dead gate is never touched again).
+// one window appears in touched and in removed.
 func TestBatchTouchedThenRemoved(t *testing.T) {
-	n, _, a, _, g1, g2 := buildObserved(t)
+	n, rec, a, b, g1, _ := buildObserved(t)
 	g3 := n.AddGate("g3", logic.And, a, g1)
-	br := &batchRecorder{}
-	n.Observe(br)
+	rec.reset()
 
 	n.BeginBatch()
-	n.SetSize(g3, 2)
-	n.RemoveGate(g3)
+	n.ReplaceFanin(g3, 0, b) // touches a, b, g3
+	n.SetSize(g3, 2)         // reaches g3, b, g1
+	n.RemoveGate(g3)         // touches its drivers b, g1
 	n.EndBatch()
 
-	if len(br.batches) != 1 {
-		t.Fatalf("want one GateBatch, got %d", len(br.batches))
-	}
-	touched, removed := br.batches[0][0], br.batches[0][1]
-	if !equalNames(removed, []string{"g3"}) {
-		t.Errorf("removed = %v, want [g3]", removed)
-	}
-	found := false
-	for _, name := range touched {
-		if name == "g3" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("g3 missing from touched slice %v despite the pre-removal SetSize", touched)
-	}
-	_ = g2
+	rec.wantRounds(t, "window", round{
+		touched: []string{"a", "b", "g3", "g1"},
+		resized: []string{"g3", "b", "g1"},
+		removed: []string{"g3"},
+	})
 }
 
-// TestBatchNesting: only the outermost EndBatch flushes, and a fresh
-// window after the flush starts empty.
+// TestRoundRemovalsLast: removals come in their own list, in removal
+// order, whatever was touched after them in the round, so an observer
+// applies every touch before any removal.
+func TestRoundRemovalsLast(t *testing.T) {
+	n, rec, a, b, g1, g2 := buildObserved(t)
+	g3 := n.AddGate("g3", logic.And, a, g1)
+	g4 := n.AddGate("g4", logic.Inv, g3)
+	rec.reset()
+
+	n.BeginBatch()
+	n.RemoveGate(g4)         // touches g3
+	n.RemoveGate(g3)         // touches a, g1
+	n.ReplaceFanin(g2, 1, b) // touches a, b, g2 after both removals
+	n.EndBatch()
+
+	rec.wantRounds(t, "window", round{
+		touched: []string{"g3", "a", "g1", "b", "g2"},
+		removed: []string{"g4", "g3"},
+	})
+}
+
+// TestRoundPerMutatorCall: outside a window every mutator call is one
+// round, compound ones (SwapPins, InsertInverter, TransferFanouts, Sweep)
+// included, and nothing carries over from one round to the next.
+func TestRoundPerMutatorCall(t *testing.T) {
+	n, rec, a, b, g1, g2 := buildObserved(t)
+	n.SetSize(g1, 1)
+	n.SetSize(g1, 2)
+	inv := n.InsertInverter(Pin{Gate: g2, Index: 1})
+	g3 := n.AddGate("g3", logic.Inv, b)
+	n.RemoveGate(g3)
+	rec.wantRounds(t, "five calls",
+		round{resized: []string{"g1", "a", "b"}},
+		round{resized: []string{"g1", "a", "b"}},
+		round{touched: []string{inv.Name(), "a", "g2"}},
+		round{touched: []string{"g3", "b"}},
+		round{touched: []string{"b"}, removed: []string{"g3"}})
+
+	// Sweep removes a chain of dead gates in one round.
+	g4 := n.AddGate("g4", logic.And, a, g1)
+	n.AddGate("g5", logic.Inv, g4)
+	rec.reset()
+	if removed := n.Sweep(); removed != 2 {
+		t.Fatalf("Sweep removed %d gates, want 2", removed)
+	}
+	rec.wantRounds(t, "Sweep", round{touched: []string{"g4", "a", "g1"}, removed: []string{"g5", "g4"}})
+}
+
+// TestBatchNesting: only the outermost EndBatch delivers, an empty
+// window delivers nothing, and a fresh window after a delivery starts
+// empty.
 func TestBatchNesting(t *testing.T) {
-	n, _, _, _, g1, g2 := buildObserved(t)
-	br := &batchRecorder{}
-	n.Observe(br)
+	n, rec, _, _, g1, g2 := buildObserved(t)
 
 	n.BeginBatch()
 	n.SetSize(g1, 1)
 	n.BeginBatch()
 	n.SetSize(g2, 1)
-	n.EndBatch() // inner: must not flush
-	if len(br.batches) != 0 {
-		t.Fatal("inner EndBatch flushed")
-	}
+	n.EndBatch() // inner: must not deliver
+	rec.wantRounds(t, "inner EndBatch")
 	n.EndBatch() // outer: one coalesced delivery
-	if len(br.batches) != 1 {
-		t.Fatalf("outer EndBatch delivered %d batches, want 1", len(br.batches))
-	}
+	rec.wantRounds(t, "outer EndBatch", round{resized: []string{"g1", "a", "b", "g2"}})
 
-	// An empty window after the flush delivers nothing.
+	// An empty window delivers nothing.
+	rec.reset()
 	n.BeginBatch()
 	n.EndBatch()
-	if len(br.batches) != 1 {
-		t.Error("empty batch window produced a delivery")
-	}
+	rec.wantRounds(t, "empty window")
 
-	// The next non-empty window must not resurrect the first window's
-	// gates (epoch advance after flush).
+	// The next window must not resurrect the first window's gates.
 	n.BeginBatch()
 	n.SetSize(g2, 2)
 	n.EndBatch()
-	if got := br.batches[1][0]; !equalNames(got[:1], []string{"g2"}) {
-		t.Errorf("second window touched = %v, want g2 first", got)
+	rec.wantRounds(t, "second window", round{resized: []string{"g2", "g1", "a"}})
+}
+
+// TestUnobserveInsideWindowForfeits: an observer that leaves inside a
+// window gets none of its events; the others still get the round.
+func TestUnobserveInsideWindowForfeits(t *testing.T) {
+	n, rec, _, _, g1, _ := buildObserved(t)
+	other := &recorder{}
+	n.Observe(other)
+
+	n.BeginBatch()
+	n.SetGateType(g1, logic.Nor)
+	n.Unobserve(rec)
+	n.EndBatch()
+
+	rec.wantRounds(t, "unobserved inside the window")
+	other.wantRounds(t, "still observing", round{touched: []string{"g1", "a", "b"}})
+}
+
+// TestUnobservedNetworkBuffersNothing: without observers no mutation
+// allocates round buffers, so Clone, the generators and the parsers pay
+// nothing for the event layer.
+func TestUnobservedNetworkBuffersNothing(t *testing.T) {
+	n := New("quiet")
+	a := n.AddInput("a")
+	b := n.AddInput("b")
+	g1 := n.AddGate("g1", logic.Nand, a, b)
+	g2 := n.AddGate("g2", logic.Nor, g1, a)
+	n.MarkOutput(g2)
+	n.BeginBatch()
+	n.SwapPins(Pin{Gate: g1, Index: 1}, Pin{Gate: g2, Index: 1})
+	inv := n.InsertInverter(Pin{Gate: g2, Index: 0})
+	n.SetSize(g2, 1)
+	n.EndBatch()
+	n.ReplaceFanin(g2, 0, g1)
+	n.RemoveGate(inv)
+	if n.roundStamp != nil || n.roundTouched != nil || n.roundResized != nil || n.roundRemoved != nil {
+		t.Errorf("an unobserved network buffered a round: stamp %d, touched %d, resized %d, removed %d",
+			len(n.roundStamp), len(n.roundTouched), len(n.roundResized), len(n.roundRemoved))
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		n.SetSize(g2, 2)
+		n.SetSize(g2, 1)
+		n.SwapPins(Pin{Gate: g1, Index: 1}, Pin{Gate: g2, Index: 1})
+	}); allocs != 0 {
+		t.Errorf("unobserved mutations allocated %.1f times per run", allocs)
 	}
 }
 

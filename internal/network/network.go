@@ -145,16 +145,18 @@ type Network struct {
 	snapDirty     []*Gate
 	snapRecapture bool
 
-	// Batch-coalescing state (events.go): while batchDepth > 0, events
-	// for BatchObservers are buffered here instead of delivered per
-	// mutation. batchStamp dedups touched gates by dense ID against
-	// batchEpoch; the epoch bumps on flush so the array resets in O(1).
-	batchObs     []BatchObserver
-	batchDepth   int
-	batchEpoch   uint64
-	batchStamp   []uint64
-	batchTouched []*Gate
-	batchRemoved []*Gate
+	// The open round (events.go). roundDepth counts open BeginBatch
+	// windows. The round's touched and resized gates are deduplicated
+	// through one stamp per gate, indexed by dense ID: the round's epoch
+	// above two flag bits, one per list, so advancing roundEpoch after a
+	// delivery clears every stamp at once. Without observers nothing is
+	// buffered.
+	roundDepth   int
+	roundEpoch   uint64
+	roundStamp   []uint64
+	roundTouched []*Gate
+	roundResized []*Gate
+	roundRemoved []*Gate
 }
 
 // New creates an empty network with the given name.
@@ -277,6 +279,7 @@ func (n *Network) add(name string, t logic.GateType, fanins []*Gate) *Gate {
 	n.restructured()
 	n.touch(g)
 	n.touch(fanins...)
+	n.endRound()
 	return g
 }
 
@@ -288,6 +291,7 @@ func (n *Network) MarkOutput(g *Gate) {
 	g.PO = true
 	n.changed(g)
 	n.touch(g)
+	n.endRound()
 }
 
 // FreshName returns a gate name based on prefix that is unused in the
@@ -325,6 +329,7 @@ func (n *Network) ReplaceFaninAt(g *Gate, idx int, nd *Gate) int {
 	nd.fanouts = append(nd.fanouts, g)
 	n.restructured()
 	n.touch(old, nd, g)
+	n.endRound()
 	return pos
 }
 
@@ -353,6 +358,7 @@ func (n *Network) UndoReplaceFanin(g *Gate, idx int, old *Gate, pos int) {
 	}
 	n.restructured()
 	n.touch(nd, old, g)
+	n.endRound()
 }
 
 // removeOneFanout deletes one occurrence of sink from from's fanout list
@@ -387,6 +393,7 @@ func (n *Network) SetFanins(g *Gate, fanins []*Gate) {
 		n.touch(f)
 	}
 	n.touch(g)
+	n.endRound()
 }
 
 // Rename changes a gate's name. It panics if the new name is taken.
@@ -402,12 +409,15 @@ func (n *Network) Rename(g *Gate, name string) {
 	n.byName[name] = g
 	n.changed(g)
 	n.touch(g)
+	n.endRound()
 }
 
 // TransferFanouts redirects every sink in-pin currently driven by old to be
 // driven by nw instead, except in-pins of nw itself (so old can keep
 // driving the gate that replaces it). The PO flag moves from old to nw.
 func (n *Network) TransferFanouts(old, nw *Gate) {
+	n.BeginBatch()
+	defer n.EndBatch()
 	sinks := append([]*Gate(nil), old.fanouts...)
 	for _, s := range sinks {
 		if s == nw {
@@ -433,6 +443,8 @@ func (n *Network) TransferFanouts(old, nw *Gate) {
 // vice versa.
 func (n *Network) SwapPins(a, b Pin) {
 	da, db := a.Driver(), b.Driver()
+	n.BeginBatch()
+	defer n.EndBatch()
 	n.ReplaceFanin(a.Gate, a.Index, db)
 	n.ReplaceFanin(b.Gate, b.Index, da)
 }
@@ -441,6 +453,8 @@ func (n *Network) SwapPins(a, b Pin) {
 // returns the new inverter.
 func (n *Network) InsertInverter(p Pin) *Gate {
 	d := p.Driver()
+	n.BeginBatch()
+	defer n.EndBatch()
 	inv := n.AddGate(n.FreshName(d.name+"_inv"), logic.Inv, d)
 	n.ReplaceFanin(p.Gate, p.Index, inv)
 	return inv
@@ -464,6 +478,7 @@ func (n *Network) RemoveGate(g *Gate) {
 	n.removed++
 	delete(n.byName, g.name)
 	n.notifyRemoved(g)
+	n.endRound()
 }
 
 // Sweep repeatedly removes non-PO gates with no fanouts (dead logic left by

@@ -447,10 +447,12 @@ func applyMoves(n *network.Network, tm *sta.Timing, moves []Move, obj sizing.Obj
 	applied := 0
 	var undos []Undo
 	ws := eng.state[0]
-	// One batch window per application round: the extraction cache sees
-	// the round's mutations as a single coalesced GateBatch at EndBatch
-	// instead of per-move callbacks; the next Extraction call (top of the
-	// following phase) is the flush point either way.
+	// One batch window per application round: the timer and the
+	// extraction cache see the round's mutations as one coalesced
+	// GatesChanged call at EndBatch instead of one per move. Neither
+	// reads them before the window closes: the revalidation reads the
+	// phase-start timing, and the next UpdateArrivals and Extraction
+	// calls run after it.
 	n.BeginBatch()
 	defer n.EndBatch()
 	for _, m := range moves {

@@ -251,29 +251,35 @@ func requireReads(t testing.TB, step string, n *network.Network, tm *sta.Timing,
 // every deleted gate must read as zero. A flag byte starts the
 // net-generation counter just short of its wrap.
 //
-// A flag byte per step may make it arrivals-only, as the optimizer's
-// guard is: UpdateArrivals must match a fresh analysis in everything but
-// required times, and the next Update — after further edits, sweeps
-// included — finishes the merged backward work. A step may instead be a
-// rejected batch: Checkpoint, undoable edits, Update or UpdateArrivals,
-// the undos in reverse order, Rollback. The timer must then read bit for
-// bit what it read at the checkpoint, and later steps must still match a
-// fresh analysis.
+// A flag byte per step runs its edits inside one BeginBatch/EndBatch
+// window, as the optimizer's apply loop does, or as one event round per
+// mutator call: the timer must not tell the two apart. Another may make
+// the step arrivals-only, as the optimizer's guard is: UpdateArrivals
+// must match a fresh analysis in everything but required times, and the
+// next Update — after further edits, sweeps included — finishes the
+// merged backward work. A step may instead be a rejected batch:
+// Checkpoint, undoable edits, Update or UpdateArrivals, the undos in
+// reverse order (inside a window too, when the edits were), Rollback.
+// The timer must then read bit for bit what it read at the checkpoint,
+// and later steps must still match a fresh analysis.
 func FuzzIncrementalTiming(f *testing.F) {
 	f.Add([]byte{2, 5, 2, 0, 1, 0, 3, 0, 1, 2, 1, 2, 3, 1, 0, 0, 9, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	f.Add([]byte{3, 9, 2, 1, 0, 1, 1, 3, 2, 1, 3, 0, 4, 0, 2, 4, 2, 5, 4, 0, 3, 4, 0, 1, 1, 50, 60, 70, 80, 90, 1, 3, 1, 2, 2, 4, 3, 7, 4, 1, 0, 2})
 	f.Add([]byte{1, 12, 3, 2, 0, 0, 2, 0, 0, 1, 1, 0, 1, 2, 5, 0, 2, 1, 3, 4, 7, 1, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 1, 200, 0, 0, 2, 3, 4, 0, 1, 2, 4, 2, 2, 1, 3, 3, 9})
 	// A rolled-back rewire whose undo must restore required times.
-	f.Add([]byte("11010020000000000000010"))
+	f.Add([]byte("110100200000000000000100"))
 	// An arrivals-only step, then a rewire whose sweep deletes gates the
 	// pending backward sweep was seeded with.
 	f.Add([]byte(removalSeed))
 	// Two arrivals-only steps whose pending seeds the next Update must
 	// merge.
-	f.Add([]byte("712100002101000000000000000000100108110100010"))
+	f.Add([]byte("71210000210100000000000000000010001081100100010"))
 	// An arrivals-only fallback whose deferred pass 3 runs only after a
 	// further edit.
-	f.Add([]byte("0200000002000000000000001109000010002"))
+	f.Add([]byte("020000000200000000000000101090000010002"))
+	// A windowed step: a resize and a rewire whose sweep deletes a gate
+	// reach the timer as one event round.
+	f.Add([]byte("110560505350011005908000009402000005235587005501070690"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		lib := library.Default035()
 		r := &byteReader{data: data}
@@ -290,18 +296,25 @@ func FuzzIncrementalTiming(f *testing.F) {
 		requireMatch(t, "seed", n, lib, clock, inc.Timing())
 		gates := n.GateSlice()
 		for step := 0; step < 16 && r.more(); step++ {
+			window := r.next()%2 == 1
+			name := fmt.Sprintf("step %d", step)
+			if window {
+				name += " windowed"
+			}
 			if r.next()%3 == 0 {
-				rolledBackBatch(t, fmt.Sprintf("step %d", step), n, lib, clock, inc, func() (string, func()) {
+				rolledBackBatch(t, name, n, lib, clock, inc, func() (string, func()) {
 					return fuzzUndoableEdit(r, n)
-				}, 1+r.next()%4, r.next()%2 == 0)
+				}, 1+r.next()%4, r.next()%2 == 0, window)
 				continue
 			}
 			desc := ""
-			for k := 1 + r.next()%3; k > 0; k-- {
-				desc += fuzzEdit(r, n) + ","
-			}
+			inWindow(n, window, func() {
+				for k := 1 + r.next()%3; k > 0; k-- {
+					desc += fuzzEdit(r, n) + ","
+				}
+			})
 			gates = append(gates, n.GateSlice()...)
-			name := fmt.Sprintf("step %d (%s)", step, desc)
+			name += " (" + desc + ")"
 			requirePinTable(t, name+" pending", n, inc.Timing())
 			if r.next()%3 == 0 {
 				requireArrivalsMatch(t, name+" arrivals only", n, lib, clock, inc.UpdateArrivals())
@@ -319,33 +332,48 @@ func FuzzIncrementalTiming(f *testing.F) {
 // that finishes any pending work, Checkpoint, the edits, an Update (or,
 // when arrivalsOnly, an UpdateArrivals) that must match a fresh analysis,
 // the undos in reverse order, and Rollback, after which every read must
-// equal the checkpoint's.
-func rolledBackBatch(t testing.TB, step string, n *network.Network, lib *library.Library, clock float64, inc *sta.Incremental, edit func() (string, func()), k int, arrivalsOnly bool) {
+// equal the checkpoint's. With window set, the edits run inside one
+// batch window and the undos inside another.
+func rolledBackBatch(t testing.TB, step string, n *network.Network, lib *library.Library, clock float64, inc *sta.Incremental, edit func() (string, func()), k int, arrivalsOnly, window bool) {
 	t.Helper()
 	requireMatch(t, step+" before", n, lib, clock, inc.Update())
 	want := timingReads(n, inc.Timing())
 	inc.Checkpoint()
 	desc := ""
 	var undos []func()
-	for ; k > 0; k-- {
-		d, undo := edit()
-		desc += d + ","
-		undos = append(undos, undo)
-	}
+	inWindow(n, window, func() {
+		for ; k > 0; k-- {
+			d, undo := edit()
+			desc += d + ","
+			undos = append(undos, undo)
+		}
+	})
 	step += " rolled back (" + desc + ")"
 	if arrivalsOnly {
 		requireArrivalsMatch(t, step+" applied", n, lib, clock, inc.UpdateArrivals())
 	} else {
 		requireMatch(t, step+" applied", n, lib, clock, inc.Update())
 	}
-	for i := len(undos) - 1; i >= 0; i-- {
-		undos[i]()
-	}
+	inWindow(n, window, func() {
+		for i := len(undos) - 1; i >= 0; i-- {
+			undos[i]()
+		}
+	})
 	requireReads(t, step, n, inc.Rollback(), want)
 	requireMatch(t, step, n, lib, clock, inc.Update())
+}
+
+// inWindow runs f inside one batch window of n when window is set, and
+// as one event round per mutator call otherwise.
+func inWindow(n *network.Network, window bool, f func()) {
+	if window {
+		n.BeginBatch()
+		defer n.EndBatch()
+	}
+	f()
 }
 
 // removalSeed is a FuzzIncrementalTiming input whose arrivals-only step
 // leaves backward seeds pending when the next step's rewire-and-sweep
 // deletes some of them.
-const removalSeed = "100000000000001000000001000000100000000000000000001010000000000000012000000000012000900090000100"
+const removalSeed = "10000000000000100000000001000000010000000000000000000000101000000000000000001200000000000120009000900000100"

@@ -27,7 +27,7 @@
 //     merges the seeds of every batch since into one backward sweep.
 //     That sweep reaches every gate whose required time moved, because
 //     each batch's changed nets and delays are among the merged seeds,
-//     and a gate deleted meanwhile leaves them (GateRemoved). The values
+//     and a gate deleted meanwhile leaves them (GatesChanged). The values
 //     are the unique fixpoint of the current network, so merging changes
 //     no bit, only the work.
 //
@@ -543,34 +543,37 @@ func (it *Incremental) LastTouchedCount() int {
 // propagation.
 func (it *Incremental) LastUpdateFull() bool { return it.lastFull }
 
-// GateTouched records a mutated gate; part of network.Observer. PO-flag
-// changes only ever arrive through evented mutators (MarkOutput,
-// TransferFanouts), so the PO list's staleness can be detected here.
-func (it *Incremental) GateTouched(g *network.Gate) {
-	it.dirty.add(g)
-	id := g.ID()
-	if id >= len(it.poMember) {
-		it.poMember = append(it.poMember, make([]bool, id+1-len(it.poMember))...)
+// GatesChanged implements network.Observer: touched and resized gates
+// turn dirty (a resize moves the gate's delay and its drivers' loads), and
+// removed ones leave every structure, the backward seeds pending from
+// UpdateArrivals included; their former fanins are among the touched.
+// PO-flag changes only ever arrive through evented mutators (MarkOutput,
+// TransferFanouts), so the PO list's staleness is detected here.
+func (it *Incremental) GatesChanged(touched, resized, removed []*network.Gate) {
+	for _, gs := range [2][]*network.Gate{touched, resized} {
+		for _, g := range gs {
+			it.dirty.add(g)
+			id := g.ID()
+			if id >= len(it.poMember) {
+				it.poMember = append(it.poMember, make([]bool, id+1-len(it.poMember))...)
+			}
+			if it.poMember[id] != g.PO {
+				it.poMember[id] = g.PO
+				it.posStale = true
+			}
+		}
 	}
-	if it.poMember[id] != g.PO {
-		it.poMember[id] = g.PO
-		it.posStale = true
+	for _, g := range removed {
+		it.dirty.remove(g)
+		it.backSeeds.remove(g)
+		it.forced.remove(g)
+		it.order = nil
+		if id := g.ID(); id < len(it.poMember) && it.poMember[id] {
+			it.poMember[id] = false
+			it.posStale = true
+		}
+		it.t.forget(g)
 	}
-}
-
-// GateRemoved drops a deleted gate from every structure, the backward
-// seeds pending from UpdateArrivals included; part of network.Observer.
-// The gate's former fanins were reported touched by the removal itself.
-func (it *Incremental) GateRemoved(g *network.Gate) {
-	it.dirty.remove(g)
-	it.backSeeds.remove(g)
-	it.forced.remove(g)
-	it.order = nil
-	if id := g.ID(); id < len(it.poMember) && it.poMember[id] {
-		it.poMember[id] = false
-		it.posStale = true
-	}
-	it.t.forget(g)
 }
 
 // Update brings the timing current with the network, required times

@@ -261,7 +261,7 @@ func TestIncrementalRollback(t *testing.T) {
 			}
 			for i := 0; i < 12; i++ {
 				step := fmt.Sprintf("step %d", i)
-				rolledBackBatch(t, step, n, lib, clock, inc, edit, 1+m.rng.Intn(8), i%2 == 1)
+				rolledBackBatch(t, step, n, lib, clock, inc, edit, 1+m.rng.Intn(8), i%2 == 1, i%4 >= 2)
 				if i%3 == 2 {
 					// An accepted batch between rejections.
 					edit()

@@ -1,15 +1,15 @@
 package supergate_test
 
-// The BatchObserver contract (network/events.go) promises that one
-// coalesced GateBatch — touches deduplicated in first-touch order, then
-// removals — leaves an idempotent observer in the same state as the
-// interleaved per-event stream. The supergate cache is the canonical
-// such observer; this property test runs two caches over the SAME
-// mutation sequence on the same network, one receiving coalesced
-// batches and one forced onto the per-event path, and requires their
-// extractions to be indistinguishable after every window.
+// How the network groups mutations into rounds (network/events.go) must
+// not be observable to the supergate cache: one round per window and one
+// round per mutator call must leave it in the same state. This property
+// test runs the same random mutation script on two copies of one network,
+// on one inside a single window per step and on the other with every
+// mutator call its own round, and requires both caches to equal a fresh
+// Extract after every step.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -19,80 +19,67 @@ import (
 	"repro/internal/supergate"
 )
 
-// perEventTap forwards events to a cache without implementing
-// BatchObserver, so the network delivers synchronous per-event
-// callbacks to it even inside BeginBatch/EndBatch windows.
-type perEventTap struct{ c *supergate.Cache }
-
-func (t perEventTap) GateTouched(g *network.Gate) { t.c.GateTouched(g) }
-func (t perEventTap) GateRemoved(g *network.Gate) { t.c.GateRemoved(g) }
-func (t perEventTap) GateResized(g *network.Gate) { t.c.GateResized(g) }
+// mutateStep applies one step of a random mutation script. Its choices
+// depend only on the network and rng, so two identical networks driven
+// by identically seeded rngs take identical steps.
+func mutateStep(n *network.Network, rng *rand.Rand) {
+	nt := supergate.Extract(n).NonTrivial()
+	for m := 1 + rng.Intn(5); m > 0; m-- {
+		switch op := rng.Intn(8); {
+		case op < 5 && len(nt) > 0: // random legal swap
+			if swaps := rewire.Enumerate(nt[rng.Intn(len(nt))]); len(swaps) > 0 {
+				rewire.Apply(n, swaps[rng.Intn(len(swaps))])
+			}
+		case op < 6: // inverter insertion touches a narrow region
+			if g := randomLogicGate(n, rng); g != nil && g.NumFanins() > 0 {
+				n.InsertInverter(network.Pin{Gate: g, Index: rng.Intn(g.NumFanins())})
+			}
+		case op < 7: // a resize reaches the cache as an ignored list
+			if g := randomLogicGate(n, rng); g != nil {
+				n.SetSize(g, (g.SizeIdx+1)%3)
+			}
+		default: // sweep dead logic: removals inside the round
+			n.Sweep()
+			return
+		}
+	}
+}
 
 func TestBatchedDeliveryMatchesPerEvent(t *testing.T) {
-	rounds := 12
+	steps := 12
 	seeds := 4
 	if testing.Short() {
-		rounds, seeds = 5, 2
+		steps, seeds = 5, 2
 	}
 	for seed := int64(1); seed <= int64(seeds); seed++ {
-		n := gen.FromProfile(testProfile(seed * 31))
-		batched := supergate.NewCache(n) // observes n as a BatchObserver
-		perEvent := supergate.NewCache(n)
-		// Re-register the second cache behind the tap: same events, but
-		// the batch layer no longer recognizes it as a BatchObserver.
-		n.Unobserve(perEvent)
-		n.Observe(perEventTap{perEvent})
+		windowed := gen.FromProfile(testProfile(seed * 31))
+		perCall := gen.FromProfile(testProfile(seed * 31))
+		caches := map[string]*supergate.Cache{
+			"windowed": supergate.NewCache(windowed),
+			"per-call": supergate.NewCache(perCall),
+		}
+		rngW := rand.New(rand.NewSource(seed * 1543))
+		rngP := rand.New(rand.NewSource(seed * 1543))
+		for step := 0; step < steps; step++ {
+			windowed.BeginBatch()
+			mutateStep(windowed, rngW)
+			windowed.EndBatch()
+			mutateStep(perCall, rngP)
 
-		rng := rand.New(rand.NewSource(seed * 1543))
-		for round := 0; round < rounds; round++ {
-			ext := batched.Extraction()
-			nt := ext.NonTrivial()
-			if len(nt) == 0 {
-				t.Fatal("degenerate test network: no non-trivial supergates")
+			when := fmt.Sprintf("seed %d step %d", seed, step)
+			if w, p := signature(supergate.Extract(windowed)), signature(supergate.Extract(perCall)); w != p {
+				t.Fatalf("%s: the two scripts fell out of step", when)
 			}
-			n.BeginBatch()
-			muts := 1 + rng.Intn(5)
-			for m := 0; m < muts; m++ {
-				switch op := rng.Intn(8); {
-				case op < 5: // random legal swap
-					sg := nt[rng.Intn(len(nt))]
-					swaps := rewire.Enumerate(sg)
-					if len(swaps) == 0 {
-						continue
-					}
-					rewire.Apply(n, swaps[rng.Intn(len(swaps))])
-				case op < 6: // inverter insertion touches a narrow region
-					g := randomLogicGate(n, rng)
-					if g != nil && g.NumFanins() > 0 {
-						n.InsertInverter(network.Pin{Gate: g, Index: rng.Intn(g.NumFanins())})
-					}
-				case op < 7: // resize: GateResized on both paths
-					if g := randomLogicGate(n, rng); g != nil {
-						n.SetSize(g, (g.SizeIdx+1)%3)
-					}
-				default: // sweep dead logic: removals inside the window
-					n.Sweep()
-					m = muts
-				}
-			}
-			n.EndBatch()
-			if err := n.Validate(); err != nil {
-				t.Fatalf("mutation broke the network: %v", err)
-			}
-			got, want := signature(batched.Extraction()), signature(perEvent.Extraction())
-			if got != want {
-				t.Fatalf("seed %d round %d: batched delivery diverged from per-event\n--- batched ---\n%s\n--- per-event ---\n%s",
-					seed, round, got, want)
-			}
+			checkMirror(t, windowed, caches["windowed"], when+" (windowed)")
+			checkMirror(t, perCall, caches["per-call"], when+" (per call)")
 		}
 		// Both caches must have exercised the incremental path, or the
 		// test proved nothing about invalidation.
-		for name, c := range map[string]*supergate.Cache{"batched": batched, "per-event": perEvent} {
+		for name, c := range caches {
 			if st := c.Stats(); st.IncrementalFlushes == 0 {
 				t.Errorf("%s cache never flushed incrementally: %+v", name, st)
 			}
+			c.Close()
 		}
-		batched.Close()
-		n.Unobserve(perEventTap{perEvent})
 	}
 }

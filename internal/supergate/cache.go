@@ -21,8 +21,8 @@
 //     index): g's absorbability may have changed, letting the consumer's
 //     backward implication now continue into g — or forcing it to stop.
 //
-// Pure cell-size changes arrive as GateResized (the Cache implements
-// network.ResizeObserver) and invalidate nothing.
+// Pure cell-size changes arrive in a round's resized list, which the
+// Cache ignores: they invalidate nothing.
 //
 // Uncovered gates are then re-extracted in consumer-before-driver order:
 // a pooled gate is "ready" to root a new supergate once it is a fanout
@@ -113,41 +113,25 @@ func (c *Cache) Close() { c.n.Unobserve(c) }
 // Stats returns the accumulated work counters.
 func (c *Cache) Stats() CacheStats { return c.stats }
 
-// GateTouched records a structurally mutated gate; part of
-// network.Observer.
-func (c *Cache) GateTouched(g *network.Gate) { c.dirty[g] = struct{}{} }
-
-// GateBatch implements network.BatchObserver: one coalesced round of
-// mutations arrives as a single call instead of per-event callbacks.
-// Touches are applied before removals, which reproduces the interleaved
-// per-gate event order (a dead gate is never touched again, so per gate
-// the removal is always the last event), and the cache's handlers are
-// idempotent and commute across distinct gates, so the final dirty/pool
-// state is identical to per-event delivery.
-func (c *Cache) GateBatch(touched, removed []*network.Gate) {
+// GatesChanged implements network.Observer. Touches are applied before
+// removals, which is each gate's own event order (a dead gate is never
+// touched again). Cell sizes never affect the decomposition, so resized
+// gates invalidate nothing. A removed gate's former supergate, and any
+// supergate it fed as a leaf driver, are invalidated; its fanins are
+// among the touched.
+func (c *Cache) GatesChanged(touched, _, removed []*network.Gate) {
 	for _, g := range touched {
 		c.dirty[g] = struct{}{}
 	}
 	for _, g := range removed {
-		c.GateRemoved(g)
+		if sg := c.ext.Of(g); sg != nil {
+			c.invalidate(sg)
+		}
+		c.invalidateConsumers(g)
+		c.ext.uncover(g)
+		delete(c.dirty, g)
+		delete(c.pool, g)
 	}
-}
-
-// GateResized implements network.ResizeObserver: cell sizes never affect
-// the decomposition, so pure resizes invalidate nothing.
-func (c *Cache) GateResized(g *network.Gate) {}
-
-// GateRemoved drops a deleted gate; part of network.Observer. Its former
-// supergate (and any supergate it fed as a leaf driver) is invalidated;
-// its fanins were already reported as touched by the removal.
-func (c *Cache) GateRemoved(g *network.Gate) {
-	if sg := c.ext.Of(g); sg != nil {
-		c.invalidate(sg)
-	}
-	c.invalidateConsumers(g)
-	c.ext.uncover(g)
-	delete(c.dirty, g)
-	delete(c.pool, g)
 }
 
 // Extraction flushes pending invalidations and returns the current

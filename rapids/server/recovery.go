@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"time"
@@ -192,29 +191,17 @@ func rebuildSession(st *sessionReplay) (*liveSession, error) {
 	}
 	ls.id, ls.key, ls.seq, ls.recovered = st.id, st.key, st.seq, true
 	for i, wire := range st.batches {
-		var edits []rapids.Edit
-		if len(wire.Edits) > 0 {
-			edits, err = rapids.ParseEdits(wire.Edits)
-			if err == nil {
-				var d *rapids.Delta
-				d, err = ls.sess.Apply(edits...)
-				if err == nil {
-					ls.deltas.append(d)
-					ls.edits += len(edits)
-				}
-			}
-		}
-		if err == nil && wire.Reoptimize {
-			var d *rapids.Delta
-			d, err = ls.sess.Reoptimize(context.Background())
-			if err == nil {
-				ls.deltas.append(d)
-			}
+		edits, err := wire.edits()
+		var deltas []*rapids.Delta
+		if err == nil {
+			deltas, _, err = ls.apply(edits, wire.Reoptimize)
 		}
 		if err != nil {
 			ls.sess.Close()
 			return nil, fmt.Errorf("replaying edit batch %d: %w", i, err)
 		}
+		ls.edits += len(edits)
+		ls.deltas.append(deltas...)
 	}
 	return ls, nil
 }

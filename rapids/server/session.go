@@ -284,14 +284,10 @@ func (s *Server) handleSessionEdits(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "invalid edit request: %v", err)
 		return
 	}
-	var edits []rapids.Edit
-	if len(wire.Edits) > 0 {
-		var err error
-		edits, err = rapids.ParseEdits(wire.Edits)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
+	edits, err := wire.edits()
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	if len(edits) == 0 && !wire.Reoptimize {
 		httpError(w, http.StatusBadRequest, "empty edit request: no edits and no reoptimize")
@@ -305,26 +301,11 @@ func (s *Server) handleSessionEdits(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusConflict, body)
 		return
 	}
-	var deltas []*rapids.Delta
-	if len(edits) > 0 {
-		d, err := ls.sess.Apply(edits...)
-		if err != nil {
-			ls.mu.Unlock()
-			httpError(w, http.StatusUnprocessableEntity, "%v", err)
-			return
-		}
-		deltas = append(deltas, d)
-	}
-	if wire.Reoptimize {
-		// Background context: a client disconnect must not truncate the
-		// pass, or journal replay would not reconstruct the same network.
-		d, err := ls.sess.Reoptimize(context.Background())
-		if err != nil {
-			ls.mu.Unlock()
-			httpError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		deltas = append(deltas, d)
+	deltas, code, err := ls.apply(edits, wire.Reoptimize)
+	if err != nil {
+		ls.mu.Unlock()
+		httpError(w, code, "%v", err)
+		return
 	}
 	if err := s.journalSessionEdit(ls, edits, wire.Reoptimize); err != nil {
 		// The batch is in the circuit but not the journal: a replay
@@ -346,6 +327,42 @@ func (s *Server) handleSessionEdits(w http.ResponseWriter, r *http.Request) {
 		s.metrics.sessionTouchedGates.Observe(float64(d.TouchedGates))
 	}
 	writeEditResponse(w, EditResponse{ID: ls.id, Deltas: deltas})
+}
+
+// edits parses the batch's edits; a reoptimize-only batch has none.
+func (w editWire) edits() ([]rapids.Edit, error) {
+	if len(w.Edits) == 0 {
+		return nil, nil
+	}
+	return rapids.ParseEdits(w.Edits)
+}
+
+// apply runs one edit batch on the session — the edits, then the
+// optional re-optimization pass — and returns their deltas. It is the
+// one apply path of the edit endpoint and of journal replay, so a
+// replayed session folds each batch as it ran live. A failure comes with
+// the HTTP status that names it: 422 for a rejected batch, which left
+// the circuit untouched, or 500 for a failed re-optimization. Callers
+// hold ls.mu or own ls alone.
+func (ls *liveSession) apply(edits []rapids.Edit, reopt bool) ([]*rapids.Delta, int, error) {
+	var deltas []*rapids.Delta
+	if len(edits) > 0 {
+		d, err := ls.sess.Apply(edits...)
+		if err != nil {
+			return nil, http.StatusUnprocessableEntity, err
+		}
+		deltas = append(deltas, d)
+	}
+	if reopt {
+		// Background context: a client disconnect must not truncate the
+		// pass, or journal replay would not reconstruct the same network.
+		d, err := ls.sess.Reoptimize(context.Background())
+		if err != nil {
+			return nil, http.StatusInternalServerError, err
+		}
+		deltas = append(deltas, d)
+	}
+	return deltas, 0, nil
 }
 
 // journalSessionEdit records one applied batch in canonical form (the
