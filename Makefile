@@ -48,7 +48,7 @@ bench-smoke:
 # would filter every other benchmark's sub-benchmarks too. The edit
 # reply encoder is unexported, so its benchmark runs in rapids/server.
 perf-gate:
-	{ $(GO) test -run xxx -bench 'BenchmarkMoveGen$$|BenchmarkFullSTA$$|BenchmarkIncrementalSTA$$|BenchmarkIncrementalWideUpdate$$|BenchmarkRollback$$|BenchmarkExtractIncremental$$|BenchmarkFig2Swap$$|BenchmarkRegionRoundTrip$$|BenchmarkSessionApply$$|BenchmarkSnapshotAfterResize$$|BenchmarkVerify$$|BenchmarkPlace$$' -benchmem -benchtime 1x -count 3 . && \
+	{ $(GO) test -run xxx -bench 'BenchmarkMoveGen$$|BenchmarkFullSTA$$|BenchmarkIncrementalSTA$$|BenchmarkIncrementalWideUpdate$$|BenchmarkRollback$$|BenchmarkRollbackWindowed$$|BenchmarkExtractIncremental$$|BenchmarkFig2Swap$$|BenchmarkRegionRoundTrip$$|BenchmarkSessionApply$$|BenchmarkSnapshotAfterResize$$|BenchmarkVerify$$|BenchmarkPlace$$' -benchmem -benchtime 1x -count 3 . && \
 	  $(GO) test -run xxx -bench 'BenchmarkOptimizeRegioned$$/^rounds,window=0.005$$' -benchmem -benchtime 1x -count 3 . && \
 	  $(GO) test -run xxx -bench 'BenchmarkEditReply$$' -benchmem -benchtime 1x -count 3 ./rapids/server ; } \
 	  | $(GO) run ./cmd/perfgate -baseline PERF_BASELINE.json
@@ -66,9 +66,10 @@ corpus:
 # Native fuzz smoke: each parser target, the resize frame against its
 # oracle, the incremental timer against full analysis on random placed
 # DAGs, result-store files with arbitrary content, and the annealing
-# placer against its re-scanning oracle on random DAGs, and the edit
-# reply encoder against encoding/json, for FUZZTIME (default 10s); the
-# CI fuzz-smoke job runs the same invocations.
+# placer against its re-scanning oracle on random DAGs, the edit reply
+# encoder against encoding/json, and journal replay of arbitrary file
+# bytes, for FUZZTIME (default 10s); the CI fuzz-smoke job runs the same
+# invocations.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz=FuzzParseBLIF -fuzztime=$(FUZZTIME) ./internal/blif
@@ -79,6 +80,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzStoreEntry -fuzztime=$(FUZZTIME) ./rapids/server/store
 	$(GO) test -fuzz=FuzzPlace -fuzztime=$(FUZZTIME) ./internal/place
 	$(GO) test -fuzz=FuzzDeltaJSON -fuzztime=$(FUZZTIME) ./rapids/server
+	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./rapids/server/journal
 
 # Docs gate: vet the service packages and run the markdown link + flag
 # checkers over README/DESIGN/EXPERIMENTS (docs_test.go).

@@ -384,19 +384,40 @@ func BenchmarkIncrementalWideUpdate(b *testing.B) {
 // the phase's ranking, run the guard's UpdateArrivals, undo the moves in
 // reverse order, and roll the timer and the extraction cache back.
 // Nothing is re-timed or re-extracted after the undo, and the guard's
-// backward work is discarded unrun, so the op costs passes 1-2 of a full
-// analysis (the unrevalidated batch dirties most of the network, as the
-// optimizer's rejected sum-slack batches on s38417 do) plus two copies of
-// the timing arrays.
+// backward work is discarded unrun. The unrevalidated batch dirties most
+// of the network, as the optimizer's rejected sum-slack batches on
+// s38417 do, so the guard falls back to passes 1-2 of a full analysis.
+// The timer fell back in the warm-up op, so each Checkpoint copies the
+// timing whole and the rollback copies it back.
 func BenchmarkRollback(b *testing.B) {
+	benchRollback(b, opt.Options{MaxSwapLeaves: 48}, 0, true)
+}
+
+// BenchmarkRollbackWindowed is BenchmarkRollback for a batch the size of
+// a windowed run's (opt-regions): the first 200 moves of the sum-slack
+// ranking under window 0.005. The guard stays incremental, so the
+// checkpoint copies nothing and the rollback replays the undo log of
+// what the guard's update overwrote.
+func BenchmarkRollbackWindowed(b *testing.B) {
+	benchRollback(b, opt.Options{MaxSwapLeaves: 48, Window: 0.005}, 200, false)
+}
+
+// benchRollback times one rejected batch of the first max moves (all
+// when max is 0) of s38417's sum-slack ranking under o, and fails when
+// the guard's update falls back to a full analysis other than as
+// fallback says.
+func benchRollback(b *testing.B, o opt.Options, max int, fallback bool) {
 	n, lib, _ := staSwapSetup(b)
 	inc := sta.NewIncremental(n, lib, 0)
 	defer inc.Release()
 	cache := supergate.NewCache(n)
 	defer cache.Close()
 	eng := opt.NewEngine(1)
-	moves := eng.Moves(inc.Timing(), opt.GsgGS, sizing.SumSlack, opt.Options{MaxSwapLeaves: 48}, cache.Extraction())
+	moves := eng.Moves(inc.Timing(), opt.GsgGS, sizing.SumSlack, o, cache.Extraction())
 	eng.Release()
+	if max > 0 && len(moves) > max {
+		moves = moves[:max]
+	}
 	undos := make([]func(), 0, len(moves))
 	reject := func() {
 		inc.Checkpoint()
@@ -412,6 +433,9 @@ func BenchmarkRollback(b *testing.B) {
 		}
 		n.EndBatch()
 		inc.UpdateArrivals()
+		if inc.LastUpdateFull() != fallback {
+			b.Fatalf("the guard's update fell back: %v, want %v", inc.LastUpdateFull(), fallback)
+		}
 		n.BeginBatch()
 		for i := len(undos) - 1; i >= 0; i-- {
 			undos[i]()

@@ -397,8 +397,10 @@ func (r *run) phases(ctx context.Context, iters int, progress func(PhaseReport))
 					continue
 				}
 			}
-			// The batch is accepted; gates orphaned by inverter
-			// collapses are now safe to sweep (no pending undos).
+			// The batch is accepted, so the timer drops its checkpoint,
+			// and gates orphaned by inverter collapses are now safe to
+			// sweep (no pending undos).
+			inc.Commit()
 			n.Sweep()
 			report(iter, obj, applied, retried, tm)
 			if after < bestLateness-eps {
@@ -419,21 +421,18 @@ func (r *run) phases(ctx context.Context, iters int, progress func(PhaseReport))
 }
 
 // finish records the run's work counters, closes the cache, releases the
-// engine and the timer, and completes the Result from one from-scratch
-// ground-truth analysis of the final network and its area. Releasing the
-// timer first hands its checkpoint's Timing back to the pool that
-// analysis draws from.
+// engine, and completes the Result from its area and one from-scratch
+// ground-truth analysis of the final network, run in the timer's own
+// arrays before the timer is released, so the run never holds a second
+// Timing for it.
 func (r *run) finish() Result {
 	r.res.Timer = r.inc.Stats()
 	r.res.Extractor = r.cache.Stats()
 	r.res.Evals = r.eng.Stats()
 	r.cache.Close()
 	r.eng.Release()
-	clock := r.inc.Timing().Clock
+	r.res.FinalDelay = r.inc.Reanalyze().CriticalDelay
 	r.inc.Release()
-	final := sta.AnalyzeReleased(r.n, r.lib, clock, r.o.Bounds)
-	r.res.FinalDelay = final.CriticalDelay
-	sta.ReleaseTiming(final)
 	r.res.FinalArea = techmap.Area(r.n, r.lib)
 	return r.res
 }

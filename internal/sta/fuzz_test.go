@@ -207,7 +207,7 @@ func fuzzUndoableEdit(r *byteReader, n *network.Network) (string, func()) {
 // timingReads returns, as bits, everything a reader of tm can observe
 // about n: the scalars, every live gate's arrival, required time, load
 // and slack, and every pin's wire delay through both the pin table and
-// the scan.
+// the scan, with whether the table holds it.
 func timingReads(n *network.Network, tm *sta.Timing) []uint64 {
 	bits := func(xs ...float64) []uint64 {
 		out := make([]uint64, len(xs))
@@ -221,24 +221,36 @@ func timingReads(n *network.Network, tm *sta.Timing) []uint64 {
 		a, q := tm.Arrival(g), tm.Required(g)
 		out = append(out, bits(a.Rise, a.Fall, q.Rise, q.Fall, tm.Load(g), tm.Slack(g))...)
 		for j, d := range g.Fanins() {
-			out = append(out, bits(tm.PinWireDelay(d, g, j), tm.WireDelay(d, g))...)
+			hit := uint64(0)
+			if sta.PinTableHit(tm, d, g, j) {
+				hit = 1
+			}
+			out = append(out, append(bits(tm.PinWireDelay(d, g, j), tm.WireDelay(d, g)), hit)...)
 		}
 	})
 	return out
 }
 
-// requireReads asserts that tm reads exactly what it read when want was
-// taken.
-func requireReads(t testing.TB, step string, n *network.Network, tm *sta.Timing, want []uint64) {
+// timerReads is timingReads of tm plus each live gate's logic level in
+// inc, which a reader sees only in what later updates cost.
+func timerReads(n *network.Network, inc *sta.Incremental, tm *sta.Timing) []uint64 {
+	out := timingReads(n, tm)
+	n.Gates(func(g *network.Gate) { out = append(out, uint64(sta.Level(inc, g))) })
+	return out
+}
+
+// requireReads asserts that inc, whose view is tm, reads exactly what it
+// read when want was taken.
+func requireReads(t testing.TB, step string, n *network.Network, inc *sta.Incremental, tm *sta.Timing, want []uint64) {
 	t.Helper()
-	got := timingReads(n, tm)
+	got := timerReads(n, inc, tm)
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d reads after rollback, %d at the checkpoint", step, len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("%s: read %d is %v after rollback, %v at the checkpoint", step, i,
-				math.Float64frombits(got[i]), math.Float64frombits(want[i]))
+			t.Fatalf("%s: read %d is %v (bits %#x) after rollback, %v (bits %#x) at the checkpoint", step, i,
+				math.Float64frombits(got[i]), got[i], math.Float64frombits(want[i]), want[i])
 		}
 	}
 }
@@ -261,13 +273,31 @@ func requireReads(t testing.TB, step string, n *network.Network, tm *sta.Timing,
 // Checkpoint, undoable edits, Update or UpdateArrivals, the undos in
 // reverse order (inside a window too, when the edits were), Rollback.
 // The timer must then read bit for bit what it read at the checkpoint,
-// and later steps must still match a fresh analysis.
+// and later steps must still match a fresh analysis. The top bits of the
+// batch's edit-count byte pick one of four rejections: a plain one, two
+// against one checkpoint (the optimizer's retry), one after a batch
+// accepted against an earlier checkpoint, and two rolled back together,
+// the second falling back to a full analysis while the log holds the
+// first's entries.
 func FuzzIncrementalTiming(f *testing.F) {
 	f.Add([]byte{2, 5, 2, 0, 1, 0, 3, 0, 1, 2, 1, 2, 3, 1, 0, 0, 9, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	f.Add([]byte{3, 9, 2, 1, 0, 1, 1, 3, 2, 1, 3, 0, 4, 0, 2, 4, 2, 5, 4, 0, 3, 4, 0, 1, 1, 50, 60, 70, 80, 90, 1, 3, 1, 2, 2, 4, 3, 7, 4, 1, 0, 2})
 	f.Add([]byte{1, 12, 3, 2, 0, 0, 2, 0, 0, 1, 1, 0, 1, 2, 5, 0, 2, 1, 3, 4, 7, 1, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 1, 200, 0, 0, 2, 3, 4, 0, 1, 2, 4, 2, 2, 1, 3, 3, 9})
 	// A rolled-back rewire whose undo must restore required times.
 	f.Add([]byte("110100200000000000000100"))
+	// One seed per kind of rejection, by the byte after the prefix: a
+	// logged batch; one rolled back, then one more edit rolled back to
+	// the same checkpoint; one accepted, then another rejected against a
+	// new checkpoint; a logged batch, then one that falls back to a full
+	// analysis while the log holds the first's entries, both rolled back
+	// from the copy the timer takes first.
+	f.Add([]byte("110100200000000000001100"))
+	f.Add([]byte("110100200000000000001100\x40"))
+	f.Add([]byte("110100200000000000001100\x80\x01002"))
+	f.Add([]byte("110100200000000000001100\xc0003"))
+	// A rolled-back inverter insertion, which moved the levels the
+	// rollback must restore.
+	f.Add([]byte("10000000000010000000011000070"))
 	// An arrivals-only step, then a rewire whose sweep deletes gates the
 	// pending backward sweep was seeded with.
 	f.Add([]byte(removalSeed))
@@ -302,9 +332,10 @@ func FuzzIncrementalTiming(f *testing.F) {
 				name += " windowed"
 			}
 			if r.next()%3 == 0 {
-				rolledBackBatch(t, name, n, lib, clock, inc, func() (string, func()) {
-					return fuzzUndoableEdit(r, n)
-				}, 1+r.next()%4, r.next()%2 == 0, window)
+				edit := func() (string, func()) { return fuzzUndoableEdit(r, n) }
+				b := r.next()
+				k, arrivalsOnly := 1+b%4, r.next()%2 == 0
+				rejected[b/64](t, name, n, lib, clock, inc, edit, k, arrivalsOnly, window)
 				continue
 			}
 			desc := ""
@@ -336,9 +367,92 @@ func FuzzIncrementalTiming(f *testing.F) {
 // batch window and the undos inside another.
 func rolledBackBatch(t testing.TB, step string, n *network.Network, lib *library.Library, clock float64, inc *sta.Incremental, edit func() (string, func()), k int, arrivalsOnly, window bool) {
 	t.Helper()
+	want := checkpoint(t, step, n, lib, clock, inc)
+	rejectBatch(t, step, n, lib, clock, inc, edit, k, arrivalsOnly, window, want)
+	requireMatch(t, step, n, lib, clock, inc.Update())
+}
+
+// rolledBackTwice rejects two batches against one checkpoint, as the
+// optimizer's retry does: k edits, rolled back, then one more edit,
+// rolled back to the same checkpoint.
+func rolledBackTwice(t testing.TB, step string, n *network.Network, lib *library.Library, clock float64, inc *sta.Incremental, edit func() (string, func()), k int, arrivalsOnly, window bool) {
+	t.Helper()
+	want := checkpoint(t, step, n, lib, clock, inc)
+	rejectBatch(t, step, n, lib, clock, inc, edit, k, arrivalsOnly, window, want)
+	rejectBatch(t, step+" retry", n, lib, clock, inc, edit, 1, arrivalsOnly, window, want)
+	requireMatch(t, step, n, lib, clock, inc.Update())
+}
+
+// acceptedThenRolledBack keeps a batch of k edits made after a
+// checkpoint and commits it, as the optimizer does with a batch its
+// guard accepts, after which a Rollback must panic; then it rejects a
+// batch against a new checkpoint, which must restore the state after the
+// accepted batch, not the one before it.
+func acceptedThenRolledBack(t testing.TB, step string, n *network.Network, lib *library.Library, clock float64, inc *sta.Incremental, edit func() (string, func()), k int, arrivalsOnly, window bool) {
+	t.Helper()
+	checkpoint(t, step, n, lib, clock, inc)
+	desc := ""
+	inWindow(n, window, func() {
+		for i := k; i > 0; i-- {
+			d, _ := edit()
+			desc += d + ","
+		}
+	})
+	step += " accepted (" + desc + ")"
+	if arrivalsOnly {
+		requireArrivalsMatch(t, step, n, lib, clock, inc.UpdateArrivals())
+	}
+	inc.Commit()
+	if !panics(func() { inc.Rollback() }) {
+		t.Fatalf("%s: Rollback after Commit did not panic", step)
+	}
+	rolledBackBatch(t, step+", then", n, lib, clock, inc, edit, k, arrivalsOnly, window)
+}
+
+// fallbackRolledBack rejects two batches of k edits against one
+// checkpoint and rolls them back together: the first's update is logged,
+// and the second's is forced past FullFraction, so it falls back to a
+// full analysis while the log holds the first batch's entries.
+func fallbackRolledBack(t testing.TB, step string, n *network.Network, lib *library.Library, clock float64, inc *sta.Incremental, edit func() (string, func()), k int, arrivalsOnly, window bool) {
+	t.Helper()
+	want := checkpoint(t, step, n, lib, clock, inc)
+	step, undos := applyEdits(step, n, edit, k, window)
+	updateMatches(t, step, n, lib, clock, inc, arrivalsOnly)
+	frac := inc.FullFraction
+	inc.FullFraction = 0
+	step, more := applyEdits(step+", then", n, edit, k, window)
+	updateMatches(t, step, n, lib, clock, inc, arrivalsOnly)
+	inc.FullFraction = frac
+	undoEdits(n, window, append(undos, more...))
+	requireReads(t, step, n, inc, inc.Rollback(), want)
+	requireMatch(t, step, n, lib, clock, inc.Update())
+}
+
+// checkpoint brings inc current, checks it against a fresh analysis,
+// takes a Checkpoint, and returns the reads a Rollback must restore.
+func checkpoint(t testing.TB, step string, n *network.Network, lib *library.Library, clock float64, inc *sta.Incremental) []uint64 {
+	t.Helper()
 	requireMatch(t, step+" before", n, lib, clock, inc.Update())
-	want := timingReads(n, inc.Timing())
+	want := timerReads(n, inc, inc.Timing())
 	inc.Checkpoint()
+	return want
+}
+
+// rejectBatch applies k edits to a checkpointed inc, brings it current
+// with an Update or, when arrivalsOnly, an UpdateArrivals, which must
+// match a fresh analysis, runs the undos in reverse order and rolls
+// back; every read must then equal want.
+func rejectBatch(t testing.TB, step string, n *network.Network, lib *library.Library, clock float64, inc *sta.Incremental, edit func() (string, func()), k int, arrivalsOnly, window bool, want []uint64) {
+	t.Helper()
+	step, undos := applyEdits(step, n, edit, k, window)
+	updateMatches(t, step, n, lib, clock, inc, arrivalsOnly)
+	undoEdits(n, window, undos)
+	requireReads(t, step, n, inc, inc.Rollback(), want)
+}
+
+// applyEdits makes k edits, inside one batch window when window is set,
+// and returns the step named with them and their undos.
+func applyEdits(step string, n *network.Network, edit func() (string, func()), k int, window bool) (string, []func()) {
 	desc := ""
 	var undos []func()
 	inWindow(n, window, func() {
@@ -348,19 +462,34 @@ func rolledBackBatch(t testing.TB, step string, n *network.Network, lib *library
 			undos = append(undos, undo)
 		}
 	})
-	step += " rolled back (" + desc + ")"
+	return step + " rolled back (" + desc + ")", undos
+}
+
+// updateMatches brings inc current with an Update or, when arrivalsOnly,
+// an UpdateArrivals, which must match a fresh analysis.
+func updateMatches(t testing.TB, step string, n *network.Network, lib *library.Library, clock float64, inc *sta.Incremental, arrivalsOnly bool) {
+	t.Helper()
 	if arrivalsOnly {
 		requireArrivalsMatch(t, step+" applied", n, lib, clock, inc.UpdateArrivals())
 	} else {
 		requireMatch(t, step+" applied", n, lib, clock, inc.Update())
 	}
+}
+
+// undoEdits runs undos in reverse order, inside one batch window when
+// window is set.
+func undoEdits(n *network.Network, window bool, undos []func()) {
 	inWindow(n, window, func() {
 		for i := len(undos) - 1; i >= 0; i-- {
 			undos[i]()
 		}
 	})
-	requireReads(t, step, n, inc.Rollback(), want)
-	requireMatch(t, step, n, lib, clock, inc.Update())
+}
+
+// rejected holds the rejected-batch steps of FuzzIncrementalTiming, by
+// the top two bits of the step's edit-count byte.
+var rejected = [4]func(testing.TB, string, *network.Network, *library.Library, float64, *sta.Incremental, func() (string, func()), int, bool, bool){
+	rolledBackBatch, rolledBackTwice, acceptedThenRolledBack, fallbackRolledBack,
 }
 
 // inWindow runs f inside one batch window of n when window is set, and

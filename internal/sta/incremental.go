@@ -57,17 +57,35 @@
 // # Checkpoint and rollback
 //
 // An optimizer rejects most of its batches. Checkpoint, taken right after
-// an Update, copies everything an Update can change: the Timing's arrays,
-// net arena and pin table, the levels and the PO list. Once the caller
-// has undone a batch exactly — every fanin and fanout list back in its
-// order, created gates removed — Rollback copies that state back and
-// drops the dirty set, instead of re-timing the batch's region a second
-// time. Fanout order matters: the star model sums over a driver's sinks
-// in list order, so a permuted list would round differently in the last
+// an Update, copies nothing: it arms an undo log, and from then on every
+// write an update makes records the value it overwrites — arrivals,
+// required times, loads and levels, a rebuilt net's wire entry and
+// generation, the net-arena and pin-table slots it rewrites, the PO list
+// and flags, the critical delay and the lateness — while whatever an
+// update appends past the checkpoint's array lengths needs no entry.
+// Once the caller has undone a batch exactly — every fanin and fanout
+// list back in its order, created gates removed — Rollback replays the
+// log newest entry first, truncates the appended tails and drops the
+// dirty set, instead of re-timing the batch's region a second time. A
+// rolled-back batch so costs what its updates touched, and a timer whose
+// updates stay incremental holds one Timing. The net generation counter
+// is never rolled back, so a restored pin tag cannot alias a net built
+// later. A batch that dirties more than half of FullFraction of the
+// network re-times most of it, and one past FullFraction falls back to
+// a full analysis that overwrites everything. Before the first such
+// update the timer copies its state whole into a second, pooled Timing,
+// writes the log back into the copy, and rolls back from that copy
+// instead; from then on it copies each checkpoint whole at once, as a
+// run with such batches would otherwise hold both the copy and a log
+// nearly as large. Commit drops the checkpoint of a batch the caller
+// keeps.
+//
+// Fanout order matters: the star model sums over a driver's sinks in
+// list order, so a permuted list would round differently in the last
 // bits and the restored timing would not be the checkpoint's. Every view
-// an Update produces carries a fresh Version, and a rollback restores the
-// checkpoint's, so caches keyed on the version (opt's site scores) come
-// back into force with it.
+// an Update produces carries a fresh Version, and a rollback restores
+// the checkpoint's, so caches keyed on the version (opt's site scores)
+// come back into force with it.
 //
 // All bookkeeping — the dirty set, logic levels, the level-ordered
 // propagation queues, and the PO set — is held in dense gate-ID-indexed
@@ -105,8 +123,9 @@ const DefaultFullFraction = 0.5
 // harness's full-vs-incremental reporting.
 type IncStats struct {
 	// FullAnalyses counts from-scratch analyses: the initial one at
-	// construction plus every threshold fallback, an arrivals-only one
-	// included even when a Rollback then dropped its deferred pass 3.
+	// construction, every threshold fallback (an arrivals-only one
+	// included even when a Rollback then dropped its deferred pass 3)
+	// and every Reanalyze.
 	FullAnalyses int
 	// IncrementalUpdates counts Update and UpdateArrivals calls that ran
 	// dirty-region propagation (calls with an empty dirty set are free and
@@ -262,23 +281,38 @@ type Incremental struct {
 	touched  gateSet
 	lastFull bool
 
-	// ckpt is the state Rollback restores, saved by Checkpoint.
+	// ckpt is the state Rollback restores, armed by Checkpoint.
 	ckpt checkpoint
 
 	stats IncStats
 }
 
-// checkpoint is a saved copy of everything an Update can change: the
-// Timing (its per-gate arrays, net arena and pin table), the logic
-// levels and the PO list. Its Timing is borrowed from timingPool on the
-// first Checkpoint and handed back by Release.
+// checkpoint is what Rollback needs to restore the state at the last
+// Checkpoint. Until the timer first meets a large batch, that is a log
+// of the values the batch overwrote: the Timing's in log, the levels' in
+// levelLog, and the PO list and flags in posList/poMember/posStale,
+// saved whole the first time the batch changes any of them. From then
+// on it is a whole copy: the Timing in t, drawn from timingPool and
+// handed back by Release, the levels in levels and the PO fields.
 type checkpoint struct {
+	armed  bool // a Checkpoint was taken; Rollback may restore it
+	copied bool // t, levels and the PO fields hold it whole
+
+	log       undoLog
+	levelLog  []levelUndo
+	levelsLen int // len(levels) at the checkpoint
+	poLen     int // len(poMember) at the checkpoint
+	posSaved  bool
+
 	t        *Timing
 	levels   []int32
 	posList  []*network.Gate
 	poMember []bool
 	posStale bool
 }
+
+// levelUndo is one gate's logic level at the checkpoint.
+type levelUndo struct{ id, level int32 }
 
 // NewIncremental builds the timer with one full ground-truth Analyze and
 // registers it as a network observer. A clock <= 0 freezes the initial
@@ -310,6 +344,7 @@ func (it *Incremental) start(n *network.Network, lib *library.Library, clock flo
 	it.bounds = b
 	it.FullFraction = DefaultFullFraction
 	it.stats = IncStats{}
+	it.Commit() // no checkpoint survives from a recycled timer's last run
 	if it.t == nil {
 		it.t = timingPool.Get().(*Timing)
 	}
@@ -391,6 +426,9 @@ func (it *Incremental) levelOf(g *network.Gate) int32 {
 
 func (it *Incremental) setLevel(g *network.Gate, lv int32) {
 	id := g.ID()
+	if c := &it.ckpt; it.logging() && id < c.levelsLen && it.levels[id] != lv {
+		c.levelLog = append(c.levelLog, levelUndo{int32(id), it.levels[id]})
+	}
 	if id >= len(it.levels) {
 		it.levels = append(it.levels, make([]int32, id+1-len(it.levels))...)
 	}
@@ -398,6 +436,7 @@ func (it *Incremental) setLevel(g *network.Gate, lv int32) {
 }
 
 func (it *Incremental) rebuildPOs() {
+	it.logPOs()
 	it.posList = it.n.Outputs()
 	bound := it.n.IDBound()
 	if cap(it.poMember) < bound {
@@ -422,7 +461,8 @@ func (it *Incremental) Close() { it.n.Unobserve(it) }
 // any Timing pointer it handed out may be used afterwards. The optimizers
 // release their private timers; hold Close for timers whose view outlives
 // them. A released timer keeps its arrays but no gate pointer (see
-// dropGates), so the pool never keeps a finished network reachable.
+// dropGates), so the pool never keeps a finished network reachable; a
+// checkpoint copy a fallback took goes back to the Timing pool.
 func (it *Incremental) Release() {
 	it.n.Unobserve(it)
 	if it.ckpt.t != nil {
@@ -433,56 +473,162 @@ func (it *Incremental) Release() {
 	incPool.Put(it)
 }
 
-// Checkpoint saves the timer's state for Rollback. Take it right after
+// Checkpoint marks the timer's state for Rollback. Take it right after
 // an Update, with no mutation and no backward work pending (an
 // UpdateArrivals leaves some); it panics otherwise. A later Checkpoint
 // replaces it.
 //
-// The copy is O(network), a few memory copies of the per-gate arrays,
-// where re-timing a rolled-back batch costs its whole dirty region
-// twice. The checkpoint's Timing comes from the pool AnalyzeReleased
-// draws on and goes back to it with Release, so an optimizer's final
-// analysis after Release reuses it instead of allocating another.
+// It copies nothing: it arms an empty undo log, and from then on every
+// update records the old value of whatever it overwrites, so a rolled
+// back batch costs what its updates touched, not the network. An update
+// of a batch past half of FullFraction first turns the checkpoint into
+// a whole copy (see the package comment); once a timer has taken one,
+// it copies each later checkpoint whole at once and logs nothing.
 func (it *Incremental) Checkpoint() {
 	if len(it.dirty.list) != 0 || it.t.reqStale {
 		panic("sta: Checkpoint with mutations or required times pending; call Update first")
 	}
 	c := &it.ckpt
-	if c.t == nil {
-		c.t = timingPool.Get().(*Timing)
+	c.armed, c.copied, c.posSaved = true, false, false
+	c.levelLog = c.levelLog[:0]
+	c.levelsLen, c.poLen = len(it.levels), len(it.poMember)
+	it.t.arm(&c.log)
+	if c.t != nil {
+		it.copyState()
 	}
-	c.t.copyFrom(it.t)
-	c.levels = append(c.levels[:0], it.levels...)
-	c.posList = append(clearGates(c.posList), it.posList...)
-	c.poMember = append(c.poMember[:0], it.poMember...)
-	c.posStale = it.posStale
 }
 
-// Rollback restores the state saved by the last Checkpoint and drops
-// every pending mutation and all backward work pending from
-// UpdateArrivals, returning the restored view. The caller must
-// first have returned the network to its checkpointed state — every
-// gate's fanins, fanout lists in their order, types, sizes and PO flags
-// — and removed the gates it created since (an exactly undone batch);
-// the timer then reads bit for bit what it read at the checkpoint, which
-// is what an Update after the undo would recompute. The checkpoint stays
-// valid for another Rollback.
+// Rollback restores the state at the last Checkpoint and drops every
+// pending mutation and all backward work pending from UpdateArrivals,
+// returning the restored view. The caller must first have returned the
+// network to its checkpointed state — every gate's fanins, fanout lists
+// in their order, types, sizes and PO flags — and removed the gates it
+// created since (an exactly undone batch); the timer then reads bit for
+// bit what it read at the checkpoint, version included, which is what an
+// Update after the undo would recompute. The checkpoint stays valid for
+// another Rollback.
 func (it *Incremental) Rollback() *Timing {
 	c := &it.ckpt
-	if c.t == nil {
+	if !c.armed {
 		panic("sta: Rollback without Checkpoint")
 	}
-	it.t.copyFrom(c.t)
-	it.levels = append(it.levels[:0], c.levels...)
-	it.posList = append(clearGates(it.posList), c.posList...)
-	it.poMember = append(it.poMember[:0], c.poMember...)
-	it.posStale = c.posStale
+	if c.copied {
+		gen := it.t.gen
+		it.t.copyFrom(c.t)
+		it.t.gen = max(gen, c.t.gen)
+		it.levels = append(it.levels[:0], c.levels...)
+		it.restorePOs()
+	} else {
+		it.rewind()
+	}
 	it.dirty.reset()
 	it.backSeeds.reset()
 	it.forced.reset()
 	it.reqFull, it.order = false, nil
 	it.touched.reset()
 	it.lastFull = false
+	return it.t
+}
+
+// rewind replays the undo log into the timer: the Timing's entries, the
+// levels', and the PO list and flags if the batch changed them. The log
+// stays armed, empty, for the next batch.
+func (it *Incremental) rewind() {
+	c := &it.ckpt
+	it.t.rewind(&c.log)
+	it.levels = c.rewindLevels(it.levels)
+	if c.posSaved {
+		it.restorePOs()
+		c.posSaved = false
+	}
+	it.poMember = it.poMember[:c.poLen]
+}
+
+// rewindLevels writes the level log back into levels, newest entry
+// first, empties it, and returns levels at its checkpoint length.
+func (c *checkpoint) rewindLevels(levels []int32) []int32 {
+	for i := len(c.levelLog) - 1; i >= 0; i-- {
+		e := c.levelLog[i]
+		levels[e.id] = e.level
+	}
+	c.levelLog = c.levelLog[:0]
+	return levels[:c.levelsLen]
+}
+
+// copyState turns the logged checkpoint into a whole copy: the timer's
+// state — the Timing into t, drawn from timingPool the first time, the
+// levels and the PO list and flags — with the log written back into the
+// copy, so the copy holds the checkpoint while the timer keeps its own
+// state. It stops logging and drops the log's arrays, which the timer
+// does not use again until it is released.
+func (it *Incremental) copyState() {
+	c := &it.ckpt
+	if c.t == nil {
+		c.t = drawTiming()
+	}
+	c.t.copyFrom(it.t)
+	c.t.rewind(&c.log)
+	c.levels = c.rewindLevels(append(c.levels[:0], it.levels...))
+	if !c.posSaved {
+		it.savePOs()
+		c.poMember = c.poMember[:c.poLen]
+	}
+	c.copied = true
+	it.t.undo = nil
+	c.log, c.levelLog = undoLog{}, nil
+}
+
+// logging reports whether a checkpoint is armed and held as a log.
+func (it *Incremental) logging() bool { return it.ckpt.armed && !it.ckpt.copied }
+
+// logPOs saves the PO list and flags before a logged batch first
+// changes them.
+func (it *Incremental) logPOs() {
+	if c := &it.ckpt; it.logging() && !c.posSaved {
+		it.savePOs()
+		c.posSaved = true
+	}
+}
+
+// savePOs copies the PO list and flags into the checkpoint.
+func (it *Incremental) savePOs() {
+	c := &it.ckpt
+	c.posList = append(clearGates(c.posList), it.posList...)
+	c.poMember = append(c.poMember[:0], it.poMember...)
+	c.posStale = it.posStale
+}
+
+// restorePOs copies the saved PO list and flags back.
+func (it *Incremental) restorePOs() {
+	c := &it.ckpt
+	it.posList = append(clearGates(it.posList), c.posList...)
+	it.poMember = append(it.poMember[:0], c.poMember...)
+	it.posStale = c.posStale
+}
+
+// Commit drops the checkpoint, for a caller that keeps the batch made
+// since it: nothing is logged until the next Checkpoint, and a Rollback
+// before then panics. The optimizers commit each batch their guard
+// accepts, so the sweep and the Update that follow it log nothing.
+func (it *Incremental) Commit() {
+	c := &it.ckpt
+	c.armed, c.copied = false, false
+	c.log.clear()
+	c.levelLog = c.levelLog[:0]
+	if it.t != nil {
+		it.t.undo = nil
+	}
+}
+
+// Reanalyze drops the checkpoint and re-times the network as it stands
+// from scratch in the timer's own arrays — bit for bit what Analyze
+// computes under the timer's frozen clock and bounds — and returns the
+// view. The optimizers' final ground-truth analysis runs here, so it
+// needs no second Timing. Stats counts it as a full analysis.
+func (it *Incremental) Reanalyze() *Timing {
+	it.Commit()
+	it.full(it.clock)
+	it.finishRequired()
 	return it.t
 }
 
@@ -497,6 +643,7 @@ func (it *Incremental) dropGates() {
 	it.posList = nil
 	it.reqFull, it.order = false, nil
 	it.ckpt.posList = clearGates(it.ckpt.posList)
+	it.ckpt.log.dropGates()
 	it.dirty.dropGates()
 	it.backSeeds.dropGates()
 	it.forced.dropGates()
@@ -558,6 +705,7 @@ func (it *Incremental) GatesChanged(touched, resized, removed []*network.Gate) {
 				it.poMember = append(it.poMember, make([]bool, id+1-len(it.poMember))...)
 			}
 			if it.poMember[id] != g.PO {
+				it.logPOs()
 				it.poMember[id] = g.PO
 				it.posStale = true
 			}
@@ -569,6 +717,7 @@ func (it *Incremental) GatesChanged(touched, resized, removed []*network.Gate) {
 		it.forced.remove(g)
 		it.order = nil
 		if id := g.ID(); id < len(it.poMember) && it.poMember[id] {
+			it.logPOs()
 			it.poMember[id] = false
 			it.posStale = true
 		}
@@ -610,6 +759,12 @@ func (it *Incremental) UpdateArrivals() *Timing {
 		it.touched.reset()
 		it.lastFull = false
 		return it.t
+	}
+	if it.logging() && float64(pending) > it.FullFraction/2*float64(it.n.NumGates()) {
+		// A batch this large re-times most of the network, so its log
+		// would be nearly as large as a copy, and it or one soon after
+		// falls back to a full analysis, which needs the copy anyway.
+		it.copyState()
 	}
 	if float64(pending) > it.FullFraction*float64(it.n.NumGates()) {
 		it.full(it.clock)
@@ -749,7 +904,7 @@ func (it *Incremental) propagateArrivals() {
 		}
 		it.stats.ArrivalRecomputes++
 		old := it.t.arrival[g.ID()]
-		it.t.arrival[g.ID()] = arr
+		it.t.setArrival(g.ID(), arr)
 		if isDirty || levelChanged || old != arr {
 			for _, s := range g.Fanouts() {
 				q.push(s)
@@ -799,7 +954,7 @@ func (it *Incremental) propagateRequired() {
 		}
 		it.stats.RequiredRecomputes++
 		old := it.t.required[g.ID()]
-		it.t.required[g.ID()] = req
+		it.t.setRequired(g.ID(), req)
 		if it.forced.has(g) || old != req {
 			for _, f := range g.Fanins() {
 				q.push(f)

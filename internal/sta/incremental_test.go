@@ -226,9 +226,17 @@ func TestIncrementalMatchesFullSTA(t *testing.T) {
 // TestIncrementalRollback rejects random batches of supergate swaps
 // (inverting ones create and then remove inverters) and resizes the way
 // the optimizer does: Checkpoint, apply, Update, undo in reverse order,
-// Rollback. Every accessor must then read bit for bit what it read at
-// the checkpoint, and the accepted batches in between must keep matching
-// a fresh analysis.
+// Rollback. Every accessor, each pin's wire delay through the pin table
+// and the scan included, must then read bit for bit what it read at the
+// checkpoint, and the accepted batches in between must keep matching a
+// fresh analysis. The steps cycle through four rejections: a batch
+// rolled back from the undo log alone, without drawing a Timing; two
+// batches rolled back to one checkpoint; and one after a batch accepted
+// against an earlier checkpoint. The last steps reject a logged batch
+// and then one that falls back to a full analysis, together: the first
+// time while the log holds the first batch's entries, which the timer
+// writes back into the copy it takes, and then on a timer that copies
+// every checkpoint at once, as a timer does once it has taken a copy.
 func TestIncrementalRollback(t *testing.T) {
 	for _, name := range []string{"c432", "s5378"} {
 		t.Run(name, func(t *testing.T) {
@@ -259,9 +267,31 @@ func TestIncrementalRollback(t *testing.T) {
 				}
 				return "none", func() {}
 			}
-			for i := 0; i < 12; i++ {
+			fallbacks := 0
+			for i := 0; i < 16; i++ {
 				step := fmt.Sprintf("step %d", i)
-				rolledBackBatch(t, step, n, lib, clock, inc, edit, 1+m.rng.Intn(8), i%2 == 1, i%4 >= 2)
+				k, arrivalsOnly, window := 1+m.rng.Intn(8), i%2 == 1, i%4 >= 2
+				drawn, full := sta.DrawnTimings(), inc.Stats().FullAnalyses
+				switch {
+				case i >= 12:
+					fallbackRolledBack(t, step+" fallback", n, lib, clock, inc, edit, k, arrivalsOnly, window)
+					if inc.Stats().FullAnalyses != full+1 {
+						t.Fatalf("%s: the batch did not fall back", step)
+					}
+					fallbacks++
+				case i%3 == 0:
+					rolledBackBatch(t, step+" logged", n, lib, clock, inc, edit, k, arrivalsOnly, window)
+				case i%3 == 1:
+					rolledBackTwice(t, step+" twice", n, lib, clock, inc, edit, k, arrivalsOnly, window)
+				default:
+					acceptedThenRolledBack(t, step, n, lib, clock, inc, edit, k, arrivalsOnly, window)
+				}
+				if copied := sta.CheckpointCopied(inc); copied != (i >= 12) {
+					t.Fatalf("%s: checkpoint copied %v, want %v", step, copied, i >= 12)
+				}
+				if d := sta.DrawnTimings() - drawn; i < 12 && d != 0 {
+					t.Fatalf("%s: a logged rollback drew %d Timings", step, d)
+				}
 				if i%3 == 2 {
 					// An accepted batch between rejections.
 					edit()
@@ -270,8 +300,8 @@ func TestIncrementalRollback(t *testing.T) {
 					requireMatch(t, step+" accepted", n, lib, clock, inc.Update())
 				}
 			}
-			if st := inc.Stats(); st.FullAnalyses != 1 {
-				t.Fatalf("expected only the construction-time full analysis: %+v", st)
+			if st := inc.Stats(); st.FullAnalyses != 1+fallbacks {
+				t.Fatalf("expected the construction-time full analysis and %d fallbacks: %+v", fallbacks, st)
 			}
 		})
 	}
@@ -705,7 +735,7 @@ func TestUpdateArrivalsMatchesAnalyze(t *testing.T) {
 
 				for _, full := range []bool{false, true} {
 					rb := fmt.Sprintf("%s rollback (full %v)", step, full)
-					want := timingReads(n, inc.Timing())
+					want := timerReads(n, inc, inc.Timing())
 					inc.Checkpoint()
 					if full {
 						inc.FullFraction = 0
@@ -719,7 +749,7 @@ func TestUpdateArrivalsMatchesAnalyze(t *testing.T) {
 					for k := len(undos) - 1; k >= 0; k-- {
 						undos[k]()
 					}
-					requireReads(t, rb, n, inc.Rollback(), want)
+					requireReads(t, rb, n, inc, inc.Rollback(), want)
 					requireNothingLeft(t, rb, n, lib, clock, inc, resize)
 				}
 			}

@@ -140,6 +140,10 @@ type Timing struct {
 	// the net's arena slots for each rebuild).
 	nsc NetModel
 
+	// undo, when non-nil, logs the old value of everything an update
+	// overwrites, for an Incremental's Rollback (see undoLog).
+	undo *undoLog
+
 	// version identifies the network state this view times, for callers
 	// that cache what they derive from it (opt's scoring engine). An
 	// Incremental timer draws a fresh, process-unique version whenever it
@@ -189,8 +193,9 @@ func (t *Timing) forget(g *network.Gate) {
 	if id >= len(t.arrival) {
 		return
 	}
-	t.arrival[id] = Edge{}
-	t.required[id] = Edge{}
+	t.setArrival(id, Edge{})
+	t.setRequired(id, Edge{})
+	t.saveGate(id)
 	t.load[id] = 0
 	t.netGen[id] = 0
 }
@@ -205,12 +210,15 @@ func (t *Timing) forget(g *network.Gate) {
 // duplicates, as WireDelay does.
 func (t *Timing) setNet(d *network.Gate) float64 {
 	id := d.ID()
+	t.saveGate(id)
 	w := &t.wire[id]
 	fo := d.Fanouts()
 	if k := len(fo); k > int(w.cp) {
 		w.off, w.cp = int32(len(t.netSinks)), int32(k)
 		t.netSinks = append(t.netSinks, make([]*network.Gate, k)...)
 		t.netDelays = append(t.netDelays, make([]float64, k)...)
+	} else {
+		t.saveSlots(int(w.off), int(w.off)+k)
 	}
 	m := &t.nsc
 	m.sinks = t.netSinks[w.off : w.off : w.off+w.cp]
@@ -231,6 +239,7 @@ func (t *Timing) setNet(d *network.Gate) float64 {
 				continue
 			}
 			if k := off + j; t.pinGen[k] != gen || delays[i] > t.pinDelay[k] {
+				t.savePin(k)
 				t.pinGen[k] = gen
 				t.pinDelay[k] = delays[i]
 			}
@@ -244,6 +253,7 @@ func (t *Timing) setNet(d *network.Gate) float64 {
 // generation drawn afterwards, so no old tag can alias a new net.
 func (t *Timing) nextGen() uint32 {
 	if t.gen == math.MaxUint32 {
+		t.saveTags()
 		clear(t.pinGen)
 		for i, g := range t.netGen {
 			if g != 0 {
@@ -265,6 +275,7 @@ func (t *Timing) nextGen() uint32 {
 func (t *Timing) pinSlots(s *network.Gate) int {
 	id, k := s.ID(), s.NumFanins()
 	if int(t.pinN[id]) < k {
+		t.saveGate(id)
 		t.pinOff[id] = int32(len(t.pinGen))
 		t.pinN[id] = uint8(k)
 		t.pinGen = append(t.pinGen, make([]uint32, k)...)
@@ -305,10 +316,21 @@ var timingPool = sync.Pool{New: func() interface{} { return &Timing{} }}
 // Callers that drop the analysis after reading it should hand it back
 // with ReleaseTiming.
 func AnalyzeReleased(n *network.Network, lib *library.Library, clock float64, b *Bounds) *Timing {
-	t := timingPool.Get().(*Timing)
+	t := drawTiming()
 	t.n, t.lib, t.bounds = n, lib, b
 	t.analyzeInto(clock, nil)
 	return t
+}
+
+// drawnTimings counts the Timings drawn from timingPool for something
+// other than an incremental timer's own view: analyses and checkpoint
+// copies. Tests read it to check that a run holds one Timing.
+var drawnTimings atomic.Int64
+
+// drawTiming draws a Timing from timingPool and counts it.
+func drawTiming() *Timing {
+	drawnTimings.Add(1)
+	return timingPool.Get().(*Timing)
 }
 
 // ReleaseTiming returns an analysis obtained from AnalyzeReleased to the
@@ -590,13 +612,22 @@ func (t *Timing) WireDelay(d, s *network.Gate) float64 {
 // WireDelay it never mutates the Timing, so concurrent scoring workers
 // can call it.
 func (t *Timing) PinWireDelay(d, s *network.Gate, j int) float64 {
+	if k, ok := t.pinHit(d, s, j); ok {
+		return t.pinDelay[k]
+	}
+	return t.WireDelay(d, s)
+}
+
+// pinHit returns the pin-table slot of in-pin j of sink s and whether
+// driver d's current net wrote it.
+func (t *Timing) pinHit(d, s *network.Gate, j int) (int, bool) {
 	if id := s.ID(); id < len(t.pinN) && j < int(t.pinN[id]) {
 		k := int(t.pinOff[id]) + j
 		if tag, did := t.pinGen[k], d.ID(); tag != 0 && did < len(t.netGen) && tag == t.netGen[did] {
-			return t.pinDelay[k]
+			return k, true
 		}
 	}
-	return t.WireDelay(d, s)
+	return 0, false
 }
 
 // GateOutput computes the out-pin arrival of g from explicit per-pin input

@@ -29,6 +29,11 @@ type FaultHooks struct {
 	// The tier's integrity checksum must catch it on the next lookup,
 	// which falls through to the shared store or a re-run.
 	CorruptResult func(key string) bool
+	// Reoptimize, when it returns an error, fails the re-optimization
+	// pass of a live session's edit batch after the batch's edits
+	// applied, as a failing Session.Reoptimize would. Journal replay
+	// does not consult it.
+	Reoptimize func(sessionID string) error
 }
 
 // WorkerPanicError is the structured error of an optimization attempt

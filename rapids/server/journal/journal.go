@@ -116,8 +116,9 @@ type File struct {
 
 // OpenFile opens (creating if needed) the journal at path. Replay
 // tolerates a truncated final line — the signature of a crash
-// mid-append — by truncating the file back to the last whole entry; a
-// corrupt line with valid entries after it is a hard error.
+// mid-append, including one that lost only its newline — by truncating
+// the file back to the last whole entry; a corrupt line with valid
+// entries after it is a hard error.
 func OpenFile(path string) (*File, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -136,32 +137,36 @@ func (j *File) Replay(fn func(Entry) error) error {
 	var (
 		off     int64 // end of the last whole entry
 		badLine []byte
-		sc      = bufio.NewScanner(j.f)
+		r       = bufio.NewReader(j.f)
 	)
-	sc.Buffer(make([]byte, 0, 64*1024), 64<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		n := int64(len(line)) + 1 // scanner strips the newline
+	for {
+		// Lines are read with their newline, so off counts every byte,
+		// a carriage return before the newline included. A final line
+		// without its newline is a torn append, whatever it holds.
+		line, err := r.ReadBytes('\n')
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return fmt.Errorf("journal: %w", err)
+		}
 		if badLine != nil {
 			return fmt.Errorf("journal: corrupt entry %q followed by more entries", badLine)
 		}
 		if len(bytes.TrimSpace(line)) == 0 {
-			off += n
+			off += int64(len(line))
 			continue
 		}
 		var e Entry
 		if err := json.Unmarshal(line, &e); err != nil {
 			// Only acceptable as the final (torn) line.
-			badLine = append([]byte(nil), line...)
+			badLine = bytes.TrimSuffix(line, []byte("\n"))
 			continue
 		}
 		if err := fn(e); err != nil {
 			return err
 		}
-		off += n
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("journal: %w", err)
+		off += int64(len(line))
 	}
 	// Drop a torn tail so the next Append starts on a clean line.
 	if err := j.f.Truncate(off); err != nil {

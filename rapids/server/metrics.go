@@ -108,7 +108,7 @@ type serverMetrics struct {
 	// ECO sessions.
 	sessionsOpened      *metrics.Counter
 	sessionsActive      *metrics.Gauge
-	sessionsClosed      *metrics.CounterVec // reason: client | evicted | drain | journal
+	sessionsClosed      *metrics.CounterVec // reason: client | evicted | drain | journal | reoptimize
 	sessionsRejected    *metrics.CounterVec // reason: capacity | draining | journal | invalid
 	sessionsReplayed    *metrics.CounterVec // disposition: reopened | dropped
 	sessionEdits        *metrics.Counter

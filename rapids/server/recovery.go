@@ -194,7 +194,7 @@ func rebuildSession(st *sessionReplay) (*liveSession, error) {
 		edits, err := wire.edits()
 		var deltas []*rapids.Delta
 		if err == nil {
-			deltas, _, err = ls.apply(edits, wire.Reoptimize)
+			deltas, _, err = ls.apply(edits, wire.Reoptimize, nil)
 		}
 		if err != nil {
 			ls.sess.Close()

@@ -53,6 +53,8 @@ const (
 	closeEvicted = "evicted" // idle past Config.SessionTTL
 	closeDrain   = "drain"   // server shutdown
 	closeJournal = "journal" // an applied batch could not be journaled
+	// A batch's re-optimization failed after its edits applied.
+	closeReoptimize = "reoptimize"
 )
 
 // SessionRequest is the POST /v1/sessions payload: the same circuit
@@ -84,8 +86,8 @@ type SessionStatus struct {
 	// Recovered marks a session rebuilt from the journal after a
 	// restart (its edit log was replayed onto a fresh load).
 	Recovered bool `json:"recovered,omitempty"`
-	// CloseReason explains a closed session: client, evicted, drain, or
-	// journal.
+	// CloseReason explains a closed session: client, evicted, drain,
+	// journal, or reoptimize.
 	CloseReason string `json:"close_reason,omitempty"`
 }
 
@@ -301,7 +303,16 @@ func (s *Server) handleSessionEdits(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusConflict, body)
 		return
 	}
-	deltas, code, err := ls.apply(edits, wire.Reoptimize)
+	deltas, code, err := ls.apply(edits, wire.Reoptimize, s.cfg.Hooks)
+	if code == http.StatusInternalServerError {
+		// The circuit holds the batch's edits, and whatever the failed
+		// pass left, but the journal has no batch to replay them from:
+		// close the session, as for a failed journal append below.
+		s.closeSessionLocked(ls, closeReoptimize)
+		ls.mu.Unlock()
+		httpError(w, code, "re-optimization failed: %v (session closed)", err)
+		return
+	}
 	if err != nil {
 		ls.mu.Unlock()
 		httpError(w, code, "%v", err)
@@ -342,9 +353,10 @@ func (w editWire) edits() ([]rapids.Edit, error) {
 // one apply path of the edit endpoint and of journal replay, so a
 // replayed session folds each batch as it ran live. A failure comes with
 // the HTTP status that names it: 422 for a rejected batch, which left
-// the circuit untouched, or 500 for a failed re-optimization. Callers
-// hold ls.mu or own ls alone.
-func (ls *liveSession) apply(edits []rapids.Edit, reopt bool) ([]*rapids.Delta, int, error) {
+// the circuit untouched, or 500 for a failed re-optimization, which
+// leaves the edits applied. hooks may inject that failure (nil in
+// replay). Callers hold ls.mu or own ls alone.
+func (ls *liveSession) apply(edits []rapids.Edit, reopt bool, hooks *FaultHooks) ([]*rapids.Delta, int, error) {
 	var deltas []*rapids.Delta
 	if len(edits) > 0 {
 		d, err := ls.sess.Apply(edits...)
@@ -354,6 +366,11 @@ func (ls *liveSession) apply(edits []rapids.Edit, reopt bool) ([]*rapids.Delta, 
 		deltas = append(deltas, d)
 	}
 	if reopt {
+		if hooks != nil && hooks.Reoptimize != nil {
+			if err := hooks.Reoptimize(ls.id); err != nil {
+				return nil, http.StatusInternalServerError, err
+			}
+		}
 		// Background context: a client disconnect must not truncate the
 		// pass, or journal replay would not reconstruct the same network.
 		d, err := ls.sess.Reoptimize(context.Background())

@@ -16,6 +16,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -638,6 +639,62 @@ func TestSessionJournalFailureClosesSession(t *testing.T) {
 	}
 }
 
+// TestSessionReoptimizeFailureClosesSession: a batch whose edits applied
+// but whose re-optimization failed is not journaled, so the session
+// closes (reason "reoptimize", journaled) with a 500 saying so, and a
+// restart replays the session as closed instead of rebuilding a circuit
+// without the batch.
+func TestSessionReoptimizeFailureClosesSession(t *testing.T) {
+	mem := journal.NewMem()
+	hooks := &FaultHooks{Reoptimize: func(string) error { return errors.New("injected: pass failed") }}
+	s1, err := newServer(Config{Journal: mem, Hooks: hooks}) // workers never started
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(s1)
+	st := openSession(t, ts1.URL, quickSessionRequest("alu2"))
+
+	code, body := sessionDo(t, http.MethodPost, ts1.URL+"/v1/sessions/"+st.ID+"/edits",
+		`{"edits":[{"kind":"pin_arrival","gate":"pi0","time_ns":0.5}],"reoptimize":true}`)
+	var eb ErrorBody
+	if err := json.Unmarshal(body, &eb); err != nil || code != http.StatusInternalServerError ||
+		!strings.Contains(eb.Error, "session closed") {
+		t.Fatalf("edit with failing re-optimization: want 500 naming the close, got %d %s", code, body)
+	}
+	got := getSessionStatus(t, ts1.URL, st.ID)
+	if got.State != SessionClosed || got.CloseReason != closeReoptimize || got.Edits != 0 {
+		t.Fatalf("session after re-optimization failure: %+v", got)
+	}
+	if got := s1.metrics.sessionsClosed.With(closeReoptimize).Value(); got != 1 {
+		t.Fatalf("sessions_closed{reoptimize} = %d, want 1", got)
+	}
+	if code, _ := sessionDo(t, http.MethodPost, ts1.URL+"/v1/sessions/"+st.ID+"/edits",
+		`{"reoptimize":true}`); code != http.StatusConflict {
+		t.Fatalf("edit on a closed session: want 409, got %d", code)
+	}
+	var ops []journal.Op
+	for _, e := range mem.Entries() {
+		if e.JobID == st.ID {
+			ops = append(ops, e.Op)
+			if e.Op == journal.OpSessionClosed && e.Error != closeReoptimize {
+				t.Fatalf("journaled close reason %q, want %q", e.Error, closeReoptimize)
+			}
+		}
+	}
+	if want := []journal.Op{journal.OpSessionOpened, journal.OpSessionClosed}; !slices.Equal(ops, want) {
+		t.Fatalf("journaled session ops %v, want %v", ops, want)
+	}
+	ts1.Close()
+
+	s2, ts2 := startServer(t, Config{Journal: mem})
+	if code, _ := sessionDo(t, http.MethodGet, ts2.URL+"/v1/sessions/"+st.ID, ""); code != http.StatusNotFound {
+		t.Fatalf("session closed by a failed re-optimization was rebuilt: %d", code)
+	}
+	if got := s2.metrics.sessionsReplayed.With("dropped").Value(); got != 1 {
+		t.Fatalf("sessions_replayed{dropped} = %d, want 1", got)
+	}
+}
+
 // TestSessionMetricsReconciliation checks the §5b session funnel
 // identity on live instruments:
 //
@@ -652,7 +709,7 @@ func TestSessionMetricsReconciliation(t *testing.T) {
 
 	m := s.metrics
 	var closed uint64
-	for _, reason := range []string{closeClient, closeEvicted, closeDrain, closeJournal} {
+	for _, reason := range []string{closeClient, closeEvicted, closeDrain, closeJournal, closeReoptimize} {
 		closed += m.sessionsClosed.With(reason).Value()
 	}
 	in := m.sessionsOpened.Value() + m.sessionsReplayed.With("reopened").Value()
