@@ -48,7 +48,7 @@ bench-smoke:
 # would filter every other benchmark's sub-benchmarks too. The edit
 # reply encoder is unexported, so its benchmark runs in rapids/server.
 perf-gate:
-	{ $(GO) test -run xxx -bench 'BenchmarkMoveGen$$|BenchmarkFullSTA$$|BenchmarkIncrementalSTA$$|BenchmarkIncrementalWideUpdate$$|BenchmarkRollback$$|BenchmarkRollbackWindowed$$|BenchmarkExtractIncremental$$|BenchmarkFig2Swap$$|BenchmarkRegionRoundTrip$$|BenchmarkSessionApply$$|BenchmarkSnapshotAfterResize$$|BenchmarkVerify$$|BenchmarkPlace$$' -benchmem -benchtime 1x -count 3 . && \
+	{ $(GO) test -run xxx -bench 'BenchmarkMoveGen$$|BenchmarkMoveGenSumSlack$$|BenchmarkFullSTA$$|BenchmarkIncrementalSTA$$|BenchmarkIncrementalWideUpdate$$|BenchmarkRollback$$|BenchmarkRollbackWindowed$$|BenchmarkExtractIncremental$$|BenchmarkFig2Swap$$|BenchmarkRegionRoundTrip$$|BenchmarkSessionApply$$|BenchmarkSnapshotAfterResize$$|BenchmarkVerify$$|BenchmarkPlace$$' -benchmem -benchtime 1x -count 3 . && \
 	  $(GO) test -run xxx -bench 'BenchmarkOptimizeRegioned$$/^rounds,window=0.005$$' -benchmem -benchtime 1x -count 3 . && \
 	  $(GO) test -run xxx -bench 'BenchmarkEditReply$$' -benchmem -benchtime 1x -count 3 ./rapids/server ; } \
 	  | $(GO) run ./cmd/perfgate -baseline PERF_BASELINE.json
@@ -63,8 +63,8 @@ table1:
 corpus:
 	$(GO) test -tags corpus -count=1 -run 'TestPhaseStartsMatchFreshStateCorpus$$' ./internal/opt
 
-# Native fuzz smoke: each parser target, the resize frame against its
-# oracle, the incremental timer against full analysis on random placed
+# Native fuzz smoke: each parser target, the resize and swap kernels
+# against their oracles, the incremental timer against full analysis on random placed
 # DAGs, result-store files with arbitrary content, and the annealing
 # placer against its re-scanning oracle on random DAGs, the edit reply
 # encoder against encoding/json, and journal replay of arbitrary file
@@ -76,6 +76,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseBench -fuzztime=$(FUZZTIME) ./internal/bench
 	$(GO) test -fuzz=FuzzSessionEdit -fuzztime=$(FUZZTIME) ./rapids
 	$(GO) test -fuzz=FuzzResizeFrame -fuzztime=$(FUZZTIME) ./internal/sizing
+	$(GO) test -fuzz=FuzzSwapFrame -fuzztime=$(FUZZTIME) ./internal/opt
 	$(GO) test -fuzz=FuzzIncrementalTiming -fuzztime=$(FUZZTIME) ./internal/sta
 	$(GO) test -fuzz=FuzzStoreEntry -fuzztime=$(FUZZTIME) ./rapids/server/store
 	$(GO) test -fuzz=FuzzPlace -fuzztime=$(FUZZTIME) ./internal/place

@@ -481,6 +481,26 @@ func BenchmarkMoveGen(b *testing.B) {
 	}
 }
 
+// BenchmarkMoveGenSumSlack is BenchmarkMoveGen's sequential arm in the
+// sum-slack phase: the same s38417 view and engine, scoring the wider
+// 10% band that relaxation works. It is 3 of an s38417 Optimize's 6
+// phases and most of its scoring, so it is the perf gate's scoring
+// benchmark next to the min-slack one.
+func BenchmarkMoveGenSumSlack(b *testing.B) {
+	n, l, _ := staSwapSetup(b)
+	tm := sta.Analyze(n, l, 0)
+	ext := supergate.Extract(n)
+	o := opt.Options{MaxIters: 1, MaxSwapLeaves: 48}
+	eng := opt.NewEngine(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var moves int
+	for i := 0; i < b.N; i++ {
+		moves = len(eng.Moves(tm, opt.GsgGS, sizing.SumSlack, o, ext))
+	}
+	b.ReportMetric(float64(moves), "moves")
+}
+
 // BenchmarkExtractIncremental measures re-extraction after a small
 // committed batch (the optimizer's steady state): a k-gate toggle batch
 // followed by either a cached flush (invalidate + re-extract the touched

@@ -86,13 +86,14 @@ type siteMove struct {
 }
 
 // workerState is one worker's private evaluation state: a scoring arena,
-// the resize frame that evaluates through it, a reusable swap-enumeration
-// buffer, and local work counters merged into the engine's stats after
-// every phase.
+// the resize frame that evaluates through it, reusable swap-enumeration
+// and leaf-driver buffers, and local work counters merged into the
+// engine's stats after every phase.
 type workerState struct {
-	sc    *sta.Scratch
-	rs    *sizing.Frame
-	swaps []rewire.Swap
+	sc     *sta.Scratch
+	rs     *sizing.Frame
+	swaps  []rewire.Swap
+	leaves []leafDriver
 
 	swapEvals   int
 	resizeEvals int
@@ -180,7 +181,7 @@ func NewEngine(workers int) *Engine {
 	e := &Engine{workers: workers, state: make([]*workerState, workers)}
 	for i := range e.state {
 		sc := sta.GetScratch()
-		e.state[i] = &workerState{sc: sc, rs: sizing.NewFrame(sc)}
+		e.state[i] = &workerState{sc: sc, rs: sizing.NewFrame(sc), leaves: make([]leafDriver, 0, 16)}
 	}
 	return e
 }
@@ -542,13 +543,19 @@ func (e *Engine) scoreAll(nTasks int, fn func(i int, ws *workerState)) {
 
 // bestSwaps returns a supergate's best-gaining swap under each objective,
 // indexed by sizing.Objective (§5: "for each supergate, we find the best
-// swap which maximizes the minimum slack in its neighborhood").
+// swap which maximizes the minimum slack in its neighborhood"). A swap
+// changes only its two drivers' loads, so each leaf driver's in-pin fold
+// and cell are taken once per supergate, not once per pair.
 func bestSwaps(tm *sta.Timing, sg *supergate.Supergate, ws *workerState) [2]siteMove {
 	var best [2]siteMove
 	ws.swaps = rewire.EnumerateInto(ws.swaps[:0], sg)
 	ws.swapEvals += len(ws.swaps)
+	ws.leaves = ws.leaves[:0]
+	for _, l := range sg.Leaves {
+		ws.leaves = append(ws.leaves, leafDriverOf(tm, l.Pin.Driver()))
+	}
 	for _, s := range ws.swaps {
-		for obj, gain := range EvalSwapScratch(tm, s, ws.sc) {
+		for obj, gain := range evalSwap(tm, s, ws.sc, ws.leaves[s.I], ws.leaves[s.J]) {
 			if gain > best[obj].gain+eps {
 				best[obj] = siteMove{gain: gain, a: int32(s.I), b: int32(s.J), inv: s.Inverting}
 			}
@@ -557,18 +564,69 @@ func bestSwaps(tm *sta.Timing, sg *supergate.Supergate, ws *workerState) [2]site
 	return best
 }
 
+// leafDriver is a swap leaf's driver as every swap of its supergate sees
+// it: the fold of its in-pins under committed arrivals and wire delays,
+// and its cell, nil for a primary input. A swap changes only the driver's
+// load.
+type leafDriver struct {
+	fold sta.Edge
+	cell *library.Cell
+}
+
+// leafDriverOf captures driver k's in-pin fold and cell against tm.
+func leafDriverOf(tm *sta.Timing, k *network.Gate) leafDriver {
+	if k.IsInput() {
+		return leafDriver{}
+	}
+	var fold sta.Edge
+	for j, d := range k.Fanins() {
+		a, w := tm.Arrival(d), tm.PinWireDelay(d, k, j)
+		fold = sta.FoldPin(k.Type, fold, sta.Edge{Rise: a.Rise + w, Fall: a.Fall + w})
+	}
+	return leafDriver{fold: fold, cell: tm.Cell(k, k.SizeIdx)}
+}
+
+// arrival returns the driver's out-pin arrival at the given load; a
+// primary input's is zero.
+func (l leafDriver) arrival(load float64) sta.Edge {
+	if l.cell == nil {
+		return sta.Edge{}
+	}
+	rise, fall := l.cell.Delay(load)
+	return sta.Edge{Rise: l.fold.Rise + rise, Fall: l.fold.Fall + fall}
+}
+
 // EvalSwapScratch locally evaluates the gain of a swap against tm under
 // each objective, indexed by sizing.Objective (the two gains reduce the
-// same slack vectors): the two affected drivers' nets are rebuilt with the exchanged sink,
-// their arrivals recomputed, and the slacks of every gate they feed
-// rescored with required times frozen. Inverting swaps add the inverter's
-// cell delay at the receiving pin (the committed batch is still guarded by
-// a full analysis). It is a pure read of tm through the arena sc, with
-// zero steady-state allocations. The before/after neighborhoods are
+// same slack vectors): the two affected drivers' nets are rebuilt with
+// the exchanged sink, their arrivals recomputed, and the slacks of every
+// gate they feed rescored with required times frozen. Inverting swaps add
+// an estimate of the inverter's cell delay at the receiving pin; the
+// committed batch is still guarded by the incremental timer's
+// UpdateArrivals (a full analysis only once the batch dirties more than
+// the timer's FullFraction of the network), so the estimate only needs to
+// rank candidates sensibly. It is a pure read of tm through the arena sc,
+// with zero steady-state allocations. The before/after neighborhoods are
 // collected once into a deterministic slice (drivers first, then sinks in
 // post-exchange net order), so the score — float summation order
 // included — never depends on map iteration.
 func EvalSwapScratch(tm *sta.Timing, s rewire.Swap, sc *sta.Scratch) [2]float64 {
+	ka, kb := s.SG.Leaves[s.I].Pin.Driver(), s.SG.Leaves[s.J].Pin.Driver()
+	if ka == kb {
+		return [2]float64{}
+	}
+	return evalSwap(tm, s, sc, leafDriverOf(tm, ka), leafDriverOf(tm, kb))
+}
+
+// evalSwap is EvalSwapScratch with the two drivers' folds and cells
+// given. Each neighborhood gate's pins that neither driver feeds after
+// the exchange are folded under committed timing; then each driver pushes
+// its new arrival plus the wire delay of each entry of its hypothetical
+// sink list into the pin that entry is, found through the scratch's
+// position table. The pin fold is exact in any order (sta.FoldPin), so
+// this is bit for bit the per-pin evaluation that looks every pin's
+// driver up.
+func evalSwap(tm *sta.Timing, s rewire.Swap, sc *sta.Scratch, la, lb leafDriver) [2]float64 {
 	pa := s.SG.Leaves[s.I].Pin
 	pb := s.SG.Leaves[s.J].Pin
 	ka, kb := pa.Driver(), pb.Driver()
@@ -576,52 +634,58 @@ func EvalSwapScratch(tm *sta.Timing, s rewire.Swap, sc *sta.Scratch) [2]float64 
 		return [2]float64{}
 	}
 	sc.Begin(tm)
-	// Hypothetical sink multisets after the exchange.
-	sc.SinksA = swapOneSink(sc.SinksA[:0], ka.Fanouts(), pa.Gate, pb.Gate)
-	sc.SinksB = swapOneSink(sc.SinksB[:0], kb.Fanouts(), pb.Gate, pa.Gate)
+	// Hypothetical sink multisets after the exchange; ia and ib are the
+	// entries of the exchanged pins pb (now fed by ka) and pa.
+	var ia, ib int
+	sc.SinksA, ia = swapOneSink(sc.SinksA[:0], ka.Fanouts(), pa.Gate, pb.Gate)
+	sc.SinksB, ib = swapOneSink(sc.SinksB[:0], kb.Fanouts(), pb.Gate, pa.Gate)
 	// Scratch.Net already folds in the PO pad load.
 	netA := sc.Net(tm, ka, sc.SinksA)
 	netB := sc.Net(tm, kb, sc.SinksB)
-	arrOf := func(k *network.Gate, load float64) sta.Edge {
-		if k.IsInput() {
-			return sta.Edge{}
-		}
-		sc.Pins = sc.Pins[:0]
-		for j, d := range k.Fanins() {
-			a := tm.Arrival(d)
-			w := tm.PinWireDelay(d, k, j)
-			sc.Pins = append(sc.Pins, sta.Edge{Rise: a.Rise + w, Fall: a.Fall + w})
-		}
-		return tm.GateOutput(k, sc.Pins, load)
-	}
-	arrA := arrOf(ka, netA.Load)
-	arrB := arrOf(kb, netB.Load)
+	arrA, arrB := la.arrival(netA.Load), lb.arrival(netB.Load)
 
-	// Neighborhood: the two drivers plus every sink either of them
-	// touches before or after the exchange (the same set).
+	// Neighborhood: every sink either driver touches before or after the
+	// exchange (the same set), each at its position in sc.Hood. The
+	// drivers themselves are marked seen without a position: each is
+	// scored from its own arrival, never re-timed as the other's sink.
 	sc.MarkSeen(ka)
 	sc.MarkSeen(kb)
 	sc.Hood = sc.Hood[:0]
-	for _, t := range sc.SinksA {
-		if sc.MarkSeen(t) {
-			sc.Hood = append(sc.Hood, t)
+	for _, sinks := range [2][]*network.Gate{sc.SinksA, sc.SinksB} {
+		for _, t := range sinks {
+			if sc.MarkSeen(t) {
+				sc.SetPos(t, len(sc.Hood))
+				sc.Hood = append(sc.Hood, t)
+			}
 		}
 	}
-	for _, t := range sc.SinksB {
-		if sc.MarkSeen(t) {
-			sc.Hood = append(sc.Hood, t)
+	// Static pins: those neither driver feeds after the exchange. The
+	// exchanged pins pa and pb were fed by ka and kb before it, so a pin
+	// is static exactly when its committed driver is neither.
+	sc.Pins = sc.Pins[:0]
+	for _, t := range sc.Hood {
+		acc := sta.Edge{}
+		for i, d := range t.Fanins() {
+			if d == ka || d == kb {
+				continue
+			}
+			a, w := tm.Arrival(d), tm.PinWireDelay(d, t, i)
+			acc = sta.FoldPin(t.Type, acc, sta.Edge{Rise: a.Rise + w, Fall: a.Fall + w})
 		}
+		sc.Pins = append(sc.Pins, acc)
 	}
 	invPenalty := 0.0
 	if s.Inverting {
 		// Approximate: one smallest-inverter delay per redirected pin at a
-		// typical ~5 fF load. The committed batch is still validated by a
-		// full analysis, so this only needs to rank candidates sensibly.
+		// typical ~5 fF load.
 		invPenalty = invDelayEstimatePenalty
 	}
+	pushPins(sc, sc.SinksA, netA.Delays(), arrA, ia, invPenalty)
+	pushPins(sc, sc.SinksB, netB.Delays(), arrB, ib, invPenalty)
+
 	slackOf := func(x *network.Gate, arr sta.Edge) float64 {
 		r := tm.Required(x)
-		return math.Min(r.Rise-arr.Rise, r.Fall-arr.Fall)
+		return min(r.Rise-arr.Rise, r.Fall-arr.Fall)
 	}
 	sc.Slacks = sc.Slacks[:0]
 	if !ka.IsInput() {
@@ -630,35 +694,10 @@ func EvalSwapScratch(tm *sta.Timing, s rewire.Swap, sc *sta.Scratch) [2]float64 
 	if !kb.IsInput() {
 		sc.Slacks = append(sc.Slacks, slackOf(kb, arrB))
 	}
-	for _, t := range sc.Hood {
-		sc.Pins = sc.Pins[:0]
-		for i, d := range t.Fanins() {
-			// The hypothetical connection: pin pa is now fed by kb, pin
-			// pb by ka.
-			cur := network.Pin{Gate: t, Index: i}
-			switch {
-			case cur == pa:
-				d = kb
-			case cur == pb:
-				d = ka
-			}
-			var a sta.Edge
-			var w float64
-			switch d {
-			case ka:
-				a, w = arrA, netA.SinkDelay(t)
-			case kb:
-				a, w = arrB, netB.SinkDelay(t)
-			default:
-				a, w = tm.Arrival(d), tm.PinWireDelay(d, t, i)
-			}
-			pen := 0.0
-			if cur == pa || cur == pb {
-				pen = invPenalty
-			}
-			sc.Pins = append(sc.Pins, sta.Edge{Rise: a.Rise + w + pen, Fall: a.Fall + w + pen})
-		}
-		sc.Slacks = append(sc.Slacks, slackOf(t, tm.GateOutput(t, sc.Pins, tm.Load(t))))
+	for h, t := range sc.Hood {
+		rise, fall := tm.Cell(t, t.SizeIdx).Delay(tm.Load(t))
+		w := sc.Pins[h]
+		sc.Slacks = append(sc.Slacks, slackOf(t, sta.Edge{Rise: w.Rise + rise, Fall: w.Fall + fall}))
 	}
 
 	// Baseline: the same gate set under committed timing, in the same
@@ -677,19 +716,38 @@ func EvalSwapScratch(tm *sta.Timing, s rewire.Swap, sc *sta.Scratch) [2]float64 
 	return [2]float64{after[0] - before[0], after[1] - before[1]}
 }
 
+// pushPins folds a driver's new arrival arr into the pin of each entry of
+// its hypothetical sink list, at its neighborhood position in sc.Pins: the
+// arrival plus the entry's wire delay, plus pen for the exchanged pin at
+// entry swapped. An entry without a position is the other driver, which
+// is not re-timed.
+func pushPins(sc *sta.Scratch, sinks []*network.Gate, delays []float64, arr sta.Edge, swapped int, pen float64) {
+	for i, t := range sinks {
+		h := sc.Pos(t)
+		if h < 0 {
+			continue
+		}
+		w, p := delays[i], 0.0
+		if i == swapped {
+			p = pen
+		}
+		sc.Pins[h] = sta.FoldPin(t.Type, sc.Pins[h], sta.Edge{Rise: arr.Rise + w + p, Fall: arr.Fall + w + p})
+	}
+}
+
 // swapOneSink appends fanouts to out with a single occurrence of from
-// replaced by to.
-func swapOneSink(out, fanouts []*network.Gate, from, to *network.Gate) []*network.Gate {
-	replaced := false
-	for _, f := range fanouts {
-		if !replaced && f == from {
+// replaced by to, and returns the index of the replaced entry.
+func swapOneSink(out, fanouts []*network.Gate, from, to *network.Gate) ([]*network.Gate, int) {
+	at := -1
+	for i, f := range fanouts {
+		if at < 0 && f == from {
 			out = append(out, to)
-			replaced = true
+			at = i
 			continue
 		}
 		out = append(out, f)
 	}
-	return out
+	return out, at
 }
 
 // invDelayEstimatePenalty is a representative smallest-inverter delay

@@ -227,9 +227,12 @@ func TestSwapOneSink(t *testing.T) {
 	a := n.AddInput("a")
 	b := n.AddInput("b")
 	c := n.AddInput("c")
-	got := swapOneSink(nil, []*network.Gate{a, b, a}, a, c)
+	got, at := swapOneSink(nil, []*network.Gate{a, b, a}, a, c)
 	if got[0] != c || got[1] != b || got[2] != a {
 		t.Fatal("swapOneSink must replace exactly one occurrence")
+	}
+	if at != 0 {
+		t.Fatalf("swapOneSink replaced entry %d, reported %d", 0, at)
 	}
 }
 

@@ -102,6 +102,33 @@ func TestFrameCraftedCases(t *testing.T) {
 		spread(n)
 		checkFrame(t, sta.Analyze(n, lib(), 0))
 	})
+	t.Run("hood gate with two pins on one driver", func(t *testing.T) {
+		// h is a sink of g's driver d through two pins, so d's net lists
+		// it twice and both of its dynamic pins read d's new arrival.
+		n := network.New("hoodtwice")
+		a, b := n.AddInput("a"), n.AddInput("b")
+		d := n.AddGate("d", logic.Nor, a, b)
+		g := n.AddGate("g", logic.Nand, d, b)
+		h := n.AddGate("h", logic.Nand, d, a, d)
+		n.MarkOutput(g)
+		n.MarkOutput(n.AddGate("s", logic.Xor, h, d))
+		spread(n)
+		checkFrame(t, sta.Analyze(n, lib(), 0))
+	})
+	t.Run("driver feeds the resized gate twice and a later driver", func(t *testing.T) {
+		// d1 feeds g through two pins (two capacitance entries a size
+		// patches) and feeds g's later driver d2, whose pin from d1 is
+		// dynamic.
+		n := network.New("gtwice")
+		a, b, c := n.AddInput("a"), n.AddInput("b"), n.AddInput("c")
+		d1 := n.AddGate("d1", logic.Nand, a, b)
+		d2 := n.AddGate("d2", logic.Xnor, d1, c)
+		g := n.AddGate("g", logic.Nor, d1, d2, d1)
+		n.MarkOutput(g)
+		n.MarkOutput(n.AddGate("h", logic.Nand, d2, d1, d1))
+		spread(n)
+		checkFrame(t, sta.Analyze(n, lib(), 0))
+	})
 	t.Run("primary-input drivers and PO pads", func(t *testing.T) {
 		n := network.New("pads")
 		a, b := n.AddInput("a"), n.AddInput("b")

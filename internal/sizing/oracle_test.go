@@ -20,12 +20,9 @@ type oracleDrivers struct {
 }
 
 // localSlacks computes the per-gate slacks of the neighborhood under the
-// scratch's effective gate sizes (committed SizeIdx plus any override),
-// with upstream arrivals and required times frozen from tm. The caller
-// must have opened the evaluation with sc.Begin; results live in the
-// scratch's Slacks buffer until the next evaluation. Everything is a pure
-// read of tm and the network, so concurrent workers with private
-// scratches can evaluate disjoint candidates in parallel.
+// gates' current sizes, with upstream arrivals and required times frozen
+// from tm. The caller must have opened the evaluation with sc.Begin;
+// results live in the scratch's Slacks buffer until the next evaluation.
 func localSlacks(tm *sta.Timing, g *network.Gate, sc *sta.Scratch) []float64 {
 	dr := oracleDrivers{net: map[*network.Gate]*sta.NetModel{}, arr: map[*network.Gate]sta.Edge{}}
 	// Recompute the nets of g's fanin drivers (their loads and sink wire
@@ -41,7 +38,7 @@ func localSlacks(tm *sta.Timing, g *network.Gate, sc *sta.Scratch) []float64 {
 			dr.arr[d] = sta.Edge{}
 			continue
 		}
-		dr.arr[d] = tm.GateOutputSc(sc, d, pinArrivals(tm, d, sc, dr), m.Load)
+		dr.arr[d] = tm.GateOutput(d, pinArrivals(tm, d, sc, dr), m.Load)
 	}
 	// Then every sink of those drivers, g included.
 	sc.Slacks = sc.Slacks[:0]
@@ -59,7 +56,7 @@ func localSlacks(tm *sta.Timing, g *network.Gate, sc *sta.Scratch) []float64 {
 		}
 		// A sink's load is unchanged (same sinks; for g itself the cell
 		// changed but not the net), so tm.Load is still valid.
-		arr := tm.GateOutputSc(sc, x, pinArrivals(tm, x, sc, dr), tm.Load(x))
+		arr := tm.GateOutput(x, pinArrivals(tm, x, sc, dr), tm.Load(x))
 		appendSlack(x, arr)
 	}
 	return sc.Slacks
@@ -77,7 +74,7 @@ func pinArrivals(tm *sta.Timing, x *network.Gate, sc *sta.Scratch, dr oracleDriv
 		}
 		var w float64
 		if m := dr.net[d]; m != nil {
-			w = m.SinkDelay(x)
+			w = m.SinkDelay(d.Fanouts(), x)
 		} else {
 			w = tm.WireDelay(d, x)
 		}
@@ -87,7 +84,9 @@ func pinArrivals(tm *sta.Timing, x *network.Gate, sc *sta.Scratch, dr oracleDriv
 }
 
 // oracleEvalResize re-derives the whole neighborhood from the timing view
-// for the baseline and again for the candidate size.
+// for the baseline and again for the candidate size, with g's SizeIdx set
+// to it for the evaluation and restored after: tests run the oracle on one
+// goroutine, and nothing it calls fires a mutation event.
 func oracleEvalResize(tm *sta.Timing, g *network.Gate, newSize int, obj Objective, sc *sta.Scratch) float64 {
 	if g.IsInput() || newSize == g.SizeIdx {
 		return 0
@@ -95,8 +94,10 @@ func oracleEvalResize(tm *sta.Timing, g *network.Gate, newSize int, obj Objectiv
 	sc.Begin(tm)
 	before := Scores(localSlacks(tm, g, sc), tm.Clock)[obj]
 	sc.Begin(tm)
-	sc.OverrideSize(g, newSize)
+	old := g.SizeIdx
+	g.SizeIdx = newSize
 	after := Scores(localSlacks(tm, g, sc), tm.Clock)[obj]
+	g.SizeIdx = old
 	return after - before
 }
 

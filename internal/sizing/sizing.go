@@ -10,14 +10,21 @@
 // resized gate's fanin drivers and of all their sinks are recomputed with
 // upstream arrivals and downstream required times frozen from the last
 // analysis, as a pure read that concurrent scoring workers can share. A
-// Frame captures what a site's sizes share once, so the baseline and the
-// alternative sizes of one site are scored from a single frame.
+// Frame captures once per site everything a size does not change — the
+// drivers' star geometry, every pin fold that no size reaches, the other
+// neighborhood gates' cell delays — so the baseline and the alternative
+// sizes of one site are scored from a single frame, each size re-patching
+// only the resized gate's pin capacitance and cell. Every term is the same
+// floating-point operation on the same operands as re-deriving the
+// neighborhood per size, and a pin fold is a maximum, exact in any order,
+// so the gains are bit-identical to that evaluation (the test oracle).
 package sizing
 
 import (
 	"math"
 
 	"repro/internal/library"
+	"repro/internal/logic"
 	"repro/internal/network"
 	"repro/internal/sta"
 )
@@ -77,56 +84,84 @@ func Scores(slacks []float64, clock float64) [2]float64 {
 // Frame is one worker's resize-evaluation arena: the frame of a single
 // resize site, shared by the baseline and every alternative size. A
 // resize of g changes only g's pin capacitance on its fanin drivers' nets
-// and g's own cell, so everything else a local evaluation reads is the
-// same for all sizes and is frozen once per site from the timing view: the
-// driver list and neighborhood, each neighborhood gate's required time
-// and load, and every pin edge (arrival plus committed wire delay) whose
-// driver is not one of g's drivers. Scoring a size then rebuilds only
-// what depends on it: the driver nets, the driver arrivals, and the pins
-// those drivers feed. The arithmetic is the per-size evaluation's, term
-// for term, so the gains are bit-identical to re-deriving the whole
-// neighborhood for every size.
+// and g's own cell, so build captures once per site, from the timing
+// view, everything that a size does not change:
 //
-// A Frame borrows its worker's sta.Scratch (for the net models and the
-// pin and slack buffers) and reuses its own slices, so a steady-state
-// evaluation allocates nothing. It is not safe for concurrent use.
+//   - the driver list and the neighborhood, with each neighborhood
+//     gate's required time;
+//   - each driver's net: its star geometry and sink pin capacitances,
+//     one star build per driver, plus the positions of g's entries in
+//     its sink list;
+//   - each gate's fold over its static pins, those whose arrival and
+//     wire delay no size changes (committed values);
+//   - the cell delay of every neighborhood gate other than the drivers
+//     and g, at its frozen load;
+//   - each dynamic pin, as its gate's neighborhood entry and its index in
+//     the feeding driver's sink list.
+//
+// Scoring a size then only patches g's capacitance into the driver nets
+// and re-evaluates their loads and wire delays, re-times each driver from
+// its static fold, and folds each dynamic pin into its gate. Every term
+// is the same floating-point operation on the same operands as the
+// per-size evaluation that re-derives the whole neighborhood (the test
+// oracle), and the pin fold is a maximum, exact in any order and grouping
+// (sta.FoldPin), so the gains are bit-identical to it.
+//
+// A Frame borrows its worker's sta.Scratch (for the neighborhood, the
+// position table, the driver nets and the slack buffer; a frame's nets
+// stay valid until the scratch's next Begin, which only build calls) and
+// reuses its own slices, so a steady-state evaluation allocates nothing.
+// It is not safe for concurrent use.
 type Frame struct {
-	sc *sta.Scratch
-	g  *network.Gate
+	sc    *sta.Scratch
+	g     *network.Gate
+	gload float64
+	// capSize is the size whose pin capacitance the driver nets hold:
+	// build's nets hold g's own, so the baseline re-evaluates none.
+	capSize int
 
 	drivers []frameDriver
 	hood    []frameGate
-	pins    []framePin
+	fans    []frameFan
+	gpos    []int32
 }
 
 // frameDriver is one distinct fanin driver of the resized gate, in first
-// fanin order. pins[lo:hi] are its in-pins (none for a primary input);
-// net and arr hold the current size's rebuilt net and out-pin arrival.
+// fanin order. net is its net, built once per site; gpos[glo:ghi] are
+// the resized gate's entries in its sink list, and fans[lo:hi] the
+// dynamic pins it feeds. cell is its cell and h its neighborhood entry,
+// nil and -1 for a primary input. arr holds the current size's arrival.
 type frameDriver struct {
-	d      *network.Gate
-	lo, hi int32
-	net    *sta.NetModel
-	arr    sta.Edge
+	d        *network.Gate
+	cell     *library.Cell
+	h        int32
+	net      *sta.NetModel
+	glo, ghi int32
+	lo, hi   int32
+	arr      sta.Edge
 }
 
 // frameGate is one neighborhood gate whose slack the objective scores.
-// A driver (drv >= 0) takes its slack from the driver's rebuilt arrival;
-// any other gate is re-timed from pins[lo:hi] under its frozen load.
+// static folds its static pins: for a driver (drv >= 0) every pin that no
+// earlier driver feeds, for any other gate every pin that no driver
+// feeds. acc is static with the current size's dynamic pins folded in. A
+// driver's arrival comes from its net's load; any other gate's is acc
+// plus delay, its cell's delay at its frozen load (for g, the size's
+// cell's, computed per size).
 type frameGate struct {
 	x      *network.Gate
+	typ    logic.GateType
 	req    sta.Edge
-	load   float64
+	static sta.Edge
+	acc    sta.Edge
+	delay  sta.Edge
 	drv    int32
-	lo, hi int32
 }
 
-// framePin is one in-pin of a re-timed gate: the frozen edge, or (drv >=
-// 0) a dynamic pin fed by driver drv — its arrival plus its net's wire
-// delay to the pin's gate.
-type framePin struct {
-	edge sta.Edge
-	drv  int32
-}
+// frameFan is one dynamic pin: neighborhood entry h's pin fed by the
+// driver whose sink-list entry i it is. Duplicate entries of one sink hold
+// equal delays, so each pin reads its own.
+type frameFan struct{ h, i int32 }
 
 // NewFrame returns an empty frame evaluating through sc, sized for a
 // typical site so most frames never grow.
@@ -135,7 +170,8 @@ func NewFrame(sc *sta.Scratch) *Frame {
 		sc:      sc,
 		drivers: make([]frameDriver, 0, library.MaxFanin),
 		hood:    make([]frameGate, 0, 64),
-		pins:    make([]framePin, 0, 256),
+		fans:    make([]frameFan, 0, 128),
+		gpos:    make([]int32, 0, library.MaxFanin),
 	}
 }
 
@@ -150,103 +186,118 @@ func (f *Frame) driverIndex(d *network.Gate) int32 {
 	return -1
 }
 
-// appendPins freezes x's in-pins. A pin fed by a driver already listed is
-// dynamic; any other pin reads the committed arrival and wire delay.
-// Drivers are listed in order, so a driver feeding a later driver of the
-// same gate is dynamic for it, and one feeding an earlier driver is not —
-// exactly the order in which a driver's hypothetical arrival becomes
-// visible when the neighborhood is re-timed driver by driver.
-func (f *Frame) appendPins(tm *sta.Timing, x *network.Gate) (lo, hi int32) {
-	lo = int32(len(f.pins))
+// staticFold folds x's pins that no driver before the k-th feeds, with
+// committed arrivals and wire delays. Drivers are listed in order, so a
+// driver feeding a later driver of the same gate is dynamic for it, and
+// one feeding an earlier driver is not — exactly the order in which a
+// driver's hypothetical arrival becomes visible when the neighborhood is
+// re-timed driver by driver.
+func (f *Frame) staticFold(tm *sta.Timing, x *network.Gate, k int32) sta.Edge {
+	var acc sta.Edge
 	for j, d := range x.Fanins() {
-		if k := f.driverIndex(d); k >= 0 {
-			f.pins = append(f.pins, framePin{drv: k})
+		if i := f.driverIndex(d); i >= 0 && i < k {
 			continue
 		}
 		a, w := tm.Arrival(d), tm.PinWireDelay(d, x, j)
-		f.pins = append(f.pins, framePin{edge: sta.Edge{Rise: a.Rise + w, Fall: a.Fall + w}, drv: -1})
+		acc = sta.FoldPin(x.Type, acc, sta.Edge{Rise: a.Rise + w, Fall: a.Fall + w})
 	}
-	return lo, int32(len(f.pins))
+	return acc
 }
 
 // build captures the size-independent frame of a resize of g against tm.
 func (f *Frame) build(tm *sta.Timing, g *network.Gate) {
-	f.g = g
-	f.drivers = f.drivers[:0]
-	f.hood = f.hood[:0]
-	f.pins = f.pins[:0]
+	sc := f.sc
+	f.g, f.gload, f.capSize = g, tm.Load(g), g.SizeIdx
+	f.drivers, f.hood, f.fans, f.gpos = f.drivers[:0], f.hood[:0], f.fans[:0], f.gpos[:0]
 	for _, d := range g.Fanins() {
-		if f.driverIndex(d) >= 0 {
-			continue
+		if f.driverIndex(d) < 0 {
+			f.drivers = append(f.drivers, frameDriver{d: d, h: -1})
 		}
-		var lo, hi int32
-		if !d.IsInput() {
-			lo, hi = f.appendPins(tm, d)
-		}
-		f.drivers = append(f.drivers, frameDriver{d: d, lo: lo, hi: hi})
 	}
-	f.sc.Begin(tm)
-	for _, x := range neighborhood(g, f.sc) {
+	sc.Begin(tm)
+	for _, x := range neighborhood(g, sc) {
 		if x.IsInput() {
 			continue
 		}
-		h := frameGate{x: x, req: tm.Required(x), drv: f.driverIndex(x)}
-		if h.drv < 0 {
+		h := frameGate{x: x, typ: x.Type, req: tm.Required(x), drv: f.driverIndex(x)}
+		k := int32(len(f.drivers))
+		switch {
+		case h.drv >= 0:
+			k = h.drv
+			dr := &f.drivers[h.drv]
+			dr.h, dr.cell = int32(len(f.hood)), tm.Cell(x, x.SizeIdx)
+		case x != g:
 			// A sink's load is unchanged (same sinks; for g itself the
 			// cell changed but not the net), so tm.Load is still valid.
-			h.load = tm.Load(x)
-			h.lo, h.hi = f.appendPins(tm, x)
+			rise, fall := tm.Cell(x, x.SizeIdx).Delay(tm.Load(x))
+			h.delay = sta.Edge{Rise: rise, Fall: fall}
 		}
+		h.static = f.staticFold(tm, x, k)
+		sc.SetPos(x, len(f.hood))
 		f.hood = append(f.hood, h)
 	}
-}
-
-// pinEdges assembles the in-pin edges of pins[lo:hi] for gate x into the
-// scratch's Pins buffer, completing dynamic pins from the current size's
-// driver arrivals and nets.
-func (f *Frame) pinEdges(x *network.Gate, lo, hi int32) []sta.Edge {
-	sc := f.sc
-	sc.Pins = sc.Pins[:0]
-	for _, p := range f.pins[lo:hi] {
-		if p.drv < 0 {
-			sc.Pins = append(sc.Pins, p.edge)
-			continue
+	for k := range f.drivers {
+		dr := &f.drivers[k]
+		// Scratch.Net already folds in the PO pad load.
+		dr.net = sc.Net(tm, dr.d, dr.d.Fanouts())
+		dr.lo, dr.glo = int32(len(f.fans)), int32(len(f.gpos))
+		for i, x := range dr.d.Fanouts() {
+			if x == g {
+				f.gpos = append(f.gpos, int32(i))
+			}
+			h := sc.Pos(x) // every sink is in the neighborhood
+			if drv := f.hood[h].drv; drv >= 0 && drv < int32(k) {
+				continue // an earlier driver reads this pin as static
+			}
+			f.fans = append(f.fans, frameFan{h: int32(h), i: int32(i)})
 		}
-		dr := &f.drivers[p.drv]
-		w := dr.net.SinkDelay(x)
-		sc.Pins = append(sc.Pins, sta.Edge{Rise: dr.arr.Rise + w, Fall: dr.arr.Fall + w})
+		dr.hi, dr.ghi = int32(len(f.fans)), int32(len(f.gpos))
 	}
-	return sc.Pins
 }
 
 // scores evaluates the built frame under both objectives with g at the
-// given size: the drivers' nets and arrivals are rebuilt under the size's
-// pin capacitance, then every neighborhood gate's slack is scored with
+// given size: the drivers' nets take the size's pin capacitance, the
+// drivers are re-timed in order, each pushing its new arrival into the
+// pins it feeds, and every neighborhood gate's slack is scored with
 // required times frozen.
 func (f *Frame) scores(tm *sta.Timing, size int) [2]float64 {
-	sc := f.sc
-	sc.Begin(tm)
-	sc.OverrideSize(f.g, size)
-	for i := range f.drivers {
-		dr := &f.drivers[i]
-		// Scratch.Net already folds in the PO pad load.
-		dr.net = sc.Net(tm, dr.d, dr.d.Fanouts())
-		if dr.d.IsInput() {
-			dr.arr = sta.Edge{}
-			continue
-		}
-		dr.arr = tm.GateOutputSc(sc, dr.d, f.pinEdges(dr.d, dr.lo, dr.hi), dr.net.Load)
+	sc, g := f.sc, f.g
+	cell := tm.Cell(g, size)
+	for i := range f.hood {
+		f.hood[i].acc = f.hood[i].static
 	}
+	for k := range f.drivers {
+		dr := &f.drivers[k]
+		if size != f.capSize {
+			dr.net.Recap(f.gpos[dr.glo:dr.ghi], cell.InputCap)
+		}
+		dr.arr = sta.Edge{}
+		if dr.h >= 0 {
+			w := f.hood[dr.h].acc
+			rise, fall := dr.cell.Delay(dr.net.Load)
+			dr.arr = sta.Edge{Rise: w.Rise + rise, Fall: w.Fall + fall}
+		}
+		delays := dr.net.Delays()
+		for _, fn := range f.fans[dr.lo:dr.hi] {
+			h, w := &f.hood[fn.h], delays[fn.i]
+			h.acc = sta.FoldPin(h.typ, h.acc, sta.Edge{Rise: dr.arr.Rise + w, Fall: dr.arr.Fall + w})
+		}
+	}
+	f.capSize = size
+	gRise, gFall := cell.Delay(f.gload)
 	sc.Slacks = sc.Slacks[:0]
 	for i := range f.hood {
 		h := &f.hood[i]
 		var arr sta.Edge
-		if h.drv >= 0 {
+		switch {
+		case h.drv >= 0:
 			arr = f.drivers[h.drv].arr
-		} else {
-			arr = tm.GateOutputSc(sc, h.x, f.pinEdges(h.x, h.lo, h.hi), h.load)
+		case h.x == g:
+			arr = sta.Edge{Rise: h.acc.Rise + gRise, Fall: h.acc.Fall + gFall}
+		default:
+			arr = sta.Edge{Rise: h.acc.Rise + h.delay.Rise, Fall: h.acc.Fall + h.delay.Fall}
 		}
-		sc.Slacks = append(sc.Slacks, math.Min(h.req.Rise-arr.Rise, h.req.Fall-arr.Fall))
+		sc.Slacks = append(sc.Slacks, min(h.req.Rise-arr.Rise, h.req.Fall-arr.Fall))
 	}
 	return Scores(sc.Slacks, tm.Clock)
 }

@@ -34,3 +34,7 @@ func PinTableHit(t *Timing, d, s *network.Gate, j int) bool {
 
 // Level returns the timer's cached logic level of g.
 func Level(it *Incremental, g *network.Gate) int32 { return it.levelOf(g) }
+
+// SetScratchEpoch sets the arena's evaluation epoch, so a test can drive
+// it across the wrap.
+func SetScratchEpoch(sc *Scratch, epoch uint32) { sc.epoch = epoch }

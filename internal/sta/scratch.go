@@ -40,28 +40,32 @@ func PutScratch(sc *Scratch) {
 }
 
 // NetModel is the arena form of NetInfo: one (possibly hypothetical) net
-// with the driver's total load and per-sink wire delays, stored in
-// reusable parallel slices instead of a freshly allocated map.
+// with the driver's total load and the wire delay to each entry of the
+// sink list it was built over, stored in reusable slices instead of a
+// freshly allocated map. It keeps no gate pointer.
 type NetModel struct {
 	// Load is the total capacitance seen by the driver in pF.
 	Load float64
 
-	sinks  []*network.Gate
 	delays []float64
 
-	// geometry scratch for computeNetInto
-	pts  []wire.Point
-	caps []float64
-	star wire.Star
+	// geometry scratch for computeNetInto, kept so that Recap can
+	// re-evaluate the net under new sink pin capacitances
+	pts    []wire.Point
+	caps   []float64
+	star   wire.Star
+	placed bool
+	pad    float64 // the load Net adds past the star: the PO pad
 }
 
-// SinkDelay returns the wire delay to sink s — the worst over duplicate
-// entries when s appears with multiplicity, matching NetInfo.SinkDelay —
-// or 0 when s is not a sink of the net. Sink lists are small (nets
-// average a few pins), so a linear scan beats any map.
-func (m *NetModel) SinkDelay(s *network.Gate) float64 {
+// SinkDelay returns the wire delay to sink s of the net built over sinks
+// — the worst over duplicate entries when s appears with multiplicity,
+// matching NetInfo.SinkDelay — or 0 when s is not a sink of the net. Sink
+// lists are small (nets average a few pins), so a linear scan beats any
+// map.
+func (m *NetModel) SinkDelay(sinks []*network.Gate, s *network.Gate) float64 {
 	d, found := 0.0, false
-	for i, t := range m.sinks {
+	for i, t := range sinks {
 		if t == s && (!found || m.delays[i] > d) {
 			d = m.delays[i]
 			found = true
@@ -70,47 +74,67 @@ func (m *NetModel) SinkDelay(s *network.Gate) float64 {
 	return d
 }
 
+// Delays returns the wire delay to each entry of the net's sink list, in
+// sink-list order. A sink fed through several pins has one entry per pin,
+// and all of them hold the same delay (one position, one pin
+// capacitance), so any one is the sink's SinkDelay.
+func (m *NetModel) Delays() []float64 { return m.delays }
+
+// Recap sets the pin capacitance of the sink entries at the indexes idx
+// to c and re-evaluates the net's load (Net's pad included) and wire
+// delays over its unchanged geometry: bit for bit what Net returns for
+// the same sinks with those capacitances, without rebuilding the star.
+// A resize frame tries the resized gate's sizes on its drivers' nets this
+// way.
+func (m *NetModel) Recap(idx []int32, c float64) {
+	for _, i := range idx {
+		m.caps[i] = c
+	}
+	m.evaluate()
+	m.Load += m.pad
+}
+
 // computeNetInto is ComputeNet writing into a reusable NetModel: the same
 // star model over an explicit (possibly hypothetical) sink list, with the
 // same load and per-sink delays bit for bit, and no steady-state
-// allocation. Sink pin capacitances honor the scratch's size override
-// (sc may be nil).
-func (t *Timing) computeNetInto(sc *Scratch, m *NetModel, d *network.Gate, sinks []*network.Gate) {
-	m.Load = 0
-	m.sinks = append(m.sinks[:0], sinks...)
-	m.delays = m.delays[:0]
-	if len(sinks) == 0 {
-		return
-	}
+// allocation.
+func (t *Timing) computeNetInto(m *NetModel, d *network.Gate, sinks []*network.Gate) {
 	m.pts = m.pts[:0]
 	m.caps = m.caps[:0]
-	placed := d.Placed
+	m.placed = d.Placed
 	for _, s := range sinks {
 		c := 0.0
 		if !s.IsInput() {
-			if sc != nil {
-				c = t.lib.MustCell(s.Type, s.NumFanins(), sc.sizeOf(s)).InputCap
-			} else {
-				c = t.cellOf(s).InputCap
-			}
+			c = t.cellOf(s).InputCap
 		}
 		m.pts = append(m.pts, wire.Point{X: s.X, Y: s.Y})
 		m.caps = append(m.caps, c)
 		if !s.Placed {
-			placed = false
+			m.placed = false
 		}
 	}
-	if !placed {
+	if m.placed && len(sinks) > 0 {
+		wire.BuildInto(&m.star, wire.Point{X: d.X, Y: d.Y}, m.pts)
+	}
+	m.evaluate()
+}
+
+// evaluate computes the net's load and wire delays from its geometry and
+// sink pin capacitances.
+func (m *NetModel) evaluate() {
+	m.Load = 0
+	m.delays = m.delays[:0]
+	switch {
+	case len(m.caps) == 0:
+	case !m.placed:
 		// Pre-placement: pin caps only, zero wire.
-		for i := range sinks {
-			m.Load += m.caps[i]
+		for _, c := range m.caps {
+			m.Load += c
 			m.delays = append(m.delays, 0)
 		}
-		return
+	default:
+		m.delays, m.Load = m.star.ElmoreAll(m.caps, m.delays)
 	}
-	wire.BuildInto(&m.star, wire.Point{X: d.X, Y: d.Y}, m.pts)
-	m.Load = m.star.TotalLoad(m.caps)
-	m.delays = m.star.ElmoreAll(m.caps, m.delays)
 }
 
 // Scratch is one worker's arena. It is not safe for concurrent use; a
@@ -119,15 +143,11 @@ type Scratch struct {
 	epoch uint32
 	bound int
 
-	// Size override: the one hypothetical the sizing evaluator needs.
-	// Instead of flipping Gate.SizeIdx in place — a data race once
-	// scoring runs on several workers, since a neighbor's evaluation
-	// reads the same field — the evaluator records the hypothetical size
-	// here and every scratch-aware Timing accessor consults it.
-	ovrGate *network.Gate
-	ovrSize int
-
-	seenStamp []uint32 // MarkSeen's visited set, by gate ID
+	// MarkSeen's visited set and the position table, by gate ID: a gate
+	// is seen in this evaluation when seenStamp[id] is the epoch, and
+	// pos[id] is then its position, -1 until SetPos records one.
+	seenStamp []uint32
+	pos       []int32
 
 	// nets is a pool of pointers (not values): a NetModel handed out by
 	// Net stays valid even after later Net calls grow the pool.
@@ -157,6 +177,7 @@ func (sc *Scratch) Begin(tm *Timing) {
 	bound := tm.n.IDBound()
 	if bound > sc.bound {
 		sc.seenStamp = append(sc.seenStamp, make([]uint32, bound-sc.bound)...)
+		sc.pos = append(sc.pos, make([]int32, bound-sc.bound)...)
 		sc.bound = bound
 	}
 	if sc.epoch == math.MaxUint32 {
@@ -167,30 +188,6 @@ func (sc *Scratch) Begin(tm *Timing) {
 	}
 	sc.epoch++
 	sc.netsUsed = 0
-	sc.ovrGate = nil
-}
-
-// OverrideSize makes the rest of this evaluation (until the next Begin)
-// see g implemented at the given size index: GateOutputSc uses the
-// override cell's delay and Net charges its input capacitance to g's
-// fanin nets. g itself is never written.
-func (sc *Scratch) OverrideSize(g *network.Gate, sizeIdx int) {
-	sc.ovrGate = g
-	sc.ovrSize = sizeIdx
-}
-
-// sizeOf resolves g's effective size under the evaluation's override.
-func (sc *Scratch) sizeOf(g *network.Gate) int {
-	if g == sc.ovrGate {
-		return sc.ovrSize
-	}
-	return g.SizeIdx
-}
-
-// GateOutputSc is GateOutput under the scratch's size override.
-func (t *Timing) GateOutputSc(sc *Scratch, g *network.Gate, pinArr []Edge, load float64) Edge {
-	cell := t.lib.MustCell(g.Type, g.NumFanins(), sc.sizeOf(g))
-	return t.gateOutputCell(cell, g, pinArr, load)
 }
 
 // MarkSeen adds g to the evaluation's visited set, reporting whether it
@@ -201,7 +198,25 @@ func (sc *Scratch) MarkSeen(g *network.Gate) bool {
 		return false
 	}
 	sc.seenStamp[id] = sc.epoch
+	sc.pos[id] = -1
 	return true
+}
+
+// SetPos records i as the position of g, which MarkSeen added in this
+// evaluation: the caller's index of g in its own per-evaluation arrays,
+// which turns "find this sink among the evaluation's gates" from a scan
+// into one read.
+func (sc *Scratch) SetPos(g *network.Gate, i int) {
+	sc.pos[g.ID()] = int32(i)
+}
+
+// Pos returns the position SetPos recorded for g in this evaluation, or
+// -1 when it recorded none.
+func (sc *Scratch) Pos(g *network.Gate) int {
+	if id := g.ID(); sc.seenStamp[id] == sc.epoch {
+		return int(sc.pos[id])
+	}
+	return -1
 }
 
 // Net computes the star model of driver d over the given hypothetical
@@ -214,21 +229,17 @@ func (sc *Scratch) Net(tm *Timing, d *network.Gate, sinks []*network.Gate) *NetM
 	}
 	m := sc.nets[sc.netsUsed]
 	sc.netsUsed++
-	tm.computeNetInto(sc, m, d, sinks)
-	m.Load += tm.padLoad(d)
+	tm.computeNetInto(m, d, sinks)
+	m.pad = tm.padLoad(d)
+	m.Load += m.pad
 	return m
 }
 
 // dropGates clears every gate pointer the arena keeps for reuse: the
-// size override, the caller buffers Hood, SinksA and SinksB, and every
-// pooled NetModel's sinks, each up to its capacity. It costs
-// O(capacity), once per run.
+// caller buffers Hood, SinksA and SinksB, each up to its capacity. It
+// costs O(capacity), once per run.
 func (sc *Scratch) dropGates() {
-	sc.ovrGate = nil
 	sc.Hood = clearGates(sc.Hood)
 	sc.SinksA = clearGates(sc.SinksA)
 	sc.SinksB = clearGates(sc.SinksB)
-	for _, m := range sc.nets {
-		m.sinks = clearGates(m.sinks)
-	}
 }

@@ -220,14 +220,13 @@ func (t *Timing) setNet(d *network.Gate) float64 {
 	} else {
 		t.saveSlots(int(w.off), int(w.off)+k)
 	}
+	copy(t.netSinks[w.off:w.off+w.cp], fo)
 	m := &t.nsc
-	m.sinks = t.netSinks[w.off : w.off : w.off+w.cp]
 	m.delays = t.netDelays[w.off : w.off : w.off+w.cp]
-	t.computeNetInto(nil, m, d, fo)
+	t.computeNetInto(m, d, fo)
 	w.load = m.Load
 	w.n = int32(len(fo))
-	m.sinks = nil // the arena owns these; never reuse them as scratch
-	m.delays = nil
+	m.delays = nil // the arena owns these; never reuse them as scratch
 
 	gen := t.nextGen()
 	t.netGen[id] = gen
@@ -349,7 +348,6 @@ func ReleaseTiming(t *Timing) {
 func (t *Timing) dropGates() {
 	t.n, t.lib, t.bounds = nil, nil, nil
 	t.netSinks = clearGates(t.netSinks)
-	t.nsc.sinks = nil
 }
 
 // copyFrom makes t an exact copy of src's analysis, reusing t's arrays.
@@ -563,7 +561,13 @@ func edgeBehavior(t logic.GateType) unateness {
 }
 
 func (t *Timing) cellOf(g *network.Gate) *library.Cell {
-	return t.lib.MustCell(g.Type, g.NumFanins(), g.SizeIdx)
+	return t.Cell(g, g.SizeIdx)
+}
+
+// Cell returns the library cell that implements g at the given size
+// index.
+func (t *Timing) Cell(g *network.Gate, size int) *library.Cell {
+	return t.lib.MustCell(g.Type, g.NumFanins(), size)
 }
 
 // NetInfo describes one (possibly hypothetical) net: the total load seen
@@ -581,9 +585,9 @@ type NetInfo struct {
 // per-sink map keeps the worst delay over duplicate sink entries.
 func (t *Timing) ComputeNet(d *network.Gate, sinks []*network.Gate) NetInfo {
 	var m NetModel
-	t.computeNetInto(nil, &m, d, sinks)
+	t.computeNetInto(&m, d, sinks)
 	info := NetInfo{Load: m.Load, SinkDelay: make(map[*network.Gate]float64, len(sinks))}
-	for i, s := range m.sinks {
+	for i, s := range sinks {
 		if cur, ok := info.SinkDelay[s]; !ok || m.delays[i] > cur {
 			info.SinkDelay[s] = m.delays[i]
 		}
@@ -635,42 +639,41 @@ func (t *Timing) pinHit(d, s *network.Gate, j int) (int, bool) {
 // with respect to the committed analysis, so optimizers can call it with
 // hypothetical values.
 func (t *Timing) GateOutput(g *network.Gate, pinArr []Edge, load float64) Edge {
-	return t.gateOutputCell(t.cellOf(g), g, pinArr, load)
+	var w Edge // the worst causing-input times
+	for _, pa := range pinArr {
+		w = FoldPin(g.Type, w, pa)
+	}
+	dRise, dFall := t.cellOf(g).Delay(load)
+	return Edge{Rise: w.Rise + dRise, Fall: w.Fall + dFall}
 }
 
-// gateOutputCell is GateOutput with an explicit cell, shared with the
-// scratch-aware size-override path (GateOutputSc).
-func (t *Timing) gateOutputCell(cell *library.Cell, g *network.Gate, pinArr []Edge, load float64) Edge {
-	dRise, dFall := cell.Delay(load)
-	var worstRise, worstFall float64 // worst causing-input times
-	for _, pa := range pinArr {
-		switch edgeBehavior(g.Type) {
-		case inverting:
-			// Output rise is caused by input fall and vice versa.
-			if pa.Fall > worstRise {
-				worstRise = pa.Fall
-			}
-			if pa.Rise > worstFall {
-				worstFall = pa.Rise
-			}
-		case nonInverting:
-			if pa.Rise > worstRise {
-				worstRise = pa.Rise
-			}
-			if pa.Fall > worstFall {
-				worstFall = pa.Fall
-			}
-		default:
-			m := pa.Max()
-			if m > worstRise {
-				worstRise = m
-			}
-			if m > worstFall {
-				worstFall = m
-			}
+// FoldPin folds the arrival pa at one in-pin of a gate of type typ into
+// acc, per output edge the latest causing-input time so far: an inverting
+// gate's output rise is caused by an input fall and its fall by a rise, a
+// non-unate gate's by either. A gate's out-pin arrival is its cell's
+// delay added to the fold of all its pins from the zero Edge. Each edge is
+// a running maximum that only a strictly later time replaces, so folding
+// a gate's pins in any order, in any grouping, gives the same bits: the
+// scoring kernels fold the pins a candidate cannot change once and the
+// rest per candidate.
+func FoldPin(typ logic.GateType, acc, pa Edge) Edge {
+	switch edgeBehavior(typ) {
+	case inverting:
+		pa.Rise, pa.Fall = pa.Fall, pa.Rise
+	case nonUnate: // both edges take pa.Max()
+		if pa.Rise > pa.Fall {
+			pa.Fall = pa.Rise
+		} else {
+			pa.Rise = pa.Fall
 		}
 	}
-	return Edge{Rise: worstRise + dRise, Fall: worstFall + dFall}
+	if pa.Rise > acc.Rise {
+		acc.Rise = pa.Rise
+	}
+	if pa.Fall > acc.Fall {
+		acc.Fall = pa.Fall
+	}
+	return acc
 }
 
 // Version identifies the network state this view times: two reads of
@@ -734,7 +737,9 @@ func (t *Timing) Load(g *network.Gate) float64 {
 // Slack returns the worst-edge slack of g.
 func (t *Timing) Slack(g *network.Gate) float64 {
 	a, r := t.Arrival(g), t.Required(g)
-	return math.Min(r.Rise-a.Rise, r.Fall-a.Fall)
+	// The builtin min: math.Min's value for every operand but NaN, which
+	// no arrival or required time is, without its call.
+	return min(r.Rise-a.Rise, r.Fall-a.Fall)
 }
 
 // WorstSlack returns the minimum slack over all gates.

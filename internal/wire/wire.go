@@ -123,25 +123,32 @@ func (s *Star) ElmoreToSink(i int, sinkPinCaps []float64) float64 {
 }
 
 // ElmoreAll appends ElmoreToSink(i, sinkPinCaps) for every sink i, in
-// sink order, to out and returns the extended slice. It sums the
-// downstream capacitance once, in ElmoreToSink's order, so a net's
-// delays cost linear rather than quadratic time in its fanout and
-// every delay is bit-identical to ElmoreToSink's.
-func (s *Star) ElmoreAll(sinkPinCaps, out []float64) []float64 {
+// sink order, to out and returns the extended slice, together with
+// TotalLoad(sinkPinCaps). It makes two passes over the sinks instead of
+// a quadratic number: the first sums the wire capacitance and the
+// downstream capacitance, the second adds up the load and appends the
+// delays. Each sum accumulates its terms in the order its own definition
+// does, so every delay is bit-identical to ElmoreToSink's and the load to
+// TotalLoad's.
+func (s *Star) ElmoreAll(sinkPinCaps, out []float64) ([]float64, float64) {
 	r0 := s.SourceLen * ResPerCm
 	c0 := s.SourceLen * CapPerCm
-	downstream := 0.0
+	wire, downstream := c0, 0.0
 	for j, l := range s.SinkLen {
-		downstream += l * CapPerCm
+		lc := l * CapPerCm
+		wire += lc
+		downstream += lc
 		downstream += sinkPinCaps[j]
 	}
 	src := r0 * (c0/2 + downstream)
+	load := wire
 	for i, l := range s.SinkLen {
+		load += sinkPinCaps[i]
 		ri := l * ResPerCm
 		ci := l * CapPerCm
 		out = append(out, src+ri*(ci/2+sinkPinCaps[i]))
 	}
-	return out
+	return out, load
 }
 
 // HPWL returns the half-perimeter wirelength of a terminal set in µm —

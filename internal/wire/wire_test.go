@@ -111,9 +111,9 @@ func TestElmoreMonotoneProperty(t *testing.T) {
 	}
 }
 
-// ElmoreAll reproduces ElmoreToSink bit for bit on random stars,
-// including zero-length segments (a sink on the star center, or the
-// source on it) and coincident terminals, and appends after out's
+// ElmoreAll reproduces ElmoreToSink and TotalLoad bit for bit on random
+// stars, including zero-length segments (a sink on the star center, or
+// the source on it) and coincident terminals, and appends after out's
 // existing contents.
 func TestElmoreAllMatchesElmoreToSink(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -156,9 +156,14 @@ func TestElmoreAllMatchesElmoreToSink(t *testing.T) {
 			}
 		}
 		s := Build(src, sinks)
-		out = s.ElmoreAll(caps, out[:1])
+		var load float64
+		out, load = s.ElmoreAll(caps, out[:1])
 		if len(out) != 1+len(sinks) || out[0] != -1 {
 			t.Fatalf("trial %d: ElmoreAll returned %v for %d sinks", trial, out, len(sinks))
+		}
+		if want := s.TotalLoad(caps); math.Float64bits(load) != math.Float64bits(want) {
+			t.Fatalf("trial %d: ElmoreAll load %v (%#x), TotalLoad %v (%#x)",
+				trial, load, math.Float64bits(load), want, math.Float64bits(want))
 		}
 		for i := range sinks {
 			if got, want := out[1+i], s.ElmoreToSink(i, caps); math.Float64bits(got) != math.Float64bits(want) {
